@@ -3,19 +3,24 @@ checks, exact hit-finding for sampled reals, and a deterministic Monte Carlo
 estimate of the measure of the approximable set.
 
 A hit at index k is an integer p with |x - p/q_k^d| < alpha_k / q_k^d,
-gcd(p, q_k) = 1 and p mod q_k inside the configured coset.  Every inequality
-is decided with exact integer cross-multiplication; floats never touch a hit
-decision.  Sampling is a per-index SHA-256 stream, so results are
-reproducible and independent of the degree of parallelism.
+gcd(p, q_k) = 1 and p mod q_k inside the configured coset.  Floats only
+prune: a vectorized screen drops the indices that cannot hold a hit, with the
+error margin proved in Experiment.find_hits; integers decide, since every
+surviving inequality is settled by exact integer cross-multiplication.
+Sampling is a per-index SHA-256 stream, so results are reproducible and
+independent of the degree of parallelism.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+
+import numpy as np
 
 from .arith import euler_phi, factor, primes_up_to, r_d
 from .residue_group import inv_mod, is_dth_power
@@ -72,6 +77,8 @@ ALPHA_KINDS = ("explicit", "c/k", "c/(k log k)", "c*2^-k")
 SUBGROUP_MODES = ("full", "dth-powers", "generators")
 
 _LOG_SCALE = 1 << 16  # dyadic resolution of the rounded log in c/(k log k)
+_LOW_WORD = (1 << 64) - 1
+_SCREEN_Q_LIMIT = 1 << 53  # the hit screen's error bound needs Q_k exact in a double
 
 
 @dataclass(frozen=True)
@@ -164,27 +171,44 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        def need(name, cast=None):
-            if name not in data:
-                raise ValueError(f"config field '{name}' is missing")
-            v = data[name]
-            if cast is int and not isinstance(v, int):
+        """Parse a JSON config strictly: unknown keys, and integer fields
+        given as bools or non-integers, are rejected rather than coerced."""
+
+        def known(where, obj, keys):
+            if not isinstance(obj, dict):
+                raise ValueError(f"{where} must be an object")
+            unknown = sorted(set(obj) - keys)
+            if unknown:
+                raise ValueError(f"unknown {where} field(s): {', '.join(map(str, unknown))}")
+
+        def integer(name, v):
+            if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError(f"config field '{name}' must be an integer, got {v!r}")
             return v
 
-        version = data.get("schema_version", 1)
+        def need(name):
+            if name not in data:
+                raise ValueError(f"config field '{name}' is missing")
+            return data[name]
+
+        known("config", data, _CONFIG_KEYS)
+        version = integer("schema_version", data.get("schema_version", 1))
         if version != 1:
             raise ValueError(f"unsupported schema_version {version}")
         qd = need("q_sequence")
         if not isinstance(qd, dict) or "kind" not in qd:
             raise ValueError("config field 'q_sequence' must be an object with a 'kind'")
+        known("q_sequence", qd, {"kind", "values"})
         qseq = QSequence(
             kind=qd["kind"],
-            values=tuple(int(v) for v in qd["values"]) if "values" in qd else None,
+            values=tuple(integer("q_sequence.values", v) for v in qd["values"])
+            if "values" in qd
+            else None,
         )
         ad = need("alpha_sequence")
         if not isinstance(ad, dict) or "kind" not in ad:
             raise ValueError("config field 'alpha_sequence' must be an object with a 'kind'")
+        known("alpha_sequence", ad, {"kind", "c", "values"})
         aseq = AlphaSequence(
             kind=ad["kind"],
             c=Fraction(ad["c"]) if "c" in ad else None,
@@ -193,16 +217,20 @@ class ExperimentConfig:
         return ExperimentConfig(
             q_sequence=qseq,
             alpha_sequence=aseq,
-            d=need("d", int),
-            a=need("a", int),
+            d=integer("d", need("d")),
+            a=integer("a", need("a")),
             subgroup_mode=need("subgroup_mode"),
-            generators=tuple(int(g) for g in data.get("generators", [])),
-            K=need("K", int),
-            samples=need("samples", int),
-            precision_bits=int(data.get("precision_bits", 128)),
-            seed=need("seed", int),
-            min_hits=int(data.get("min_hits", 5)),
+            generators=tuple(integer("generators", g) for g in data.get("generators", [])),
+            K=integer("K", need("K")),
+            samples=integer("samples", need("samples")),
+            precision_bits=integer("precision_bits", data.get("precision_bits", 128)),
+            seed=integer("seed", need("seed")),
+            min_hits=integer("min_hits", data.get("min_hits", 5)),
         )
+
+
+# the keys to_dict writes: one per field, plus the schema version
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig)) | {"schema_version"}
 
 
 @dataclass(frozen=True)
@@ -279,22 +307,65 @@ class Experiment:
     moduli: tuple[int, ...] = field(repr=False)  # q_k ** d
     orders: tuple[int, ...] = field(repr=False)  # |G_k|
     _members: list = field(repr=False)  # per-index coset membership tests
+    # Hit screen arrays, one entry per index (see find_hits).
+    _q_word: np.ndarray = field(repr=False)  # Q_k mod 2^64 as uint64
+    _q_low: np.ndarray = field(repr=False)  # _q_word * 2^-128 as float64
+    _tau: np.ndarray = field(repr=False)  # float(alpha_k) (1 + 2^-50) + 2^-48
+    _unscreened: np.ndarray = field(repr=False)  # Q_k >= 2^53: float distance void
 
     def find_hits(self, x) -> list[HitRecord]:
         """All hit records for the exact rational x in (0, 1), k = 1..K.
 
-        For each k only the integers floor(x q^d) - 1, 0, +1 are tried: with
-        alpha < 1/2 the target interval has length < 1, so it contains at
-        most one integer and that integer is within 1 of floor(x q^d).
+        Floats only prune, with the margin proved below; integers decide.  A
+        numpy screen keeps the indices k whose float distance from x Q_k
+        (Q = q^d) to the nearest integer is below tau_k, plus every index
+        with Q_k >= 2^53.  Each survivor goes through the exact test, the
+        only place a hit is decided: only the integers floor(x Q) - 1, 0, +1
+        are tried, because with alpha < 1/2 the target interval has length
+        < 1, so it contains at most one integer and that integer is within 1
+        of floor(x Q).
+
+        Margin.  Write ||y|| for the distance from y to the nearest integer
+        and u = 2^-53 for the unit roundoff.  Let X = floor(x 2^128) =
+        xh 2^64 + xl with 0 <= xh, xl < 2^64, and A = xh Q mod 2^64, which
+        uint64 wraparound computes exactly.  Modulo 1,
+            x Q = A 2^-64 + xl Q 2^-128 + (x - X 2^-128) Q,
+        and for Q < 2^53 the screen computes t = fl(fl(A) 2^-64 + fl(xl) Q
+        2^-128) with these errors:
+          1. fl(A): A < 2^64 is rounded to 53 bits, an error of at most 2^10,
+             so at most 2^-54 after the exact scaling by 2^-64;
+          2. the xl Q term: Q and the scaling by 2^-128 are exact; fl(xl) and
+             the product each add a relative error of at most u, and the
+             term is at most (2^64 - 1)(2^53 - 1) 2^-128 < 2^-11 (1 - u), so
+             its error is below 2^-11 (1 - u)(2u + u^2) < 2^-63;
+          3. the final add: the sum is below 2, so it rounds by at most 2^-53;
+          4. the truncation of x: 0 <= x - X 2^-128 < 2^-128 (x need not be
+             dyadic, nor have 128 bits), which moves x Q by less than
+             Q 2^-128 < 2^-75.
+        The screen's distance is d = min(f, 1 - f) with f = t - floor(t).
+        Both subtractions are exact (Sterbenz: t < 2, and 1 - f is used only
+        when f >= 1/2), so d = ||t||.  As ||.|| is 1-Lipschitz,
+            |d - ||x Q||| <= 2^-54 + 2^-63 + 2^-53 + 2^-75 < 2^-52.
+        The threshold is tau = fl(fl(a (1 + 2^-50)) + 2^-48) with a =
+        float(alpha), the correctly rounded quotient of two integers.  With
+        eta = 2^-1075 for underflow (the c*2^-k radii round to a subnormal
+        or to 0 once k passes about 1074), a >= alpha (1 - u) - eta.
+        Rounding is monotone and 1 + 2^-50 > 1, so fl(a (1 + 2^-50)) >= a.
+        The last sum is at least 2^-48, a normal number, so
+            tau >= (alpha (1 - u) - eta + 2^-48)(1 - u)
+                >= alpha - 2 u alpha + 2^-48 - 2^-101 - eta
+                >  alpha + 2^-49,
+        using alpha < 1/2.  A hit at k gives an integer p with
+        |x Q - p| < alpha, hence ||x Q|| < alpha, hence d < alpha + 2^-52 <
+        tau: every index holding a hit survives the screen.
         """
         x = Fraction(x)
         if not (0 < x < 1):
             raise ValueError(f"sample point must lie in (0, 1), got {x}")
         xn, xd = x.numerator, x.denominator
         hits = []
-        for i, (q, Q, alpha, member) in enumerate(
-            zip(self.qs, self.moduli, self.alphas, self._members)
-        ):
+        for i in self._screen(xn, xd).tolist():
+            q, Q, alpha, member = self.qs[i], self.moduli[i], self.alphas[i], self._members[i]
             an, ad = alpha.numerator, alpha.denominator
             m, delta = divmod(xn * Q, xd)
             rhs = an * xd
@@ -304,15 +375,24 @@ class Experiment:
                     break
         return hits
 
+    def _screen(self, xn: int, xd: int) -> np.ndarray:
+        """Ascending indices that may hold a hit for x = xn/xd (the float
+        screen of find_hits, whose docstring proves its margin)."""
+        X = (xn << 128) // xd
+        t = (self._q_word * np.uint64(X >> 64)) * 2.0**-64 + float(X & _LOW_WORD) * self._q_low
+        t -= np.floor(t)
+        dist = np.minimum(t, 1.0 - t)
+        return np.flatnonzero((dist < self._tau) | self._unscreened)
+
     def monte_carlo(self, threads: int = 1) -> "MonteCarloResult":
         cfg = self.config
         n = cfg.samples
-        if threads <= 1:
+        workers = min(threads, n, os.cpu_count() or 1)
+        if workers <= 1:
             per_sample = [
                 self.find_hits(_sample_point(cfg.seed, i, cfg.precision_bits)) for i in range(n)
             ]
         else:
-            workers = min(threads, n)
             step = -(-n // workers)
             ranges = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
             cfg_dict = cfg.to_dict()
@@ -424,13 +504,19 @@ def prepare(cfg: ExperimentConfig) -> Experiment:
             cs = frozenset(cfg.a * x % q for x in sub)
             members.append(lambda p, cs=cs: p in cs)
             orders.append(len(sub))
+    moduli = tuple(q**cfg.d for q in qs)
+    q_word = np.array([Q & _LOW_WORD for Q in moduli], dtype=np.uint64)
     return Experiment(
         config=cfg,
         qs=qs,
         alphas=alphas,
-        moduli=tuple(q**cfg.d for q in qs),
+        moduli=moduli,
         orders=tuple(orders),
         _members=members,
+        _q_word=q_word,
+        _q_low=q_word.astype(np.float64) * 2.0**-128,
+        _tau=np.array([float(a) for a in alphas]) * (1 + 2.0**-50) + 2.0**-48,
+        _unscreened=np.array([Q >= _SCREEN_Q_LIMIT for Q in moduli]),
     )
 
 

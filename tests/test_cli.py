@@ -5,6 +5,8 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
+
 from cosetapprox.cli import main
 
 F = Fraction
@@ -191,6 +193,40 @@ class TestExperiment:
         cfg = self.make_config(tmp_path, alpha_sequence={"kind": "c/k", "c": "2/3"})
         code, _, err = run_cli(capsys, "experiment", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("d", True, "'d' must be an integer", id="bool-d"),
+            pytest.param("a", True, "'a' must be an integer", id="bool-a"),
+            pytest.param("K", True, "'K' must be an integer", id="bool-K"),
+            pytest.param("samples", True, "'samples' must be an integer", id="bool-samples"),
+            pytest.param("seed", False, "'seed' must be an integer", id="bool-seed"),
+            pytest.param(
+                "precision_bits", 12.9, "'precision_bits' must be an integer", id="float-precision"
+            ),
+            pytest.param("min_hits", 3.5, "'min_hits' must be an integer", id="float-min-hits"),
+            pytest.param("min_hit", 3, "unknown config field(s): min_hit", id="unknown-key"),
+            pytest.param(
+                "q_sequence",
+                {"kind": "explicit", "values": [2.5, 3]},
+                "'q_sequence.values' must be an integer",
+                id="float-q-value",
+            ),
+            pytest.param(
+                "q_sequence",
+                {"kind": "integers", "value": [1]},
+                "unknown q_sequence field(s): value",
+                id="unknown-nested-key",
+            ),
+            pytest.param("generators", [2.0], "'generators' must be an integer", id="float-generator"),
+        ],
+    )
+    def test_strict_config_fields_exit_2(self, tmp_path, capsys, field, value, message):
+        cfg = self.make_config(tmp_path, **{field: value})
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 2
+        assert message in err and out == ""
 
 
 class TestUsageAndVerify:

@@ -6,9 +6,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cosetapprox import experiment
 from cosetapprox.arith import primes_up_to
 from cosetapprox.experiment import (
+    SUBGROUP_MODES,
     AlphaSequence,
     ExperimentConfig,
     QSequence,
@@ -191,6 +195,160 @@ class TestFindHits:
         assert ok, detail
 
 
+def reference_hits(exp, x):
+    """The exact three-candidate test over every index, with no screen."""
+    xn, xd = x.numerator, x.denominator
+    hits = []
+    for i, (q, Q, alpha, member) in enumerate(zip(exp.qs, exp.moduli, exp.alphas, exp._members)):
+        m, delta = divmod(xn * Q, xd)
+        for p, dist in ((m, delta), (m + 1, xd - delta), (m - 1, xd + delta)):
+            if F(dist, xd) < alpha and math.gcd(p, q) == 1 and member(p % q):
+                hits.append((i + 1, q, p, F(dist, xd * Q)))
+                break
+    return hits
+
+
+def screened_hits(exp, x):
+    return [(h.k, h.q, h.p, h.error) for h in exp.find_hits(x)]
+
+
+def explicit_cfg(qs, alphas, **kw):
+    return small_cfg(
+        q_sequence=QSequence("explicit", values=tuple(qs)),
+        alpha_sequence=AlphaSequence("explicit", values=tuple(alphas)),
+        K=len(qs),
+        **kw,
+    )
+
+
+def boundary_points(exp, bits):
+    """Points x with x Q_k - p = +alpha_k or -alpha_k exactly, for a few
+    coprime numerators p per index, and their neighbours one unit of 2^-128
+    and one unit of 2^-bits away on either side (for a boundary that is not
+    on the 2^-bits grid: the grid points around it and their neighbours)."""
+    grid = F(1, 1 << bits)
+    tiny = F(1, 1 << 128)
+    pts = set()
+    for q, Q, alpha, member in zip(exp.qs, exp.moduli, exp.alphas, exp._members):
+        for start in (1, Q // 2, Q - 1):
+            p = next(
+                (p for p in range(max(start, 1), Q) if math.gcd(p, q) == 1 and member(p % q)), None
+            )
+            if p is None:
+                continue
+            for x0 in (F(p, Q) + alpha / Q, F(p, Q) - alpha / Q):
+                lo = math.floor(x0 / grid) * grid
+                for base in {x0, lo, lo + grid}:
+                    pts.update((base, base - tiny, base + tiny, base - grid, base + grid))
+    return sorted(x for x in pts if 0 < x < 1)
+
+
+BOUNDARY_CONFIGS = {
+    # x Q - p = +-alpha lands on a short dyadic grid
+    "dyadic": explicit_cfg((2, 4, 8, 16), (F(1, 4), F(1, 8), F(3, 16), F(5, 16))),
+    # alpha not representable in binary; x = (p + alpha)/Q is not dyadic
+    "thirds": explicit_cfg((3, 5, 7, 11, 13), (F(1, 3), F(2, 5), F(1, 7), F(4, 11), F(1, 13)), d=2),
+    # boundaries of the form r/1000
+    "decimal": explicit_cfg((10, 100, 1000), (F(3, 10), F(1, 100), F(7, 1000))),
+    # alpha far below float resolution, or rounding to 0.0: only the margin keeps x = p/Q
+    "underflow": explicit_cfg((2, 4, 8), (F(1, 1 << 60), F(1, 1 << 1100), F(3, 1 << 1200))),
+    # Q = q^d at and above 2^53: those indices skip the float screen
+    "large-q": explicit_cfg(
+        (3, (1 << 26) + 1, (1 << 27) - 1, (1 << 27) + 1, 3**40), (F(1, 3),) * 5, d=2
+    ),
+}
+
+
+class TestHitScreen:
+    @pytest.mark.parametrize("bits", [8, 64, 128, 200])
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_CONFIGS))
+    def test_boundary_points_match_reference(self, name, bits):
+        exp = prepare(BOUNDARY_CONFIGS[name])
+        points = boundary_points(exp, bits)
+        hit_count = 0
+        for x in points:
+            want = reference_hits(exp, x)
+            assert screened_hits(exp, x) == want, x
+            hit_count += bool(want)
+        # both sides of the boundaries occur
+        assert 0 < hit_count < len(points)
+        for i in range(50):
+            x = _sample_point(7, i, bits)
+            assert screened_hits(exp, x) == reference_hits(exp, x)
+
+    def test_large_moduli_take_the_unscreened_path(self):
+        exp = prepare(BOUNDARY_CONFIGS["large-q"])
+        assert exp._unscreened.tolist() == [Q >= 1 << 53 for Q in exp.moduli]
+        assert exp._unscreened.tolist() == [False, False, True, True, True]
+
+    def test_exact_centre_survives_underflowing_radius(self):
+        exp = prepare(BOUNDARY_CONFIGS["underflow"])
+        assert float(exp.alphas[1]) == 0.0
+        assert [h.k for h in exp.find_hits(F(1, 4))] == [2]  # distance 0 < alpha = 2^-1100
+
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_CONFIGS))
+    def test_screen_keeps_every_hit_and_prunes_the_rest(self, name):
+        # survivors lie between {||x Q|| < alpha} and {||x Q|| < alpha + 2^-47}
+        exp = prepare(BOUNDARY_CONFIGS[name])
+        slack = F(1, 1 << 47)
+        for x in boundary_points(exp, 64):
+            kept = set(exp._screen(x.numerator, x.denominator).tolist())
+            for i, (Q, alpha) in enumerate(zip(exp.moduli, exp.alphas)):
+                r = x * Q - math.floor(x * Q)
+                dist = min(r, 1 - r)
+                if dist < alpha or exp._unscreened[i]:
+                    assert i in kept, (x, i)
+                elif dist >= alpha + slack:
+                    assert i not in kept, (x, i)
+
+    def test_screen_prunes_a_fixture_sized_run(self):
+        exp = prepare(small_cfg(alpha_sequence=AlphaSequence("c*2^-k", c=F(1, 4)), K=2000))
+        kept = sum(len(exp._screen(x.numerator, x.denominator)) for x in (
+            _sample_point(11, i, 128) for i in range(20)
+        ))
+        assert kept < 20 * 2000 // 100
+
+
+@st.composite
+def hit_problems(draw):
+    d = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(SUBGROUP_MODES))
+    qs = sorted(draw(st.sets(st.integers(1, 250), min_size=1, max_size=12)))
+    # primes above 250 are units modulo every q
+    a = draw(st.sampled_from((1, 257, 263)))
+    gens = tuple(draw(st.lists(st.sampled_from((257, 263, 269, 271)), min_size=1, max_size=2)))
+    alphas = draw(
+        st.lists(
+            st.one_of(
+                st.fractions(min_value=F(1, 10**6), max_value=F(1, 2), max_denominator=10**6),
+                st.integers(40, 1200).map(lambda e: F(1, 1 << e)),
+            ).filter(lambda v: 0 < v < F(1, 2)),
+            min_size=len(qs),
+            max_size=len(qs),
+        )
+    )
+    cfg = explicit_cfg(qs, alphas, d=d, a=a, subgroup_mode=mode, generators=gens)
+    exp = prepare(cfg)
+    if draw(st.booleans()):
+        x = draw(st.fractions(min_value=0, max_value=1, max_denominator=1 << 200))
+    else:
+        k = draw(st.integers(0, len(qs) - 1))
+        Q, alpha = exp.moduli[k], exp.alphas[k]
+        p = draw(st.integers(0, Q))
+        shift = draw(st.sampled_from((-1, 0, 1))) * F(1, 1 << draw(st.integers(1, 260)))
+        x = F(p, Q) + draw(st.sampled_from((-1, 1))) * alpha / Q + shift
+    return exp, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(hit_problems())
+def test_screened_hits_equal_exact_reference(problem):
+    exp, x = problem
+    if not 0 < x < 1:
+        return
+    assert screened_hits(exp, x) == reference_hits(exp, x)
+
+
 class TestSampling:
     def test_sample_point_deterministic_and_in_range(self):
         for i in range(50):
@@ -224,6 +382,37 @@ class TestMonteCarlo:
         r1 = monte_carlo_measure(cfg, threads=1)
         r2 = monte_carlo_measure(cfg, threads=3)
         assert r1.summary_dict() == r2.summary_dict()
+
+    @pytest.mark.parametrize(
+        "threads, samples, cpus, workers",
+        [(10**6, 12, 2, 2), (3, 12, 8, 3), (10**6, 5, 64, 5), (8, 12, None, 1), (1, 12, 8, 1)],
+    )
+    def test_pool_size_is_capped(self, monkeypatch, threads, samples, cpus, workers):
+        # a stand-in pool that records its size and maps in this process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+        cfg = small_cfg(K=50, samples=samples)
+        got = monte_carlo_measure(cfg, threads=threads)
+        assert sizes == ([workers] if workers > 1 else [])
+        serial = monte_carlo_measure(cfg, threads=1)
+        assert json.dumps(got.summary_dict(), sort_keys=True) == json.dumps(
+            serial.summary_dict(), sort_keys=True
+        )
 
     def test_fraction_table_shape_and_monotonicity(self):
         cfg = small_cfg(K=500, samples=30, min_hits=4)
