@@ -32,7 +32,6 @@ from .equidist import (
     overlap_measure,
     phi_mu,
     phi_mu_sieve,
-    psi_character_identity,
     psi_count,
     psi_estimate,
     psi_power_lift,
@@ -44,7 +43,6 @@ from .experiment import (
     QSequence,
     abel_condition_check,
     check_conditions,
-    find_hits,
     monte_carlo_measure,
     prepare,
 )

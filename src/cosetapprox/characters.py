@@ -22,6 +22,7 @@ __all__ = [
     "all_characters",
     "char_sum",
     "character_matrix",
+    "character_prefix_sums",
     "evaluate",
     "log_value",
     "orthogonality_deviation",
@@ -157,21 +158,31 @@ def character_matrix(g: UnitGroup, chars: list[DirichletCharacter]) -> np.ndarra
     return V
 
 
+def character_prefix_sums(
+    g: UnitGroup, chars: list[DirichletCharacter]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(V, S): the value table V = character_matrix(g, chars) and its prefix
+    sums S[i, h] = chars[i](1) + ... + chars[i](h) for h = 0..n-1."""
+    V = character_matrix(g, chars)
+    S = np.zeros_like(V)
+    np.cumsum(V[:, 1:], axis=1, out=S[:, 1:])
+    return V, S
+
+
 def pv_sweep_max(n: int) -> tuple[float, float]:
     """(max over non-principal chi and 1 <= h <= n of |char sum|, pv_bound(n)).
 
-    Uses the value table plus a cumulative sum, so one call covers every
-    character and every prefix length for the modulus.
+    Uses the prefix-sum table, so one call covers every character and every
+    prefix length for the modulus (h = n repeats h = n - 1, as chi(n) = 0).
     """
     from .residue_group import unit_group
 
     g = unit_group(n)
     chars = all_characters(g)
-    V = character_matrix(g, chars)
+    _, S = character_prefix_sums(g, chars)
     if len(chars) <= 1:
         return 0.0, pv_bound(n)
-    prefix = np.cumsum(V[1:, 1:], axis=1)  # rows: non-principal; cols: h = 1..n-1
-    return float(np.max(np.abs(prefix))), pv_bound(n)
+    return float(np.max(np.abs(S[1:, 1:]))), pv_bound(n)
 
 
 def orthogonality_deviation(n: int) -> tuple[float, float]:

@@ -24,9 +24,9 @@ from fractions import Fraction
 from . import verify as verify_mod
 from .arith import euler_phi, factor, growth_scan, omega, r_d, s_d, tau, u_d
 from .arith import brute_r_d, brute_u_d
-from .characters import all_characters, character_matrix, pv_bound
+from .characters import all_characters, character_prefix_sums, pv_bound
 from .equidist import interval_system, overlap_excess_sweep, psi_estimate
-from .experiment import ExperimentConfig, check_conditions, exact_str, monte_carlo_measure
+from .experiment import ExperimentConfig, check_conditions, exact_str, prepare
 from .residue_group import (
     coset,
     dth_power_subgroup,
@@ -159,22 +159,19 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_chars(args) -> int:
-    import numpy as np
-
     rows = []
     for n in range(3, args.n_max + 1):
         g = unit_group(n)
         chars = all_characters(g)
         if len(chars) <= 1:
             continue
-        V = character_matrix(g, chars)
-        prefix = np.cumsum(V[:, 1:], axis=1)
+        _, prefix = character_prefix_sums(g, chars)
         bound = pv_bound(n)
         for i, chi in enumerate(chars):
             if chi.is_principal:
                 continue
             for h in range(1, n + 1):
-                v = prefix[i, min(h, n - 1) - 1]
+                v = prefix[i, min(h, n - 1)]
                 rows.append(
                     [n, ";".join(map(str, chi.exponents)), h,
                      float(v.real), float(v.imag), bound, bound - abs(v)]
@@ -253,8 +250,9 @@ def _cmd_experiment(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     cfg = ExperimentConfig.from_dict(raw)
-    conditions = check_conditions(cfg, epsilon=args.epsilon)
-    result = monte_carlo_measure(cfg, threads=args.threads)
+    exp = prepare(cfg)
+    conditions = check_conditions(exp, epsilon=args.epsilon)
+    result = exp.monte_carlo(threads=args.threads)
     summary = result.summary_dict()
     summary["conditions"] = {
         "epsilon": conditions.epsilon,

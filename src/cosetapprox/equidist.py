@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import euler_phi, factor, tau
-from .characters import character_matrix, quotient_characters
+from .characters import character_prefix_sums, quotient_characters
 from .residue_group import Coset, Subgroup, coset, inv_mod
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "overlap_measure",
     "phi_mu",
     "phi_mu_sieve",
-    "psi_character_identity",
     "psi_character_value",
     "psi_count",
     "psi_estimate",
@@ -108,7 +107,8 @@ def psi_character_value(mu, c: Coset) -> complex:
 
     Averages chi(a^-1 k) over the characters trivial on the subgroup and
     k <= mu*n; by orthogonality this equals the coset count exactly, so the
-    float result should sit next to an integer.
+    float result should sit next to an integer: round(value.real) is the
+    count, and the distance to it is the float error.
     """
     mu = _as_fraction(mu)
     if mu <= 0:
@@ -117,9 +117,7 @@ def psi_character_value(mu, c: Coset) -> complex:
     g = G.group
     n = g.n
     chars = quotient_characters(G)
-    V = character_matrix(g, chars)
-    prefix = np.zeros_like(V)
-    prefix[:, 1:] = np.cumsum(V[:, 1:], axis=1)
+    V, prefix = character_prefix_sums(g, chars)
     m = math.floor(mu * n)
     full, rem = divmod(m, n)
     sums = prefix[:, rem].copy()
@@ -127,21 +125,6 @@ def psi_character_value(mu, c: Coset) -> complex:
     alpha = inv_mod(c.representative, n)
     total = complex(np.sum(V[:, alpha] * sums))
     return total / len(chars)
-
-
-def psi_character_identity(mu, c: Coset, tol: float = 1e-6) -> int:
-    """psi_count(mu*n, c) recomputed through the character-sum identity.
-
-    Rounds the complex value to the nearest integer; flags (raises) if the
-    pre-rounding value is farther than tol from an integer.
-    """
-    total = psi_character_value(mu, c)
-    nearest = round(total.real)
-    if abs(total - nearest) > tol:
-        raise ArithmeticError(
-            f"character identity off an integer by {abs(total - nearest):.3e} (mod {c.n})"
-        )
-    return int(nearest)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
 from .arith import euler_phi, factor, primes_up_to, r_d
-from .residue_group import inv_mod, is_dth_power
+from .residue_group import closure, inv_mod, is_dth_power
 
 __all__ = [
     "AbelReport",
@@ -36,40 +37,24 @@ __all__ = [
     "QSequence",
     "abel_condition_check",
     "check_conditions",
-    "find_hits",
     "monte_carlo_measure",
     "prepare",
 ]
 
 def exact_str(x: Fraction) -> str:
-    """num/den string for rationals whose digit count can exceed the
-    interpreter's int-to-str guard (long partial sums stay exact)."""
-    import sys
-
-    digits = max(x.numerator.bit_length(), x.denominator.bit_length()) // 3 + 16
-    old = sys.get_int_max_str_digits()
-    if digits <= old:
-        return str(x)
-    sys.set_int_max_str_digits(digits)
-    try:
-        return str(x)
-    finally:
-        sys.set_int_max_str_digits(old)
+    """str(x) for rationals of any size.  Decimal renders an int exactly and
+    is not bound by the interpreter's int-to-str digit limit, so long partial
+    sums stay exact without touching that process-wide setting."""
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def exact_fraction(s: str) -> Fraction:
-    """Inverse of exact_str, tolerant of arbitrarily long digit strings."""
-    import sys
-
-    digits = len(s) + 16
-    old = sys.get_int_max_str_digits()
-    if digits <= old:
-        return Fraction(s)
-    sys.set_int_max_str_digits(digits)
-    try:
-        return Fraction(s)
-    finally:
-        sys.set_int_max_str_digits(old)
+    """Inverse of exact_str, for digit strings of any length."""
+    num, _, den = s.partition("/")
+    return Fraction(*Decimal(num).as_integer_ratio()) / Fraction(
+        *Decimal(den or "1").as_integer_ratio()
+    )
 
 
 Q_KINDS = ("explicit", "integers", "primes", "primes-coprime-to-a")
@@ -458,19 +443,6 @@ def _mc_chunk(cfg_dict: dict, lo: int, hi: int) -> list[list[HitRecord]]:
     ]
 
 
-def _closure(gens: tuple[int, ...], q: int) -> set[int]:
-    seen = {1 % q}
-    frontier = [1 % q]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = cur * g % q
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
 def prepare(cfg: ExperimentConfig) -> Experiment:
     """Materialize the sequences, validate the coset data, build membership
     tests (exponent fast path for d-th powers, explicit sets for generator
@@ -500,7 +472,7 @@ def prepare(cfg: ExperimentConfig) -> Experiment:
             for g in cfg.generators:
                 if math.gcd(g, q) != 1:
                     raise ValueError(f"generator {g} shares a factor with q={q}")
-            sub = _closure(tuple(g % q for g in cfg.generators), q)
+            sub = closure(cfg.generators, q)
             cs = frozenset(cfg.a * x % q for x in sub)
             members.append(lambda p, cs=cs: p in cs)
             orders.append(len(sub))
@@ -518,11 +490,6 @@ def prepare(cfg: ExperimentConfig) -> Experiment:
         _tau=np.array([float(a) for a in alphas]) * (1 + 2.0**-50) + 2.0**-48,
         _unscreened=np.array([Q >= _SCREEN_Q_LIMIT for Q in moduli]),
     )
-
-
-def find_hits(x, cfg: ExperimentConfig) -> list[HitRecord]:
-    """Convenience wrapper: prepare the config and locate all hits for x."""
-    return prepare(cfg).find_hits(x)
 
 
 def monte_carlo_measure(cfg: ExperimentConfig, threads: int = 1) -> "MonteCarloResult":
@@ -570,16 +537,16 @@ class ConditionsReport:
     cond_c_decreasing: bool
 
 
-def check_conditions(cfg: ExperimentConfig, epsilon: float = 0.05) -> ConditionsReport:
-    """Evaluate the two series conditions and the subgroup-size condition.
+def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport:
+    """Evaluate the two series conditions and the subgroup-size condition
+    for a prepared experiment.
 
     Reports, per prefix n: the plain radius sum, the density-weighted sum
     sum(alpha_k |G_k| / q_k), their ratio (whose running minimum is an
     empirical lower estimate of the constant c), and per index k the decay
     statistic phi(q_k) / (q_k^(1/2 - epsilon) |G_k|).
     """
-    exp = prepare(cfg)
-    cps = _checkpoints(cfg.K)
+    cps = _checkpoints(exp.config.K)
     cps_set = set(cps)
     a_sum = Fraction(0)
     w_sum = Fraction(0)
@@ -633,16 +600,20 @@ class AbelReport:
     implication_holds: bool
 
 
-def abel_condition_check(cfg: ExperimentConfig) -> AbelReport:
+def abel_condition_check(exp: Experiment) -> AbelReport:
     """Verify on the computed prefixes that S_n > c n forces the weighted
-    condition with the same c.  Rejects configs whose radii increase."""
-    exp = prepare(cfg)
+    condition with the same c.  Rejects configs whose radii increase.
+
+    The weighted side comes from check_conditions: every partial radius sum
+    is positive, so sum alpha_k |G_k|/q_k >= c_star sum alpha_k holds at
+    every prefix exactly when the all-prefix ratio minimum is >= c_star.
+    """
     prev = None
     for alpha in exp.alphas:
         if prev is not None and alpha > prev:
             raise ValueError("Abel check requires a non-increasing alpha sequence")
         prev = alpha
-    cps = _checkpoints(cfg.K)
+    cps = _checkpoints(exp.config.K)
     cps_set = set(cps)
     s = Fraction(0)
     c_star = None
@@ -654,25 +625,14 @@ def abel_condition_check(cfg: ExperimentConfig) -> AbelReport:
             c_star = val
         if i + 1 in cps_set:
             s_rows.append(s)
-    a_sum = Fraction(0)
-    w_sum = Fraction(0)
-    lhs_rows, rhs_rows = [], []
-    holds = True
-    for i, (q, alpha, order) in enumerate(zip(exp.qs, exp.alphas, exp.orders)):
-        a_sum += alpha
-        w_sum += alpha * Fraction(order, q)
-        if w_sum < c_star * a_sum:
-            holds = False
-        if i + 1 in cps_set:
-            lhs_rows.append(w_sum)
-            rhs_rows.append(c_star * a_sum)
+    rep = check_conditions(exp)
     return AbelReport(
         checkpoints=cps,
         density_partial=tuple(s_rows),
         c_star=c_star,
-        weighted_lhs=tuple(lhs_rows),
-        weighted_rhs=tuple(rhs_rows),
-        implication_holds=holds,
+        weighted_lhs=rep.weighted_sum,
+        weighted_rhs=tuple(c_star * a for a in rep.partial_sum_alpha),
+        implication_holds=rep.c_ratio_min >= c_star,
     )
 
 

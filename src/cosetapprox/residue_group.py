@@ -19,9 +19,9 @@ __all__ = [
     "Coset",
     "Subgroup",
     "UnitGroup",
+    "closure",
     "coset",
     "coset_contains",
-    "dth_power_coset_contains",
     "dth_power_subgroup",
     "full_subgroup",
     "index",
@@ -246,16 +246,23 @@ def subgroup_from_generators(g: UnitGroup, gens) -> Subgroup:
         if math.gcd(x, n) != 1:
             raise ValueError(f"generator {x} is not coprime to {n}")
         norm.append(x % n)
+    return Subgroup(group=g, elements=tuple(sorted(closure(norm, n))), generators=tuple(norm))
+
+
+def closure(gens, n: int) -> set[int]:
+    """Residues mod n generated by gens under multiplication (the subgroup
+    they generate when all are units); needs no unit-group structure."""
+    gens = [x % n for x in gens]
     seen = {1 % n}
     frontier = [1 % n]
     while frontier:
         cur = frontier.pop()
-        for x in norm:
+        for x in gens:
             nxt = cur * x % n
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return Subgroup(group=g, elements=tuple(sorted(seen)), generators=tuple(norm))
+    return seen
 
 
 def coset(a: int, G: Subgroup) -> Coset:
@@ -285,9 +292,9 @@ def index(G: Subgroup) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fast membership tests that avoid materializing the subgroup.  These are the
-# optional exponent-test shortcut; the test suite cross-checks them against
-# the explicit element sets.
+# Fast membership test that avoids materializing the subgroup.  This is the
+# optional exponent-test shortcut; the test suite cross-checks it against the
+# explicit element sets.
 # ---------------------------------------------------------------------------
 
 
@@ -323,12 +330,3 @@ def is_dth_power(f: Factorization, x: int, d: int) -> bool:
                 return False
     return True
 
-
-def dth_power_coset_contains(f: Factorization, a: int, p: int, d: int) -> bool:
-    """Whether p lies in the coset a * (d-th powers) mod f.n, by exponent test."""
-    n = f.n
-    if n == 1:
-        return True
-    if math.gcd(p, n) != 1:
-        return False
-    return is_dth_power(f, inv_mod(a, n) * p % n, d)

@@ -558,7 +558,7 @@ def check_conditions_reduction() -> tuple[bool, str]:
         samples=1,
         seed=1,
     )
-    rep = check_conditions(cfg)
+    rep = check_conditions(prepare(cfg))
     a_sum = Fraction(0)
     w_sum = Fraction(0)
     k = 0
@@ -574,59 +574,42 @@ def check_conditions_reduction() -> tuple[bool, str]:
     return True, f"{len(rep.checkpoints)} checkpoints agree"
 
 
-_QUICK = {
-    "formula_oracle": lambda: check_formula_oracle(400, 6),
-    "subgroup_consistency": lambda: check_subgroup_consistency(150, 6),
-    "sieve_identity": lambda: check_sieve_identity(150, 20),
-    "character_axioms": lambda: check_character_axioms(80),
-    "polya_vinogradov": lambda: check_polya_vinogradov(120),
-    "counting_identity": lambda: check_counting_identity(sample_count_tuples(40, 300, 0xC0DE)),
-    "equidistribution_bound": lambda: check_equidistribution_bound(
-        sample_count_tuples(40, 300, 0xC0DE)
-    ),
-    "overlap_theta": lambda: check_overlap_theta(150),
-    "unit_group_structure": lambda: check_unit_group_structure(48),
-    "coset_partition": lambda: check_coset_partition(24),
-    "quotient_characters": lambda: check_quotient_characters(20),
-    "growth_trend": lambda: check_growth_trend(2**17),
-    "power_lift": lambda: check_power_lift(),
-    "hit_finding": lambda: check_hits_brute(10),
-    "conditions_reduction": lambda: check_conditions_reduction(),
-    "mc_determinism": lambda: check_mc_determinism(),
-    "mc_dichotomy": lambda: check_mc_dichotomy(300, 50),
-}
+def _on_sampled_tuples(check):
+    """check run on sample_count_tuples(count, n_max) under the suite's seed."""
+    return lambda count, n_max: check(sample_count_tuples(count, n_max, 0xC0DE))
 
-_FULL = {
-    "formula_oracle": lambda: check_formula_oracle(5000, 6),
-    "subgroup_consistency": lambda: check_subgroup_consistency(2000, 6),
-    "sieve_identity": lambda: check_sieve_identity(2000, 40),
-    "character_axioms": lambda: check_character_axioms(500),
-    "polya_vinogradov": lambda: check_polya_vinogradov(1000),
-    "counting_identity": lambda: check_counting_identity(sample_count_tuples(200, 2000, 0xC0DE)),
-    "equidistribution_bound": lambda: check_equidistribution_bound(
-        sample_count_tuples(200, 2000, 0xC0DE)
+
+# name -> (check, quick-scale arguments, full-scale arguments)
+_CHECKS = {
+    "formula_oracle": (check_formula_oracle, (400, 6), (5000, 6)),
+    "subgroup_consistency": (check_subgroup_consistency, (150, 6), (2000, 6)),
+    "sieve_identity": (check_sieve_identity, (150, 20), (2000, 40)),
+    "character_axioms": (check_character_axioms, (80,), (500,)),
+    "polya_vinogradov": (check_polya_vinogradov, (120,), (1000,)),
+    "counting_identity": (_on_sampled_tuples(check_counting_identity), (40, 300), (200, 2000)),
+    "equidistribution_bound": (
+        _on_sampled_tuples(check_equidistribution_bound), (40, 300), (200, 2000)
     ),
-    "overlap_theta": lambda: check_overlap_theta(1000),
-    "unit_group_structure": lambda: check_unit_group_structure(64),
-    "coset_partition": lambda: check_coset_partition(40),
-    "quotient_characters": lambda: check_quotient_characters(30),
-    "growth_trend": lambda: check_growth_trend(2**18),
-    "power_lift": lambda: check_power_lift(),
-    "hit_finding": lambda: check_hits_brute(25),
-    "conditions_reduction": lambda: check_conditions_reduction(),
-    "mc_determinism": lambda: check_mc_determinism(),
-    "mc_dichotomy": lambda: check_mc_dichotomy(2000, 150),
+    "overlap_theta": (check_overlap_theta, (150,), (1000,)),
+    "unit_group_structure": (check_unit_group_structure, (48,), (64,)),
+    "coset_partition": (check_coset_partition, (24,), (40,)),
+    "quotient_characters": (check_quotient_characters, (20,), (30,)),
+    "growth_trend": (check_growth_trend, (2**17,), (2**18,)),
+    "power_lift": (check_power_lift, (), ()),
+    "hit_finding": (check_hits_brute, (10,), (25,)),
+    "conditions_reduction": (check_conditions_reduction, (), ()),
+    "mc_determinism": (check_mc_determinism, (), ()),
+    "mc_dichotomy": (check_mc_dichotomy, (300, 50), (2000, 150)),
 }
 
 
 def run_suite(quick: bool = False) -> list[CheckResult]:
     """Run every invariant check at the requested scale."""
-    table = _QUICK if quick else _FULL
     results = []
-    for name, fn in table.items():
+    for name, (fn, quick_args, full_args) in _CHECKS.items():
         start = time.monotonic()
         try:
-            ok, detail = fn()
+            ok, detail = fn(*(quick_args if quick else full_args))
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"exception: {exc!r}"
         results.append(CheckResult(name, ok, detail, time.monotonic() - start))

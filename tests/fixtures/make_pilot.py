@@ -17,7 +17,7 @@ from cosetapprox.experiment import (
     ExperimentConfig,
     check_conditions,
     exact_str,
-    monte_carlo_measure,
+    prepare,
 )
 
 HERE = pathlib.Path(__file__).parent
@@ -29,8 +29,9 @@ def main() -> None:
     for name in CONFIGS:
         cfg = ExperimentConfig.from_dict(json.loads((HERE / f"{name}.json").read_text()))
         t0 = time.time()
-        res = monte_carlo_measure(cfg)
-        cond = check_conditions(cfg)
+        exp = prepare(cfg)
+        res = exp.monte_carlo()
+        cond = check_conditions(exp)
         pilot[name] = {
             "counts": {str(m): {str(kp): res.counts[m][kp] for kp in res.k_ladder}
                        for m in res.m_values},

@@ -16,7 +16,7 @@ from cosetapprox.experiment import (
     ExperimentConfig,
     check_conditions,
     exact_fraction,
-    monte_carlo_measure,
+    prepare,
 )
 from cosetapprox.verify import (
     check_character_axioms,
@@ -55,8 +55,9 @@ def mc_runs(fixtures_dir):
         )
         configs[name] = cfg
         started = time.monotonic()
-        results[name] = monte_carlo_measure(cfg)
-        conditions[name] = check_conditions(cfg)
+        exp = prepare(cfg)
+        results[name] = exp.monte_carlo()
+        conditions[name] = check_conditions(exp)
         print(f"  [mc] {name}: {time.monotonic() - started:.1f}s")
     pilot = json.loads((fixtures_dir / "pilot_monte_carlo.json").read_text())
     return configs, results, conditions, pilot, time.monotonic() - t0

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cosetapprox.cli import main
+from cosetapprox.experiment import prepare
 
 F = Fraction
 
@@ -164,6 +165,21 @@ class TestExperiment:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_prepares_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting_prepare(cfg):
+            calls.append(cfg)
+            return prepare(cfg)
+
+        monkeypatch.setattr("cosetapprox.cli.prepare", counting_prepare)
+        cfg = self.make_config(tmp_path, K=40, samples=6)
+        out = tmp_path / "summary.json"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        assert json.loads(out.read_text())["conditions"]["n_final"] == 40
 
     def test_repeat_run_identical(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path)

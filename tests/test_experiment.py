@@ -3,6 +3,7 @@ deterministic Monte Carlo harness."""
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,6 @@ from cosetapprox.experiment import (
     check_conditions,
     exact_fraction,
     exact_str,
-    find_hits,
     monte_carlo_measure,
     prepare,
 )
@@ -127,7 +127,7 @@ class TestFindHits:
             K=1,
             samples=1,
         )
-        hits = find_hits(F(1, 3), cfg)
+        hits = prepare(cfg).find_hits(F(1, 3))
         assert len(hits) == 1
         h = hits[0]
         assert (h.k, h.q, h.p) == (1, 5, 2)
@@ -141,7 +141,7 @@ class TestFindHits:
             K=1,
             samples=1,
         )
-        assert find_hits(F(1, 3), cfg) == []
+        assert prepare(cfg).find_hits(F(1, 3)) == []
 
     def test_exact_center_has_zero_error(self):
         cfg = small_cfg(
@@ -150,12 +150,12 @@ class TestFindHits:
             K=1,
             samples=1,
         )
-        hits = find_hits(F(2, 5), cfg)
+        hits = prepare(cfg).find_hits(F(2, 5))
         assert len(hits) == 1 and hits[0].error == 0 and hits[0].p == 2
 
     def test_out_of_range_sample_rejected(self):
         with pytest.raises(ValueError):
-            find_hits(F(3, 2), small_cfg())
+            prepare(small_cfg()).find_hits(F(3, 2))
 
     def test_at_most_one_hit_per_index(self):
         exp = prepare(small_cfg(K=40))
@@ -461,16 +461,16 @@ class TestConditions:
 
     def test_convergent_partial_sums_stay_below_one(self):
         cfg = small_cfg(alpha_sequence=AlphaSequence("c*2^-k", c=F(1, 4)), K=64)
-        rep = check_conditions(cfg)
+        rep = check_conditions(prepare(cfg))
         assert all(s < 1 for s in rep.partial_sum_alpha)
 
     def test_cond_c_decreasing_for_primes(self):
         cfg = small_cfg(q_sequence=QSequence("primes"), K=300)
-        rep = check_conditions(cfg, epsilon=0.05)
+        rep = check_conditions(prepare(cfg), epsilon=0.05)
         assert rep.cond_c_decreasing
 
     def test_checkpoint_grid_small_k_is_dense(self):
-        rep = check_conditions(small_cfg(K=30))
+        rep = check_conditions(prepare(small_cfg(K=30)))
         assert rep.checkpoints == tuple(range(1, 31))
         assert len(rep.partial_sum_alpha) == 30
 
@@ -482,12 +482,12 @@ class TestAbel:
             K=3,
         )
         with pytest.raises(ValueError):
-            abel_condition_check(cfg)
+            abel_condition_check(prepare(cfg))
 
     def test_constant_density_case(self):
         # all q prime: |G|/q = (q-1)/q bounded below, both sides immediate
         cfg = small_cfg(q_sequence=QSequence("primes"), K=100)
-        rep = abel_condition_check(cfg)
+        rep = abel_condition_check(prepare(cfg))
         assert rep.implication_holds
         assert rep.c_star == F(1, 2)  # prefix n = 1: q = 2, density 1/2
 
@@ -499,7 +499,7 @@ class TestAbel:
             subgroup_mode="dth-powers",
             K=len(ps),
         )
-        rep = abel_condition_check(cfg)
+        rep = abel_condition_check(prepare(cfg))
         assert rep.implication_holds
         assert rep.c_star == F(1, 3)  # prefix n = 1: density (3-1)/6
 
@@ -508,10 +508,57 @@ class TestAbel:
             alpha_sequence=AlphaSequence("explicit", values=(F(1, 5),) * 50),
             K=50,
         )
-        rep = abel_condition_check(cfg)
+        rep = abel_condition_check(prepare(cfg))
         assert rep.implication_holds
         # with constant alpha the weighted condition is the density bound itself
         assert rep.weighted_lhs[-1] == F(1, 5) * rep.density_partial[-1]
+
+
+def _abel_reference(exp, c_star):
+    """The all-prefix walk: weighted sums and c_star-scaled radius sums at the
+    checkpoints, and whether the weighted bound holds at every prefix."""
+    cps = set(experiment._checkpoints(exp.config.K))
+    a_sum = w_sum = F(0)
+    lhs, rhs, holds = [], [], True
+    for n, (q, alpha, order) in enumerate(zip(exp.qs, exp.alphas, exp.orders), start=1):
+        a_sum += alpha
+        w_sum += alpha * F(order, q)
+        holds = holds and w_sum >= c_star * a_sum
+        if n in cps:
+            lhs.append(w_sum)
+            rhs.append(c_star * a_sum)
+    return tuple(lhs), tuple(rhs), holds
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(q_sequence=QSequence("primes"), K=100),
+        dict(alpha_sequence=AlphaSequence("c*2^-k", c=F(1, 4)), K=64),
+        dict(alpha_sequence=AlphaSequence("c/(k log k)", c=F(1, 3)), K=1100),
+        dict(
+            q_sequence=QSequence("explicit", values=tuple(p for p in primes_up_to(300) if p > 2)),
+            d=2,
+            subgroup_mode="dth-powers",
+            K=61,
+        ),
+        dict(
+            q_sequence=QSequence("explicit", values=tuple(p for p in primes_up_to(400) if p > 3)),
+            a=3,
+            subgroup_mode="generators",
+            generators=(2,),
+            K=76,
+        ),
+    ],
+)
+def test_abel_matches_all_prefix_reference(kw):
+    exp = prepare(small_cfg(**kw))
+    rep = abel_condition_check(exp)
+    lhs, rhs, holds = _abel_reference(exp, rep.c_star)
+    assert rep.checkpoints == experiment._checkpoints(exp.config.K)
+    assert rep.weighted_lhs == lhs
+    assert rep.weighted_rhs == rhs
+    assert rep.implication_holds == holds
 
 
 class TestExactStrings:
@@ -522,3 +569,20 @@ class TestExactStrings:
     def test_small_passthrough(self):
         assert exact_str(F(3, 7)) == "3/7"
         assert exact_fraction("3/7") == F(3, 7)
+
+    def test_digit_limit_left_alone(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("the process-wide digit limit must not be changed")
+
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        x = F(7**6000 + 1, 3**9500)  # 5071 and 4533 digits, past the default 4300
+        text = exact_str(x)
+        assert len(text) > 5071 + 4533
+        assert exact_fraction(text) == x
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_small_values_equal_str(self):
+        for x in (F(0), F(5), F(-5), F(3, 7), F(-22, 7), F(10**40 + 1, 3)):
+            assert exact_str(x) == str(x)
+            assert exact_fraction(str(x)) == x

@@ -7,9 +7,9 @@ import pytest
 
 from cosetapprox.arith import factor, r_d, u_d
 from cosetapprox.residue_group import (
+    closure,
     coset,
     coset_contains,
-    dth_power_coset_contains,
     dth_power_subgroup,
     full_subgroup,
     index,
@@ -127,6 +127,17 @@ class TestSubgroups:
         with pytest.raises(ValueError):
             subgroup_from_generators(unit_group(10), [5])
 
+    def test_closure_of_several_generators(self):
+        # the closure is every product x^i y^j; the generators mod 2^e need two
+        for n, gens in ((15, (2, 14)), (16, (3, 7)), (16, (15, 5)), (91, (3, 10, 40 + 91))):
+            explicit = {1}
+            for x in gens:
+                explicit = {e * pow(x, i, n) % n for e in explicit for i in range(n)}
+            assert closure(gens, n) == explicit
+            assert subgroup_from_generators(unit_group(n), gens).elements == tuple(sorted(explicit))
+        g = unit_group(48)
+        assert closure([gen for gen, _ in g.cyclic_factors], 48) == set(g.units())
+
     def test_nested_power_subgroups(self):
         # d-th powers sit inside e-th powers whenever e divides d.
         for n in (7, 9, 16, 24, 35, 60):
@@ -223,10 +234,11 @@ class TestExponentFastPath:
                 G = dth_power_subgroup(g, d)
                 for a in g.units():
                     c = coset(a, G)
+                    ai = inv_mod(a, n)
                     for p in range(2 * n):
-                        assert dth_power_coset_contains(f, a, p, d) == coset_contains(c, p)
+                        assert is_dth_power(f, ai * p % n, d) == coset_contains(c, p)
 
     def test_modulus_one_is_trivial(self):
         f = factor(1)
         assert is_dth_power(f, 0, 3)
-        assert dth_power_coset_contains(f, 1, 0, 2)
+        assert is_dth_power(f, inv_mod(1, 1) * 0 % 1, 2)
