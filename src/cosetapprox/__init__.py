@@ -43,7 +43,6 @@ from .experiment import (
     QSequence,
     abel_condition_check,
     check_conditions,
-    monte_carlo_measure,
     prepare,
 )
 from .residue_group import (

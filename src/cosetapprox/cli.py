@@ -79,6 +79,12 @@ def _emit_rows(columns: list[str], rows: list[list], fmt: str, out: str | None) 
         sys.stdout.write(text)
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _parse_gens(spec: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in spec.split(",") if t.strip())
@@ -247,13 +253,15 @@ def _cmd_experiment(args) -> int:
         print(f"malformed config at line {exc.lineno}, column {exc.colno}: {exc.msg}",
               file=sys.stderr)
         return 2
-    if args.seed is not None:
+    if args.seed is not None and isinstance(raw, dict):  # from_dict rejects the rest
         raw["seed"] = args.seed
     cfg = ExperimentConfig.from_dict(raw)
     exp = prepare(cfg)
     conditions = check_conditions(exp, epsilon=args.epsilon)
     result = exp.monte_carlo(threads=args.threads)
     summary = result.summary_dict()
+    bound = conditions.union_bound
+    summary["union_bound"] = {"exact": exact_str(bound), "value": float(bound)}
     summary["conditions"] = {
         "epsilon": conditions.epsilon,
         "n_final": cfg.K,
@@ -353,7 +361,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--hits-csv", default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--epsilon", type=float, default=0.05)
     p.set_defaults(fn=_cmd_experiment)

@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +38,6 @@ __all__ = [
     "QSequence",
     "abel_condition_check",
     "check_conditions",
-    "monte_carlo_measure",
     "prepare",
 ]
 
@@ -156,8 +156,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        """Parse a JSON config strictly: unknown keys, and integer fields
-        given as bools or non-integers, are rejected rather than coerced."""
+        """Parse a JSON config strictly: unknown keys, lists given as
+        anything else, integer fields given as bools or non-integers, and
+        rationals given as anything but an integer or a string are rejected
+        rather than coerced."""
 
         def known(where, obj, keys):
             if not isinstance(obj, dict):
@@ -170,6 +172,21 @@ class ExperimentConfig:
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError(f"config field '{name}' must be an integer, got {v!r}")
             return v
+
+        def rational(name, v):
+            try:
+                if isinstance(v, (int, str)) and not isinstance(v, bool):
+                    return Fraction(v)
+            except (ValueError, ZeroDivisionError):
+                pass
+            raise ValueError(
+                f"config field '{name}' must be an integer or an exact rational string, got {v!r}"
+            )
+
+        def each(name, vs, parse):
+            if not isinstance(vs, list):
+                raise ValueError(f"config field '{name}' must be a list, got {vs!r}")
+            return tuple(parse(name, v) for v in vs)
 
         def need(name):
             if name not in data:
@@ -186,9 +203,7 @@ class ExperimentConfig:
         known("q_sequence", qd, {"kind", "values"})
         qseq = QSequence(
             kind=qd["kind"],
-            values=tuple(integer("q_sequence.values", v) for v in qd["values"])
-            if "values" in qd
-            else None,
+            values=each("q_sequence.values", qd["values"], integer) if "values" in qd else None,
         )
         ad = need("alpha_sequence")
         if not isinstance(ad, dict) or "kind" not in ad:
@@ -196,8 +211,10 @@ class ExperimentConfig:
         known("alpha_sequence", ad, {"kind", "c", "values"})
         aseq = AlphaSequence(
             kind=ad["kind"],
-            c=Fraction(ad["c"]) if "c" in ad else None,
-            values=tuple(Fraction(v) for v in ad["values"]) if "values" in ad else None,
+            c=rational("alpha_sequence.c", ad["c"]) if "c" in ad else None,
+            values=each("alpha_sequence.values", ad["values"], rational)
+            if "values" in ad
+            else None,
         )
         return ExperimentConfig(
             q_sequence=qseq,
@@ -205,7 +222,7 @@ class ExperimentConfig:
             d=integer("d", need("d")),
             a=integer("a", need("a")),
             subgroup_mode=need("subgroup_mode"),
-            generators=tuple(integer("generators", g) for g in data.get("generators", [])),
+            generators=each("generators", data.get("generators", []), integer),
             K=integer("K", need("K")),
             samples=integer("samples", need("samples")),
             precision_bits=integer("precision_bits", data.get("precision_bits", 128)),
@@ -252,12 +269,9 @@ def _materialize_q(cfg: ExperimentConfig) -> tuple[int, ...]:
         vals = tuple(_first_primes(cfg.K))
     else:  # primes-coprime-to-a
         vals = tuple(_first_primes(cfg.K, avoid=cfg.a))
-    prev = 0
-    for q in vals:
-        if q <= prev:
-            raise ValueError("q sequence must be strictly increasing and positive")
-        prev = q
-    return tuple(vals)
+    if any(q <= prev for prev, q in zip((0,) + vals, vals)):
+        raise ValueError("q sequence must be strictly increasing and positive")
+    return vals
 
 
 def _materialize_alpha(cfg: ExperimentConfig) -> tuple[Fraction, ...]:
@@ -370,27 +384,23 @@ class Experiment:
         return np.flatnonzero((dist < self._tau) | self._unscreened)
 
     def monte_carlo(self, threads: int = 1) -> "MonteCarloResult":
+        """Sample dyadic rationals and tabulate hit-count fractions F(m, K').
+        Pool workers get this Experiment, pickled, and a range of samples."""
         cfg = self.config
         n = cfg.samples
         workers = min(threads, n, os.cpu_count() or 1)
         if workers <= 1:
-            per_sample = [
-                self.find_hits(_sample_point(cfg.seed, i, cfg.precision_bits)) for i in range(n)
-            ]
+            per_sample = self._sample_hits(0, n)
         else:
             step = -(-n // workers)
-            ranges = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
-            cfg_dict = cfg.to_dict()
+            starts = range(0, n, step)
+            ends = [min(n, lo + step) for lo in starts]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(_mc_chunk, [cfg_dict] * len(ranges), *zip(*ranges))
-                )
+                parts = list(pool.map(self._sample_hits, starts, ends))
             per_sample = [hits for part in parts for hits in part]
         ladder = _k_ladder(cfg.K)
         ms = tuple(range(1, cfg.min_hits + 1))
-        counts = {
-            m: {kp: 0 for kp in ladder} for m in ms
-        }
+        counts = {m: {kp: 0 for kp in ladder} for m in ms}
         for hits in per_sample:
             ks = [h.k for h in hits]
             for kp in ladder:
@@ -398,19 +408,22 @@ class Experiment:
                 for m in ms:
                     if c >= m:
                         counts[m][kp] += 1
-        union = Fraction(0)
-        for alpha, order, q in zip(self.alphas, self.orders, self.qs):
-            union += 2 * alpha * Fraction(order, q)
         return MonteCarloResult(
             config=cfg,
             k_ladder=ladder,
             m_values=ms,
             samples=n,
             counts=counts,
-            union_bound=union,
             total_hits=sum(len(h) for h in per_sample),
             per_sample_hits=per_sample,
         )
+
+    def _sample_hits(self, lo: int, hi: int) -> list[list[HitRecord]]:
+        """find_hits for the sample points with indices lo <= i < hi."""
+        cfg = self.config
+        return [
+            self.find_hits(_sample_point(cfg.seed, i, cfg.precision_bits)) for i in range(lo, hi)
+        ]
 
 
 def _k_ladder(K: int) -> tuple[int, ...]:
@@ -435,18 +448,21 @@ def _sample_point(seed: int, i: int, bits: int) -> Fraction:
     return Fraction(out if out else 1, 1 << bits)
 
 
-def _mc_chunk(cfg_dict: dict, lo: int, hi: int) -> list[list[HitRecord]]:
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    exp = prepare(cfg)
-    return [
-        exp.find_hits(_sample_point(cfg.seed, i, cfg.precision_bits)) for i in range(lo, hi)
-    ]
+def _any_unit(p: int) -> bool:
+    """Full-group membership: coprimality is checked by the hit predicate."""
+    return True
+
+
+def _in_dth_power_coset(f, ai: int, d: int, p: int) -> bool:
+    """Whether p lies in the coset a (Z/nZ)^{*d}, n = f.n, given ai = a^-1 mod n."""
+    return is_dth_power(f, ai * p % f.n, d)
 
 
 def prepare(cfg: ExperimentConfig) -> Experiment:
     """Materialize the sequences, validate the coset data, build membership
     tests (exponent fast path for d-th powers, explicit sets for generator
-    mode, gcd only for the full group)."""
+    mode, gcd only for the full group).  The tests are module-level
+    functions, partials and frozenset methods, so the Experiment pickles."""
     qs = _materialize_q(cfg)
     alphas = _materialize_alpha(cfg)
     members = []
@@ -454,27 +470,19 @@ def prepare(cfg: ExperimentConfig) -> Experiment:
     for q in qs:
         if math.gcd(cfg.a, q) != 1:
             raise ValueError(f"coset representative a={cfg.a} shares a factor with q={q}")
-        if q == 1:
-            members.append(lambda p: True)
-            orders.append(1)
-            continue
         f = factor(q)
         if cfg.subgroup_mode == "full":
-            members.append(lambda p: True)  # coprimality is checked by the hit predicate
+            members.append(_any_unit)
             orders.append(euler_phi(f))
         elif cfg.subgroup_mode == "dth-powers":
-            ai = inv_mod(cfg.a, q)
-            members.append(
-                lambda p, f=f, ai=ai, q=q, d=cfg.d: is_dth_power(f, ai * p % q, d)
-            )
+            members.append(partial(_in_dth_power_coset, f, inv_mod(cfg.a, q), cfg.d))
             orders.append(r_d(f, cfg.d))
         else:
             for g in cfg.generators:
                 if math.gcd(g, q) != 1:
                     raise ValueError(f"generator {g} shares a factor with q={q}")
             sub = closure(cfg.generators, q)
-            cs = frozenset(cfg.a * x % q for x in sub)
-            members.append(lambda p, cs=cs: p in cs)
+            members.append(frozenset(cfg.a * x % q for x in sub).__contains__)
             orders.append(len(sub))
     moduli = tuple(q**cfg.d for q in qs)
     q_word = np.array([Q & _LOW_WORD for Q in moduli], dtype=np.uint64)
@@ -490,11 +498,6 @@ def prepare(cfg: ExperimentConfig) -> Experiment:
         _tau=np.array([float(a) for a in alphas]) * (1 + 2.0**-50) + 2.0**-48,
         _unscreened=np.array([Q >= _SCREEN_Q_LIMIT for Q in moduli]),
     )
-
-
-def monte_carlo_measure(cfg: ExperimentConfig, threads: int = 1) -> "MonteCarloResult":
-    """Sample dyadic rationals and tabulate hit-count fractions F(m, K')."""
-    return prepare(cfg).monte_carlo(threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +539,12 @@ class ConditionsReport:
     cond_c_last_decile_mean: float
     cond_c_decreasing: bool
 
+    @property
+    def union_bound(self) -> Fraction:
+        """Total measure 2 sum alpha_k |G_k| / q_k of the interval systems,
+        the Borel-Cantelli bound on the hit fraction F(1, K)."""
+        return 2 * self.weighted_sum[-1]
+
 
 def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport:
     """Evaluate the two series conditions and the subgroup-size condition
@@ -551,7 +560,6 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
     a_sum = Fraction(0)
     w_sum = Fraction(0)
     ratio_min = None
-    ratio_final = None
     rows_a, rows_w, rows_r = [], [], []
     cond_c = []
     for i, (q, alpha, order) in enumerate(zip(exp.qs, exp.alphas, exp.orders)):
@@ -561,9 +569,7 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
         ratio = w_sum / a_sum
         if ratio_min is None or ratio < ratio_min:
             ratio_min = ratio
-        ratio_final = ratio
-        phi_q = 1 if q == 1 else euler_phi(factor(q))
-        cond_c.append(phi_q / (q ** (0.5 - epsilon) * order))
+        cond_c.append(euler_phi(factor(q)) / (q ** (0.5 - epsilon) * order))
         if n in cps_set:
             rows_a.append(a_sum)
             rows_w.append(w_sum)
@@ -578,7 +584,7 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
         weighted_sum=tuple(rows_w),
         c_ratio=tuple(rows_r),
         c_ratio_min=ratio_min,
-        c_ratio_final=ratio_final,
+        c_ratio_final=rows_r[-1],
         cond_c_values=tuple(cond_c),
         cond_c_first_decile_mean=first,
         cond_c_last_decile_mean=last,
@@ -608,11 +614,8 @@ def abel_condition_check(exp: Experiment) -> AbelReport:
     is positive, so sum alpha_k |G_k|/q_k >= c_star sum alpha_k holds at
     every prefix exactly when the all-prefix ratio minimum is >= c_star.
     """
-    prev = None
-    for alpha in exp.alphas:
-        if prev is not None and alpha > prev:
-            raise ValueError("Abel check requires a non-increasing alpha sequence")
-        prev = alpha
+    if any(b > a for a, b in zip(exp.alphas, exp.alphas[1:])):
+        raise ValueError("Abel check requires a non-increasing alpha sequence")
     cps = _checkpoints(exp.config.K)
     cps_set = set(cps)
     s = Fraction(0)
@@ -648,7 +651,6 @@ class MonteCarloResult:
     m_values: tuple[int, ...]
     samples: int
     counts: dict  # counts[m][K'] = samples with at least m hits among k <= K'
-    union_bound: Fraction
     total_hits: int
     per_sample_hits: list
 
@@ -674,6 +676,5 @@ class MonteCarloResult:
             "k_ladder": list(self.k_ladder),
             "m_values": list(self.m_values),
             "F": table,
-            "union_bound": {"exact": exact_str(self.union_bound), "value": float(self.union_bound)},
             "total_hits": self.total_hits,
         }

@@ -102,9 +102,6 @@ class UnitGroup:
     def units(self) -> list[int]:
         return [x for x in range(1, self.n) if math.gcd(x, self.n) == 1]
 
-    def is_unit(self, x: int) -> bool:
-        return math.gcd(x, self.n) == 1
-
     def exponent(self) -> int:
         """lcm of the cyclic factor orders (1 for the trivial group)."""
         return math.lcm(*(o for _, o in self.cyclic_factors)) if self.cyclic_factors else 1
@@ -307,8 +304,6 @@ def is_dth_power(f: Factorization, x: int, d: int) -> bool:
     1 mod 4 and passes the power test in <5>.  The modulus 1 is trivial.
     """
     n = f.n
-    if n == 1:
-        return True
     if math.gcd(x, n) != 1:
         return False
     for p, e in f:

@@ -33,7 +33,6 @@ from .experiment import (
     ExperimentConfig,
     QSequence,
     check_conditions,
-    monte_carlo_measure,
     prepare,
 )
 from .residue_group import (
@@ -84,11 +83,8 @@ def check_formula_oracle(n_max: int = 5000, d_max: int = 6) -> tuple[bool, str]:
     checked = 0
     for n in range(1, n_max + 1):
         f = factor(n)
-        if n == 1:
-            units = np.array([0], dtype=np.int64)
-        else:
-            res = np.arange(n, dtype=np.int64)
-            units = res[np.gcd(res, n) == 1]
+        res = np.arange(n, dtype=np.int64)
+        units = res[np.gcd(res, n) == 1]  # [0] for n = 1
         one = 1 % n
         cur = units.copy()
         for d in range(1, d_max + 1):
@@ -495,7 +491,7 @@ def check_mc_determinism(threads: int = 2) -> tuple[bool, str]:
     )
     blobs = []
     for t in (1, 1, threads):
-        res = monte_carlo_measure(cfg, threads=t)
+        res = prepare(cfg).monte_carlo(threads=t)
         blobs.append(json.dumps(res.summary_dict(), sort_keys=True))
     ok = blobs[0] == blobs[1] == blobs[2]
     return ok, f"threads (1, 1, {threads}): {'identical' if ok else 'DIFFER'}"
@@ -514,8 +510,9 @@ def check_mc_dichotomy(K: int = 2000, samples: int = 150) -> tuple[bool, str]:
         seed=123,
         min_hits=3,
     )
-    res = monte_carlo_measure(control)
-    ub = min(res.union_bound, Fraction(1))
+    exp = prepare(control)
+    res = exp.monte_carlo()
+    ub = min(check_conditions(exp).union_bound, Fraction(1))
     margin = 3 * math.sqrt(float(ub) * max(0.0, 1 - float(ub)) / samples)
     f1 = res.fraction(1, K)
     ok_control = float(f1) <= float(ub) + margin
@@ -531,7 +528,7 @@ def check_mc_dichotomy(K: int = 2000, samples: int = 150) -> tuple[bool, str]:
         seed=124,
         min_hits=3,
     )
-    res2 = monte_carlo_measure(divergent)
+    res2 = prepare(divergent).monte_carlo()
     ladder = res2.k_ladder
     ok_mono = all(
         res2.counts[m][ladder[i]] <= res2.counts[m][ladder[i + 1]]
@@ -567,8 +564,7 @@ def check_conditions_reduction() -> tuple[bool, str]:
             k += 1
             alpha = Fraction(1, 3) / k
             a_sum += alpha
-            phi_k = 1 if k == 1 else euler_phi(factor(k))
-            w_sum += alpha * Fraction(phi_k, k)
+            w_sum += alpha * Fraction(euler_phi(factor(k)), k)
         if ratio != w_sum / a_sum:
             return False, f"ratio mismatch at prefix {cp}"
     return True, f"{len(rep.checkpoints)} checkpoints agree"

@@ -37,7 +37,7 @@ def main() -> None:
                        for m in res.m_values},
             "samples": res.samples,
             "total_hits": res.total_hits,
-            "union_bound": exact_str(res.union_bound),
+            "union_bound": exact_str(cond.union_bound),
             "c_ratio_final": exact_str(cond.c_ratio_final),
             "c_ratio_min": exact_str(cond.c_ratio_min),
         }

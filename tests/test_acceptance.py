@@ -129,7 +129,7 @@ def test_criterion_09_monte_carlo_dichotomy(mc_runs):
 
     # (i) convergent control: hit fraction within union bound + 3 sigma
     res = results["convergent_control"]
-    ub = min(res.union_bound, F(1))
+    ub = min(conditions["convergent_control"].union_bound, F(1))
     sigma = math.sqrt(float(ub) * max(0.0, 1 - float(ub)) / res.samples)
     observed = res.fraction(1, configs["convergent_control"].K)
     assert float(observed) <= float(ub) + 3 * sigma, (
@@ -163,7 +163,7 @@ def test_criterion_09_monte_carlo_dichotomy(mc_runs):
                for m in res.m_values}
         assert got == frozen["counts"], f"{name}: F table drifted from the pilot run"
         assert res.total_hits == frozen["total_hits"]
-        assert res.union_bound == exact_fraction(frozen["union_bound"])
+        assert conditions[name].union_bound == exact_fraction(frozen["union_bound"])
         assert conditions[name].c_ratio_final == exact_fraction(frozen["c_ratio_final"])
 
     total = mc_elapsed + (time.monotonic() - t0)

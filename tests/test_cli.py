@@ -236,6 +236,49 @@ class TestExperiment:
                 id="unknown-nested-key",
             ),
             pytest.param("generators", [2.0], "'generators' must be an integer", id="float-generator"),
+            pytest.param("generators", 5, "'generators' must be a list", id="scalar-generators"),
+            pytest.param(
+                "q_sequence",
+                {"kind": "explicit", "values": 5},
+                "'q_sequence.values' must be a list",
+                id="scalar-q-values",
+            ),
+            pytest.param(
+                "alpha_sequence",
+                {"kind": "c/k", "c": 0.25},
+                "'alpha_sequence.c' must be an integer or an exact rational string",
+                id="float-alpha-c",
+            ),
+            pytest.param(
+                "alpha_sequence",
+                {"kind": "c/k", "c": True},
+                "'alpha_sequence.c' must be an integer or an exact rational string",
+                id="bool-alpha-c",
+            ),
+            pytest.param(
+                "alpha_sequence",
+                {"kind": "c/k", "c": "1/0"},
+                "'alpha_sequence.c' must be an integer or an exact rational string",
+                id="zero-denominator-alpha-c",
+            ),
+            pytest.param(
+                "alpha_sequence",
+                {"kind": "explicit", "values": [0.25] * 200},
+                "'alpha_sequence.values' must be an integer or an exact rational string",
+                id="float-alpha-values",
+            ),
+            pytest.param(
+                "alpha_sequence",
+                {"kind": "explicit", "values": ["1/4", False]},
+                "'alpha_sequence.values' must be an integer or an exact rational string",
+                id="bool-alpha-value",
+            ),
+            pytest.param(
+                "alpha_sequence",
+                {"kind": "explicit", "values": "1/4"},
+                "'alpha_sequence.values' must be a list",
+                id="scalar-alpha-values",
+            ),
         ],
     )
     def test_strict_config_fields_exit_2(self, tmp_path, capsys, field, value, message):
@@ -243,6 +286,34 @@ class TestExperiment:
         code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
         assert code == 2
         assert message in err and out == ""
+
+
+    @pytest.mark.parametrize(
+        "raw", [[1, 2], "config", 3, None], ids=["list", "string", "number", "null"]
+    )
+    def test_non_object_config_with_seed_exits_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path), "--seed", "4")
+        assert code == 2
+        assert "config must be an object" in err and out == ""
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        cfg = self.make_config(tmp_path)
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg), "--threads", threads)
+        assert code == 1
+        assert "--threads" in err and out == ""
+
+    def test_exact_rational_strings_accepted(self, tmp_path, capsys):
+        blobs = []
+        for c in ("1/4", "0.25", "25e-2"):
+            cfg = self.make_config(tmp_path, K=30, samples=5, alpha_sequence={"kind": "c/k", "c": c})
+            code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg))
+            assert code == 0
+            blobs.append(out)
+        assert blobs[0] == blobs[1] == blobs[2]
+        assert json.loads(blobs[0])["config"]["alpha_sequence"]["c"] == "1/4"
 
 
 class TestUsageAndVerify:

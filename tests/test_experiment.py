@@ -3,6 +3,7 @@ deterministic Monte Carlo harness."""
 
 import json
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from cosetapprox.experiment import (
     check_conditions,
     exact_fraction,
     exact_str,
-    monte_carlo_measure,
     prepare,
 )
 from cosetapprox.residue_group import coset, coset_contains, dth_power_subgroup, unit_group
@@ -252,6 +252,15 @@ BOUNDARY_CONFIGS = {
     "decimal": explicit_cfg((10, 100, 1000), (F(3, 10), F(1, 100), F(7, 1000))),
     # alpha far below float resolution, or rounding to 0.0: only the margin keeps x = p/Q
     "underflow": explicit_cfg((2, 4, 8), (F(1, 1 << 60), F(1, 1 << 1100), F(3, 1 << 1200))),
+    # q = 1 first: the trivial group, with inv_mod(a, 1) = 0 and closure {0}
+    "one-dth-powers": explicit_cfg(
+        (1, 3, 5, 7, 9), (F(1, 3), F(1, 4), F(2, 5), F(1, 7), F(1, 3)),
+        d=2, a=2, subgroup_mode="dth-powers",
+    ),
+    "one-generators": explicit_cfg(
+        (1, 5, 7, 9, 11), (F(1, 5), F(1, 3), F(2, 7), F(1, 9), F(3, 11)),
+        a=2, subgroup_mode="generators", generators=(4,),
+    ),
     # Q = q^d at and above 2^53: those indices skip the float screen
     "large-q": explicit_cfg(
         (3, (1 << 26) + 1, (1 << 27) - 1, (1 << 27) + 1, 3**40), (F(1, 3),) * 5, d=2
@@ -280,6 +289,16 @@ class TestHitScreen:
         exp = prepare(BOUNDARY_CONFIGS["large-q"])
         assert exp._unscreened.tolist() == [Q >= 1 << 53 for Q in exp.moduli]
         assert exp._unscreened.tolist() == [False, False, True, True, True]
+
+    @pytest.mark.parametrize("name", ["one-dth-powers", "one-generators", None])
+    def test_modulus_one_is_trivial(self, name):
+        # mod 1 every p is a unit and in the coset: k = 1 hits iff ||x|| < alpha_1
+        exp = prepare(BOUNDARY_CONFIGS[name] if name else small_cfg(K=6))
+        assert exp.qs[0] == 1 and exp.orders[0] == 1
+        alpha = exp.alphas[0]
+        for i in range(40):
+            x = _sample_point(23, i, 64)
+            assert any(h.k == 1 for h in exp.find_hits(x)) == (min(x, 1 - x) < alpha)
 
     def test_exact_centre_survives_underflowing_radius(self):
         exp = prepare(BOUNDARY_CONFIGS["underflow"])
@@ -369,18 +388,18 @@ class TestSampling:
 class TestMonteCarlo:
     def test_seed_determinism(self):
         cfg = small_cfg(K=50, samples=12)
-        r1 = monte_carlo_measure(cfg)
-        r2 = monte_carlo_measure(cfg)
+        r1 = prepare(cfg).monte_carlo()
+        r2 = prepare(cfg).monte_carlo()
         assert json.dumps(r1.summary_dict(), sort_keys=True) == json.dumps(
             r2.summary_dict(), sort_keys=True
         )
-        r3 = monte_carlo_measure(small_cfg(K=50, samples=12, seed=6))
+        r3 = prepare(small_cfg(K=50, samples=12, seed=6)).monte_carlo()
         assert r1.summary_dict()["F"] != r3.summary_dict()["F"]
 
     def test_thread_invariance(self):
         cfg = small_cfg(K=50, samples=10)
-        r1 = monte_carlo_measure(cfg, threads=1)
-        r2 = monte_carlo_measure(cfg, threads=3)
+        r1 = prepare(cfg).monte_carlo(threads=1)
+        r2 = prepare(cfg).monte_carlo(threads=3)
         assert r1.summary_dict() == r2.summary_dict()
 
     @pytest.mark.parametrize(
@@ -388,7 +407,8 @@ class TestMonteCarlo:
         [(10**6, 12, 2, 2), (3, 12, 8, 3), (10**6, 5, 64, 5), (8, 12, None, 1), (1, 12, 8, 1)],
     )
     def test_pool_size_is_capped(self, monkeypatch, threads, samples, cpus, workers):
-        # a stand-in pool that records its size and maps in this process
+        # a stand-in pool that records its size and maps in this process, after
+        # the pickle round trip a process pool puts its work items through
         sizes = []
 
         class SerialPool:
@@ -402,21 +422,65 @@ class TestMonteCarlo:
                 return False
 
             def map(self, fn, *iterables):
+                fn, iterables = pickle.loads(pickle.dumps((fn, iterables)))
                 return map(fn, *iterables)
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
         cfg = small_cfg(K=50, samples=samples)
-        got = monte_carlo_measure(cfg, threads=threads)
+        got = prepare(cfg).monte_carlo(threads=threads)
         assert sizes == ([workers] if workers > 1 else [])
-        serial = monte_carlo_measure(cfg, threads=1)
+        serial = prepare(cfg).monte_carlo(threads=1)
         assert json.dumps(got.summary_dict(), sort_keys=True) == json.dumps(
             serial.summary_dict(), sort_keys=True
         )
 
+    def test_pool_workers_do_not_prepare(self, monkeypatch):
+        exp = prepare(small_cfg(K=50, samples=12))
+        serial = exp.monte_carlo()
+        sizes = []
+
+        class CountingPool(experiment.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        def refuse(cfg):
+            raise AssertionError("monte_carlo must reuse the prepared experiment")
+
+        # forked workers inherit the patch, so a prepare there fails too
+        monkeypatch.setattr(experiment, "prepare", refuse)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+        pooled = exp.monte_carlo(threads=2)
+        assert sizes == [2]
+        assert pooled.per_sample_hits == serial.per_sample_hits
+
+    @pytest.mark.parametrize("mode", SUBGROUP_MODES)
+    def test_prepared_experiment_pickles(self, mode):
+        # a = 7 and the generator 7 are units modulo every prime but 7
+        cfg = small_cfg(
+            q_sequence=QSequence("primes-coprime-to-a"),
+            d=2,
+            a=7,
+            subgroup_mode=mode,
+            generators=(7,) if mode == "generators" else (),
+            K=40,
+        )
+        exp = prepare(cfg)
+        copy = pickle.loads(pickle.dumps(exp))
+        assert (copy.qs, copy.alphas, copy.orders) == (exp.qs, exp.alphas, exp.orders)
+        found = 0
+        for i in range(40):
+            x = _sample_point(19, i, 128)
+            hits = exp.find_hits(x)
+            assert copy.find_hits(x) == hits
+            found += len(hits)
+        assert found > 0
+
     def test_fraction_table_shape_and_monotonicity(self):
         cfg = small_cfg(K=500, samples=30, min_hits=4)
-        res = monte_carlo_measure(cfg)
+        res = prepare(cfg).monte_carlo()
         assert res.k_ladder == (100, 500)
         for m in res.m_values:
             assert res.counts[m][100] <= res.counts[m][500]
@@ -431,11 +495,10 @@ class TestMonteCarlo:
             samples=80,
             seed=2024,
         )
-        res = monte_carlo_measure(cfg)
-        ub = res.union_bound
-        assert ub == sum(
-            2 * a * F(o, q) for a, o, q in zip(prepare(cfg).alphas, prepare(cfg).orders, prepare(cfg).qs)
-        )
+        exp = prepare(cfg)
+        ub = check_conditions(exp).union_bound
+        assert ub == sum(2 * a * F(o, q) for a, o, q in zip(exp.alphas, exp.orders, exp.qs))
+        res = exp.monte_carlo()
         sigma = math.sqrt(float(ub) * (1 - float(ub)) / cfg.samples)
         assert float(res.fraction(1, cfg.K)) <= float(ub) + 3 * sigma
 
