@@ -34,7 +34,6 @@ from .equidist import (
     phi_mu_sieve,
     psi_count,
     psi_estimate,
-    psi_power_lift,
 )
 from .experiment import (
     AlphaSequence,
@@ -50,7 +49,6 @@ from .residue_group import (
     Subgroup,
     UnitGroup,
     coset,
-    coset_contains,
     dth_power_subgroup,
     full_subgroup,
     index,

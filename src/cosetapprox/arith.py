@@ -20,6 +20,7 @@ __all__ = [
     "ORACLE_CUTOFF",
     "Factorization",
     "GrowthRow",
+    "as_fraction",
     "brute_r_d",
     "brute_u_d",
     "euler_phi",
@@ -43,6 +44,16 @@ ORACLE_CUTOFF = 10**6
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 10_000
+
+
+def as_fraction(x) -> Fraction:
+    """x as an exact rational: a Fraction or an int (not a bool), else
+    TypeError.  Floats, strings and bools are rejected, not coerced."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 def is_prime(n: int) -> bool:

@@ -133,7 +133,7 @@ def _dlog_rows(g: UnitGroup) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(n, dtype=np.int64)
     mask = np.ones(n, dtype=bool)
     rows = []
-    for (q, gens), table in zip(g.components, g.component_tables()):
+    for (q, gens), table in zip(g.components, g.component_tables):
         local_mask = np.array([table[r] is not None for r in range(q)], dtype=bool)
         mask &= local_mask[idx % q]
         for j in range(len(gens)):
@@ -194,7 +194,7 @@ def orthogonality_deviation(n: int) -> tuple[float, float]:
     chars = all_characters(g)
     V = character_matrix(g, chars)
     col = V.sum(axis=0)
-    units = np.array([x for x in range(2, n) if math.gcd(x, n) == 1], dtype=np.int64)
+    units = np.array(g.units()[1:], dtype=np.int64)  # every unit but 1
     col_dev = float(np.max(np.abs(col[units]))) if units.size else 0.0
     row = V.sum(axis=1)
     row_dev = float(np.max(np.abs(row[1:]))) if len(chars) > 1 else 0.0

@@ -26,7 +26,7 @@ from .arith import euler_phi, factor, growth_scan, omega, r_d, s_d, tau, u_d
 from .arith import brute_r_d, brute_u_d
 from .characters import all_characters, character_prefix_sums, pv_bound
 from .equidist import interval_system, overlap_excess_sweep, psi_estimate
-from .experiment import ExperimentConfig, check_conditions, exact_str, prepare
+from .experiment import SUBGROUP_MODES, ExperimentConfig, check_conditions, exact_str, prepare
 from .residue_group import (
     coset,
     dth_power_subgroup,
@@ -83,6 +83,13 @@ def _positive_int(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return int(text)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _parse_gens(spec: str) -> tuple[int, ...]:
@@ -279,7 +286,7 @@ def _cmd_experiment(args) -> int:
         "cond_c_last_decile_mean": conditions.cond_c_last_decile_mean,
         "cond_c_decreasing": conditions.cond_c_decreasing,
     }
-    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -336,7 +343,7 @@ def _build_parser() -> _Parser:
 
     p = common(sub.add_parser("group", help="subgroup and coset listing"))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("full", "dth-powers", "generators"), default="dth-powers")
+    p.add_argument("--mode", choices=SUBGROUP_MODES, default="dth-powers")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--generators", default="", help="comma-separated residues")
     p.add_argument("--a", type=int, default=1)
@@ -349,11 +356,11 @@ def _build_parser() -> _Parser:
     p = common(sub.add_parser("equidist", help="equidistribution error sweeps"))
     p.add_argument("--n-max", type=int, default=200)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--mode", choices=("full", "dth-powers", "generators"), default="dth-powers")
+    p.add_argument("--mode", choices=SUBGROUP_MODES, default="dth-powers")
     p.add_argument("--generators", default="")
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--mu-grid", type=int, default=10, help="mu runs over j/mu_grid")
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--epsilon", type=_finite_float, default=0.05)
     p.add_argument("--overlap-q", default="", help="comma-separated q values: run the overlap sweep")
     p.set_defaults(fn=_cmd_equidist)
 
@@ -363,7 +370,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--hits-csv", default=None)
     p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--epsilon", type=_finite_float, default=0.05)
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("verify", help="run the invariant suite")

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import euler_phi, factor, tau
-from .characters import character_prefix_sums, quotient_characters
-from .residue_group import Coset, Subgroup, coset, inv_mod
+from .arith import as_fraction, euler_phi, factor, tau
+from .characters import character_prefix_sums, pv_bound, quotient_characters
+from .residue_group import Coset, Subgroup, coset
 
 __all__ = [
     "CountEstimate",
@@ -33,25 +33,16 @@ __all__ = [
     "psi_character_value",
     "psi_count",
     "psi_estimate",
-    "psi_power_lift",
 ]
 
 _SCAN_CHUNK = 1 << 18
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 def phi_mu(n: int, mu) -> int:
     """Count of integers in [1, floor(mu*n)] coprime to n, by direct gcd scan."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    mu = _as_fraction(mu)
+    mu = as_fraction(mu)
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     m = math.floor(mu * n)
@@ -71,7 +62,7 @@ def phi_mu_sieve(n: int, mu) -> tuple[int, Fraction]:
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    mu = _as_fraction(mu)
+    mu = as_fraction(mu)
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     f = factor(n)
@@ -92,8 +83,12 @@ def phi_mu_sieve(n: int, mu) -> tuple[int, Fraction]:
 
 
 def psi_count(X, c: Coset) -> int:
-    """Exact count of integers l in [1, X] whose residue lies in the coset."""
-    X = _as_fraction(X)
+    """Exact count of integers l in [1, X] whose residue lies in the coset.
+
+    With X = mu * q**d for a coset mod q this is the lifted count of
+    numerators p <= mu q^d with p mod q in the coset.
+    """
+    X = as_fraction(X)
     if X < 0:
         raise ValueError(f"upper limit must be >= 0, got {X}")
     m = math.floor(X)
@@ -110,7 +105,7 @@ def psi_character_value(mu, c: Coset) -> complex:
     float result should sit next to an integer: round(value.real) is the
     count, and the distance to it is the float error.
     """
-    mu = _as_fraction(mu)
+    mu = as_fraction(mu)
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     G = c.subgroup
@@ -122,7 +117,7 @@ def psi_character_value(mu, c: Coset) -> complex:
     full, rem = divmod(m, n)
     sums = prefix[:, rem].copy()
     sums[0] += full * g.phi  # principal character: full periods count the units
-    alpha = inv_mod(c.representative, n)
+    alpha = pow(c.representative, -1, n)
     total = complex(np.sum(V[:, alpha] * sums))
     return total / len(chars)
 
@@ -151,12 +146,12 @@ class CountEstimate:
 
 def psi_estimate(mu, c: Coset) -> CountEstimate:
     """Compare psi_count with the main term mu*|G| and the explicit bound."""
-    mu = _as_fraction(mu)
+    mu = as_fraction(mu)
     n = c.n
     exact = psi_count(mu * n, c)
     main = mu * len(c.elements)
     err = abs(exact - main)
-    bound = tau(factor(n)) + 2.0 * math.sqrt(n) * math.log(n)
+    bound = tau(factor(n)) + pv_bound(n)
     if float(err) > bound:
         raise ArithmeticError(f"equidistribution bound violated at n={n}: {err} > {bound}")
     return CountEstimate(
@@ -166,24 +161,6 @@ def psi_estimate(mu, c: Coset) -> CountEstimate:
         bound=bound,
         normalized_error=float(err) / bound,
     )
-
-
-def psi_power_lift(mu, q: int, d: int, c: Coset) -> int:
-    """Count of p <= mu * q^d with p mod q in the coset (coset lives mod q).
-
-    Splits off floor(mu*q^(d-1)) full periods and counts the fractional tail
-    with psi_count; for mu = 1 this is |G| * q^(d-1) on the nose.
-    """
-    mu = _as_fraction(mu)
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if d < 1:
-        raise ValueError(f"power must be >= 1, got {d}")
-    if c.n != q:
-        raise ValueError(f"coset modulus {c.n} does not match q={q}")
-    blocks = math.floor(mu * q ** (d - 1))
-    tail = mu * q**d - blocks * q  # = nu * q with nu in [0, 1)
-    return blocks * len(c.elements) + psi_count(tail, c)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +209,11 @@ class IntervalSystem:
         return 2 * self.radius * self.center_count
 
     def is_center(self, p: int) -> bool:
-        return 0 < p < self.modulus and p % self.q in self.coset.element_set
+        return 0 < p < self.modulus and p in self.coset
 
     def count_upto(self, X) -> int:
         """Number of centers <= X."""
-        X = _as_fraction(X)
+        X = as_fraction(X)
         if X < 1:
             return 0
         return psi_count(min(X, Fraction(self.modulus)), self.coset)
@@ -250,7 +227,7 @@ class IntervalSystem:
 
 def interval_system(k: int, q: int, d: int, alpha, a: int, G: Subgroup) -> IntervalSystem:
     """Build the interval system for index k from (q, d, alpha, a, G)."""
-    alpha = _as_fraction(alpha)
+    alpha = as_fraction(alpha)
     if alpha >= Fraction(1, 2):
         raise ValueError(f"radius parameter {alpha} >= 1/2 is not supported")
     return IntervalSystem(k=k, q=q, d=d, alpha=alpha, coset=coset(a, G))
@@ -263,7 +240,7 @@ def overlap_measure(E: IntervalSystem, s, t) -> tuple[Fraction, Fraction]:
     scaled window; the interval-counting argument forces |theta| <= 2, which
     is re-asserted here on the exact rationals.
     """
-    s, t = _as_fraction(s), _as_fraction(t)
+    s, t = as_fraction(s), as_fraction(t)
     if not (0 <= s < t <= 1):
         raise ValueError(f"need 0 <= s < t <= 1, got ({s}, {t})")
     N = E.modulus
@@ -305,7 +282,7 @@ class OverlapReport:
 
 
 def _normalize_pieces(A) -> list[tuple[Fraction, Fraction]]:
-    pieces = sorted((_as_fraction(lo), _as_fraction(hi)) for lo, hi in A)
+    pieces = sorted((as_fraction(lo), as_fraction(hi)) for lo, hi in A)
     if not pieces:
         raise ValueError("A must contain at least one interval")
     prev_hi = Fraction(0)

@@ -21,11 +21,12 @@ from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
-from .arith import euler_phi, factor, primes_up_to, r_d
-from .residue_group import closure, inv_mod, is_dth_power
+from .arith import as_fraction, euler_phi, factor, primes_up_to, r_d
+from .residue_group import closure, is_dth_power
 
 __all__ = [
     "AbelReport",
@@ -358,7 +359,7 @@ class Experiment:
         |x Q - p| < alpha, hence ||x Q|| < alpha, hence d < alpha + 2^-52 <
         tau: every index holding a hit survives the screen.
         """
-        x = Fraction(x)
+        x = as_fraction(x)
         if not (0 < x < 1):
             raise ValueError(f"sample point must lie in (0, 1), got {x}")
         xn, xd = x.numerator, x.denominator
@@ -475,7 +476,7 @@ def prepare(cfg: ExperimentConfig) -> Experiment:
             members.append(_any_unit)
             orders.append(euler_phi(f))
         elif cfg.subgroup_mode == "dth-powers":
-            members.append(partial(_in_dth_power_coset, f, inv_mod(cfg.a, q), cfg.d))
+            members.append(partial(_in_dth_power_coset, f, pow(cfg.a, -1, q), cfg.d))
             orders.append(r_d(f, cfg.d))
         else:
             for g in cfg.generators:
@@ -518,6 +519,30 @@ def _checkpoints(K: int) -> tuple[int, ...]:
     return tuple(sorted(c for c in cps if 1 <= c <= K))
 
 
+def _prefix_ratio(dens, nums, cps: tuple[int, ...]):
+    """The exact prefix-ratio pass over the series dens_k and nums_k.
+
+    With D_n = dens_1 + ... + dens_n and N_n likewise, returns the tuples of
+    D_n, of N_n and of N_n / D_n at the checkpoints cps, and the exact
+    minimum of N_n / D_n over every prefix n, checkpoint or not.  The series
+    are consumed lazily; only the checkpoint rows are kept.
+    """
+    cps_set = set(cps)
+    d_sum = n_sum = Fraction(0)
+    ratio_min = None
+    rows = []
+    for n, (den, num) in enumerate(zip(dens, nums), start=1):
+        d_sum += den
+        n_sum += num
+        ratio = n_sum / d_sum
+        if ratio_min is None or ratio < ratio_min:
+            ratio_min = ratio
+        if n in cps_set:
+            rows.append((d_sum, n_sum, ratio))
+    d_rows, n_rows, ratio_rows = zip(*rows)
+    return d_rows, n_rows, ratio_rows, ratio_min
+
+
 @dataclass(frozen=True)
 class ConditionsReport:
     """Prefix sums behind the divergence and subgroup-size conditions.
@@ -556,33 +581,21 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
     statistic phi(q_k) / (q_k^(1/2 - epsilon) |G_k|).
     """
     cps = _checkpoints(exp.config.K)
-    cps_set = set(cps)
-    a_sum = Fraction(0)
-    w_sum = Fraction(0)
-    ratio_min = None
-    rows_a, rows_w, rows_r = [], [], []
-    cond_c = []
-    for i, (q, alpha, order) in enumerate(zip(exp.qs, exp.alphas, exp.orders)):
-        n = i + 1
-        a_sum += alpha
-        w_sum += alpha * Fraction(order, q)
-        ratio = w_sum / a_sum
-        if ratio_min is None or ratio < ratio_min:
-            ratio_min = ratio
-        cond_c.append(euler_phi(factor(q)) / (q ** (0.5 - epsilon) * order))
-        if n in cps_set:
-            rows_a.append(a_sum)
-            rows_w.append(w_sum)
-            rows_r.append(ratio)
+    weighted = (a * Fraction(order, q) for q, a, order in zip(exp.qs, exp.alphas, exp.orders))
+    rows_a, rows_w, rows_r, ratio_min = _prefix_ratio(exp.alphas, weighted, cps)
+    cond_c = [
+        euler_phi(factor(q)) / (q ** (0.5 - epsilon) * order)
+        for q, order in zip(exp.qs, exp.orders)
+    ]
     dec = max(1, len(cond_c) // 10)
     first = sum(cond_c[:dec]) / dec
     last = sum(cond_c[-dec:]) / dec
     return ConditionsReport(
         epsilon=epsilon,
         checkpoints=cps,
-        partial_sum_alpha=tuple(rows_a),
-        weighted_sum=tuple(rows_w),
-        c_ratio=tuple(rows_r),
+        partial_sum_alpha=rows_a,
+        weighted_sum=rows_w,
+        c_ratio=rows_r,
         c_ratio_min=ratio_min,
         c_ratio_final=rows_r[-1],
         cond_c_values=tuple(cond_c),
@@ -617,21 +630,12 @@ def abel_condition_check(exp: Experiment) -> AbelReport:
     if any(b > a for a, b in zip(exp.alphas, exp.alphas[1:])):
         raise ValueError("Abel check requires a non-increasing alpha sequence")
     cps = _checkpoints(exp.config.K)
-    cps_set = set(cps)
-    s = Fraction(0)
-    c_star = None
-    s_rows = []
-    for i, (q, order) in enumerate(zip(exp.qs, exp.orders)):
-        s += Fraction(order, q)
-        val = s / (i + 1)
-        if c_star is None or val < c_star:
-            c_star = val
-        if i + 1 in cps_set:
-            s_rows.append(s)
+    densities = (Fraction(order, q) for q, order in zip(exp.qs, exp.orders))
+    _, s_rows, _, c_star = _prefix_ratio(repeat(1), densities, cps)
     rep = check_conditions(exp)
     return AbelReport(
         checkpoints=cps,
-        density_partial=tuple(s_rows),
+        density_partial=s_rows,
         c_star=c_star,
         weighted_lhs=rep.weighted_sum,
         weighted_rhs=tuple(c_star * a for a in rep.partial_sum_alpha),

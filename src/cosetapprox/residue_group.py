@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .arith import Factorization, euler_phi, factor
 
@@ -21,35 +22,13 @@ __all__ = [
     "UnitGroup",
     "closure",
     "coset",
-    "coset_contains",
     "dth_power_subgroup",
     "full_subgroup",
     "index",
-    "inv_mod",
     "is_dth_power",
     "subgroup_from_generators",
     "unit_group",
-    "xgcd",
 ]
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def inv_mod(a: int, n: int) -> int:
-    """Multiplicative inverse of a mod n via extended gcd."""
-    a %= n
-    g, x, _ = xgcd(a, n)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible mod {n}")
-    return x % n
 
 
 def _primitive_root(p: int, e: int) -> int:
@@ -97,7 +76,6 @@ class UnitGroup:
     phi: int
     cyclic_factors: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-    _tables: list = field(default=None, repr=False)
 
     def units(self) -> list[int]:
         return [x for x in range(1, self.n) if math.gcd(x, self.n) == 1]
@@ -106,28 +84,27 @@ class UnitGroup:
         """lcm of the cyclic factor orders (1 for the trivial group)."""
         return math.lcm(*(o for _, o in self.cyclic_factors)) if self.cyclic_factors else 1
 
+    @cached_property
     def component_tables(self) -> list[list[tuple[int, ...] | None]]:
         """Per-component dlog tables: table[r] is the local exponent vector
         of the residue r, or None when r is not a unit of the component."""
-        if self._tables is None:
-            tables = []
-            for q, gens in self.components:
-                table: list[tuple[int, ...] | None] = [None] * q
-                for exps in itertools.product(*(range(o) for _, o in gens)):
-                    val = 1
-                    for (g, _), e in zip(gens, exps):
-                        val = val * pow(g, e, q) % q
-                    table[val] = exps
-                tables.append(table)
-            self._tables = tables
-        return self._tables
+        tables = []
+        for q, gens in self.components:
+            table: list[tuple[int, ...] | None] = [None] * q
+            for exps in itertools.product(*(range(o) for _, o in gens)):
+                val = 1
+                for (g, _), e in zip(gens, exps):
+                    val = val * pow(g, e, q) % q
+                table[val] = exps
+            tables.append(table)
+        return tables
 
     def dlog(self, x: int) -> tuple[int, ...]:
         """Exponent vector of the unit x against cyclic_factors."""
         if math.gcd(x, self.n) != 1:
             raise ValueError(f"{x} is not a unit mod {self.n}")
         out: list[int] = []
-        for (q, _), table in zip(self.components, self.component_tables()):
+        for (q, _), table in zip(self.components, self.component_tables):
             out.extend(table[x % q])
         return tuple(out)
 
@@ -149,7 +126,7 @@ def unit_group(n: int) -> UnitGroup:
                 lifted = g % n
             else:
                 # CRT lift: congruent to g mod q and to 1 mod n/q.
-                t = (g - 1) * inv_mod(rest % q, q) % q
+                t = (g - 1) * pow(rest, -1, q) % q
                 lifted = (1 + rest * t) % n
             cyclic.append((lifted, order))
     return UnitGroup(
@@ -168,18 +145,14 @@ class Subgroup:
     group: UnitGroup
     elements: tuple[int, ...]
     generators: tuple[int, ...] | None = None
-    element_set: frozenset[int] = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.element_set is None:
-            self.element_set = frozenset(self.elements)
+    @cached_property
+    def element_set(self) -> frozenset[int]:
+        return frozenset(self.elements)
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, x: int) -> bool:
-        return x % self.group.n in self.element_set
 
     def validate(self) -> None:
         """Full invariant check: identity, closure, inverses, Lagrange."""
@@ -191,7 +164,7 @@ class Subgroup:
         for x in self.elements:
             if math.gcd(x, n) != 1:
                 raise AssertionError(f"{x} is not a unit")
-            if inv_mod(x, n) not in self.element_set:
+            if pow(x, -1, n) not in self.element_set:
                 raise AssertionError(f"inverse of {x} missing")
             for y in self.elements:
                 if x * y % n not in self.element_set:
@@ -205,15 +178,18 @@ class Coset:
     subgroup: Subgroup
     representative: int
     elements: tuple[int, ...]
-    element_set: frozenset[int] = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.element_set is None:
-            self.element_set = frozenset(self.elements)
+    @cached_property
+    def element_set(self) -> frozenset[int]:
+        return frozenset(self.elements)
 
     @property
     def n(self) -> int:
         return self.subgroup.group.n
+
+    def __contains__(self, p: int) -> bool:
+        """Whether the integer p reduces into the coset (false for non-units)."""
+        return p % self.n in self.element_set
 
 
 def full_subgroup(g: UnitGroup) -> Subgroup:
@@ -273,11 +249,6 @@ def coset(a: int, G: Subgroup) -> Coset:
         representative=a,
         elements=tuple(sorted(a * x % n for x in G.elements)),
     )
-
-
-def coset_contains(c: Coset, p: int) -> bool:
-    """Whether the integer p reduces into the coset (false for non-units)."""
-    return p % c.n in c.element_set
 
 
 def index(G: Subgroup) -> int:

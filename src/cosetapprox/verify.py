@@ -26,7 +26,6 @@ from .equidist import (
     psi_character_value,
     psi_count,
     psi_estimate,
-    psi_power_lift,
 )
 from .experiment import (
     AlphaSequence,
@@ -275,8 +274,6 @@ def check_overlap_theta(cases: int = 1000, seed: int = 0x0E5) -> tuple[bool, str
 def check_coset_partition(n_max: int = 40) -> tuple[bool, str]:
     """Distinct cosets partition the units into index(G) classes of size |G|,
     and membership commutes with translation by the representative."""
-    from .residue_group import coset_contains, inv_mod
-
     bad = 0
     for n in range(2, n_max + 1):
         g = unit_group(n)
@@ -295,10 +292,8 @@ def check_coset_partition(n_max: int = 40) -> tuple[bool, str]:
             base = coset(1, G)
             for a in g.units():
                 c = coset(a, G)
-                ai = inv_mod(a, n)
-                if any(
-                    coset_contains(c, p) != coset_contains(base, ai * p) for p in range(2 * n)
-                ):
+                ai = pow(a, -1, n)
+                if any((p in c) != (ai * p in base) for p in range(2 * n)):
                     bad += 1
     return bad == 0, f"n <= {n_max}, {bad} violations"
 
@@ -386,7 +381,8 @@ def check_unit_group_structure(n_max: int = 64) -> tuple[bool, str]:
 
 
 def check_power_lift(seed: int = 0x11F7) -> tuple[bool, str]:
-    """psi_power_lift against direct enumeration over [1, mu q^d]."""
+    """The lifted coset count psi_count(mu q^d) against direct enumeration
+    over [1, mu q^d] of the p with p mod q in the coset."""
     rng = random.Random(seed)
     bad = 0
     cases = 0
@@ -401,7 +397,7 @@ def check_power_lift(seed: int = 0x11F7) -> tuple[bool, str]:
                     break
             c = coset(a, G)
             mu = Fraction(rng.randint(1, 16), 8)
-            lift = psi_power_lift(mu, q, d, c)
+            lift = psi_count(mu * q**d, c)
             limit = math.floor(mu * q**d)
             direct = sum(1 for p in range(1, limit + 1) if p % q in c.element_set)
             cases += 1

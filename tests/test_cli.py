@@ -103,6 +103,14 @@ class TestEquidist:
         for r in rows:
             assert float(F(r[i_err])) <= float(r[i_bound])
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+    def test_non_finite_epsilon_is_usage_error(self, capsys, epsilon):
+        code, out, err = run_cli(
+            capsys, "equidist", "--overlap-q", "19,53", f"--epsilon={epsilon}"
+        )
+        assert code == 1
+        assert "--epsilon" in err and "finite" in err and out == ""
+
     def test_overlap_sweep_mode(self, capsys):
         code, out, err = run_cli(
             capsys, "equidist", "--overlap-q", "19,53,101", "--d", "2", "--mode", "dth-powers"
@@ -304,6 +312,21 @@ class TestExperiment:
         code, out, err = run_cli(capsys, "experiment", "--config", str(cfg), "--threads", threads)
         assert code == 1
         assert "--threads" in err and out == ""
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+    def test_non_finite_epsilon_is_usage_error(self, tmp_path, capsys, epsilon):
+        cfg = self.make_config(tmp_path)
+        code, out, err = run_cli(
+            capsys, "experiment", "--config", str(cfg), f"--epsilon={epsilon}"
+        )
+        assert code == 1
+        assert "--epsilon" in err and "finite" in err and out == ""
+
+    def test_finite_epsilon_reaches_summary(self, tmp_path, capsys):
+        cfg = self.make_config(tmp_path, K=30, samples=5)
+        code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg), "--epsilon", "0.1")
+        assert code == 0
+        assert json.loads(out)["conditions"]["epsilon"] == 0.1
 
     def test_exact_rational_strings_accepted(self, tmp_path, capsys):
         blobs = []

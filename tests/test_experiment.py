@@ -25,7 +25,7 @@ from cosetapprox.experiment import (
     exact_str,
     prepare,
 )
-from cosetapprox.residue_group import coset, coset_contains, dth_power_subgroup, unit_group
+from cosetapprox.residue_group import coset, dth_power_subgroup, unit_group
 
 F = Fraction
 
@@ -154,8 +154,13 @@ class TestFindHits:
         assert len(hits) == 1 and hits[0].error == 0 and hits[0].p == 2
 
     def test_out_of_range_sample_rejected(self):
+        exp = prepare(small_cfg())
         with pytest.raises(ValueError):
-            prepare(small_cfg()).find_hits(F(3, 2))
+            exp.find_hits(F(3, 2))
+        # only exact rationals: no float, string or bool is coerced
+        for x in (0.3, "1/3", True):
+            with pytest.raises(TypeError):
+                exp.find_hits(x)
 
     def test_at_most_one_hit_per_index(self):
         exp = prepare(small_cfg(K=40))
@@ -185,7 +190,7 @@ class TestFindHits:
                 assert abs(x - F(h.p, q**2)) == h.error < alpha / q**2
                 assert math.gcd(h.p, q) == 1
                 G = dth_power_subgroup(unit_group(q), 2)
-                assert coset_contains(coset(1, G), h.p)
+                assert h.p in coset(1, G)
         assert found > 0
 
     def test_brute_scan_agreement(self):
@@ -252,7 +257,7 @@ BOUNDARY_CONFIGS = {
     "decimal": explicit_cfg((10, 100, 1000), (F(3, 10), F(1, 100), F(7, 1000))),
     # alpha far below float resolution, or rounding to 0.0: only the margin keeps x = p/Q
     "underflow": explicit_cfg((2, 4, 8), (F(1, 1 << 60), F(1, 1 << 1100), F(3, 1 << 1200))),
-    # q = 1 first: the trivial group, with inv_mod(a, 1) = 0 and closure {0}
+    # q = 1 first: the trivial group, with pow(a, -1, 1) = 0 and closure {0}
     "one-dth-powers": explicit_cfg(
         (1, 3, 5, 7, 9), (F(1, 3), F(1, 4), F(2, 5), F(1, 7), F(1, 3)),
         d=2, a=2, subgroup_mode="dth-powers",
@@ -622,6 +627,49 @@ def test_abel_matches_all_prefix_reference(kw):
     assert rep.weighted_lhs == lhs
     assert rep.weighted_rhs == rhs
     assert rep.implication_holds == holds
+
+
+# Sparse checkpoint grids (K > 1024) whose prefix minima fall between
+# checkpoints: the ratio minimum of the first config is at n = 810, where the
+# even moduli give way to primes, and its density minimum at n = 651; the
+# density minimum of the integers is at n = 820.
+_EVENS_THEN_PRIMES = tuple(range(2, 1621, 2)) + tuple(
+    p for p in primes_up_to(4000) if p > 1620
+)[:290]
+
+
+@pytest.mark.parametrize(
+    "kw, off_grid",
+    [
+        (
+            dict(
+                q_sequence=QSequence("explicit", values=_EVENS_THEN_PRIMES),
+                alpha_sequence=AlphaSequence("c/k", c=F(1, 4)),
+                K=1100,
+            ),
+            ("ratio", "density"),
+        ),
+        (dict(K=1100), ("density",)),
+    ],
+)
+def test_prefix_minima_match_all_prefix_reference(kw, off_grid):
+    exp = prepare(small_cfg(**kw))
+    cond = check_conditions(exp)
+    abel = abel_condition_check(exp)
+    a_sum = w_sum = s_sum = F(0)
+    series = {"ratio": [], "density": []}
+    for n, (q, alpha, order) in enumerate(zip(exp.qs, exp.alphas, exp.orders), start=1):
+        a_sum += alpha
+        w_sum += alpha * F(order, q)
+        s_sum += F(order, q)
+        series["ratio"].append(w_sum / a_sum)
+        series["density"].append(s_sum / n)
+    assert cond.c_ratio_min == min(series["ratio"])
+    assert abel.c_star == min(series["density"])
+    for name in off_grid:
+        values = series[name]
+        argmin = values.index(min(values)) + 1
+        assert argmin not in cond.checkpoints, (name, argmin)
 
 
 class TestExactStrings:
