@@ -272,8 +272,8 @@ def _cmd_experiment(args) -> int:
     summary["conditions"] = {
         "epsilon": conditions.epsilon,
         "n_final": cfg.K,
-        "partial_sum_alpha": exact_str(conditions.partial_sum_alpha[-1]),
-        "weighted_sum": exact_str(conditions.weighted_sum[-1]),
+        "partial_sum_alpha": exact_str(conditions.partial_sum_alpha_final),
+        "weighted_sum": exact_str(conditions.weighted_sum_final),
         "c_ratio_final": {
             "exact": exact_str(conditions.c_ratio_final),
             "value": float(conditions.c_ratio_final),

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 
 import numpy as np
@@ -290,11 +290,12 @@ def _materialize_alpha(cfg: ExperimentConfig) -> tuple[Fraction, ...]:
             seq.c / (k * Fraction(max(_LOG_SCALE, round(math.log(k) * _LOG_SCALE)), _LOG_SCALE))
             for k in range(1, cfg.K + 1)
         )
+    vals = tuple(map(as_fraction, vals))  # a float radius raises TypeError
     half = Fraction(1, 2)
     for k, a in enumerate(vals, start=1):
         if not (0 < a < half):
             raise ValueError(f"alpha_{k} = {a} outside (0, 1/2)")
-    return tuple(vals)
+    return vals
 
 
 @dataclass(eq=False)
@@ -519,28 +520,94 @@ def _checkpoints(K: int) -> tuple[int, ...]:
     return tuple(sorted(c for c in cps if 1 <= c <= K))
 
 
-def _prefix_ratio(dens, nums, cps: tuple[int, ...]):
-    """The exact prefix-ratio pass over the series dens_k and nums_k.
+def _two_odd(b: int) -> tuple[int, int]:
+    """(e, o) with b = 2^e o and o odd."""
+    e = (b & -b).bit_length() - 1
+    return e, b >> e
 
-    With D_n = dens_1 + ... + dens_n and N_n likewise, returns the tuples of
-    D_n, of N_n and of N_n / D_n at the checkpoints cps, and the exact
-    minimum of N_n / D_n over every prefix n, checkpoint or not.  The series
-    are consumed lazily; only the checkpoint rows are kept.
+
+def _prefix_ratio(dens, nums, cps: tuple[int, ...]):
+    """The exact prefix-ratio pass over the series dens_k > 0 and nums_k > 0.
+
+    With D_n = dens_1 + ... + dens_n and N_n likewise, returns the rows
+    (L, L D_n, L N_n) at the checkpoints cps, all integers; the exact
+    minimum of r_n = N_n / D_n over every prefix n, checkpoint or not; and
+    how many of its comparisons floats decided and how many fell back to
+    exact integers.  The series are consumed lazily.  Both callers pass
+    nums_k / dens_k = |G_k| / q_k, a density in (0, 1].
+
+    Integers.  D_n and N_n are kept as integers D and N over one common
+    denominator L = 2^E O with O odd, so r_n = N / D and no Fraction is
+    built in the loop.  At step n, let 2^ex ox and 2^ey oy be the
+    denominators of dens_n and nums_n, with ox and oy odd, and o =
+    lcm(ox, oy), a number of the terms' size.  E rises to max(E, ex, ey)
+    by a shift.  One divmod(O, o) = (quo, rem) gives the rest.  If rem = 0,
+    o divides O and O / o = quo.  Otherwise O becomes lcm(O, o) = O m, with
+    g = gcd(rem, o) and m = o / g, and the new O / o = (quo o + rem) / g =
+    quo m + rem / g.  D, N and the argmin's integers are multiplied by
+    m 2^shift, which leaves every ratio as it was, and dens_n =
+    a / (2^ex ox) adds a 2^(E - ex) (o / ox) (O / o) to D; nums_n adds to N
+    likewise.  So each step divides the big O once by a small number, and
+    the loop runs no big-by-big gcd, quotient or remainder.
+
+    Fall test.  Let j be the argmin so far (the first on ties).  As
+    D_j < D_n,
+        r_n < r_j  iff  t < r_j,  where t = (N_n - N_j) / (D_n - D_j)
+    is the mediant of the terms j < k <= n.  Like r_j it is a weighted
+    average of densities in (0, 1], so its double cannot overflow.
+
+    Floats.  Floats only prune; the integers decide whatever they leave.
+    Python's int / int is the correctly rounded double of the exact
+    quotient, and rounding to nearest is monotone (across subnormals and
+    underflow to 0 too): t <= r_j gives t' <= r', and t >= r_j gives
+    t' >= r', for the doubles t' = fl(t) and r' = fl(r_j).  Hence
+        t' < r'  proves  t < r_j:  a new minimum,
+        t' > r'  proves  t > r_j:  no new minimum,
+    with an error margin of zero.  Only t' = r' is left undecided: an exact
+    tie, or a near-tie whose two values round to the same double.  There
+    the integers decide, by
+        (N_n - N_j) D_j < N_j (D_n - D_j).
     """
     cps_set = set(cps)
-    d_sum = n_sum = Fraction(0)
-    ratio_min = None
+    E, O = 0, 1
+    D = N = Dj = Nj = 0
+    r = 0.0
     rows = []
-    for n, (den, num) in enumerate(zip(dens, nums), start=1):
-        d_sum += den
-        n_sum += num
-        ratio = n_sum / d_sum
-        if ratio_min is None or ratio < ratio_min:
-            ratio_min = ratio
+    floats = exact = 0
+    for n, (x, y) in enumerate(zip(dens, nums), start=1):
+        ex, ox = _two_odd(x.denominator)
+        ey, oy = _two_odd(y.denominator)
+        o = ox * oy // math.gcd(ox, oy)
+        shift = max(ex, ey, E) - E
+        E += shift
+        quo, rem = divmod(O, o)
+        m = 1
+        if rem:
+            g = math.gcd(rem, o)
+            m = o // g
+            quo = quo * m + rem // g
+            O *= m
+        if m > 1 or shift:
+            s = m << shift
+            D, N, Dj, Nj = D * s, N * s, Dj * s, Nj * s
+        D += ((x.numerator * (o // ox)) << (E - ex)) * quo
+        N += ((y.numerator * (o // oy)) << (E - ey)) * quo
         if n in cps_set:
-            rows.append((d_sum, n_sum, ratio))
-    d_rows, n_rows, ratio_rows = zip(*rows)
-    return d_rows, n_rows, ratio_rows, ratio_min
+            rows.append((O << E, D, N))
+        if n > 1:
+            dN, dD = N - Nj, D - Dj
+            t = dN / dD
+            if t == r:
+                exact += 1
+                if dN * Dj >= Nj * dD:
+                    continue
+            else:
+                floats += 1
+                if t > r:
+                    continue
+        Dj, Nj = D, N
+        r = N / D
+    return tuple(rows), Fraction(Nj, Dj), floats, exact
 
 
 @dataclass(frozen=True)
@@ -549,26 +616,44 @@ class ConditionsReport:
 
     Exact rationals are recorded on a checkpoint grid (every prefix when K is
     small); the running minimum and final value of the density ratio are
-    exact over all prefixes regardless of the grid.
+    exact over all prefixes regardless of the grid.  The checkpoint rows are
+    kept as integers and turned into Fractions only when read.
     """
 
     epsilon: float
     checkpoints: tuple[int, ...]
-    partial_sum_alpha: tuple[Fraction, ...]
-    weighted_sum: tuple[Fraction, ...]
-    c_ratio: tuple[Fraction, ...]
+    # per checkpoint n, the integers (L, L sum alpha_k, L sum alpha_k |G_k|/q_k), k <= n
+    rows: tuple[tuple[int, int, int], ...] = field(repr=False)
+    partial_sum_alpha_final: Fraction
+    weighted_sum_final: Fraction
     c_ratio_min: Fraction
     c_ratio_final: Fraction
-    cond_c_values: tuple[float, ...]
     cond_c_first_decile_mean: float
     cond_c_last_decile_mean: float
     cond_c_decreasing: bool
+    float_decisions: int  # prefix-ratio comparisons that doubles decided
+    exact_fallbacks: int  # and those left to exact integers
+
+    @cached_property
+    def partial_sum_alpha(self) -> tuple[Fraction, ...]:
+        """sum alpha_k over k <= n, at each checkpoint n."""
+        return tuple(Fraction(a, L) for L, a, _ in self.rows)
+
+    @cached_property
+    def weighted_sum(self) -> tuple[Fraction, ...]:
+        """sum alpha_k |G_k| / q_k over k <= n, at each checkpoint n."""
+        return tuple(Fraction(w, L) for L, _, w in self.rows)
+
+    @cached_property
+    def c_ratio(self) -> tuple[Fraction, ...]:
+        """weighted_sum / partial_sum_alpha, at each checkpoint."""
+        return tuple(w / a for w, a in zip(self.weighted_sum, self.partial_sum_alpha))
 
     @property
     def union_bound(self) -> Fraction:
         """Total measure 2 sum alpha_k |G_k| / q_k of the interval systems,
         the Borel-Cantelli bound on the hit fraction F(1, K)."""
-        return 2 * self.weighted_sum[-1]
+        return 2 * self.weighted_sum_final
 
 
 def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport:
@@ -578,11 +663,16 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
     Reports, per prefix n: the plain radius sum, the density-weighted sum
     sum(alpha_k |G_k| / q_k), their ratio (whose running minimum is an
     empirical lower estimate of the constant c), and per index k the decay
-    statistic phi(q_k) / (q_k^(1/2 - epsilon) |G_k|).
+    statistic phi(q_k) / (q_k^(1/2 - epsilon) |G_k|).  A non-finite
+    epsilon raises ValueError.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     cps = _checkpoints(exp.config.K)
     weighted = (a * Fraction(order, q) for q, a, order in zip(exp.qs, exp.alphas, exp.orders))
-    rows_a, rows_w, rows_r, ratio_min = _prefix_ratio(exp.alphas, weighted, cps)
+    rows, ratio_min, floats, exact = _prefix_ratio(exp.alphas, weighted, cps)
+    L, a_sum, w_sum = rows[-1]
+    a_sum, w_sum = Fraction(a_sum, L), Fraction(w_sum, L)
     cond_c = [
         euler_phi(factor(q)) / (q ** (0.5 - epsilon) * order)
         for q, order in zip(exp.qs, exp.orders)
@@ -593,15 +683,16 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
     return ConditionsReport(
         epsilon=epsilon,
         checkpoints=cps,
-        partial_sum_alpha=rows_a,
-        weighted_sum=rows_w,
-        c_ratio=rows_r,
+        rows=rows,
+        partial_sum_alpha_final=a_sum,
+        weighted_sum_final=w_sum,
         c_ratio_min=ratio_min,
-        c_ratio_final=rows_r[-1],
-        cond_c_values=tuple(cond_c),
+        c_ratio_final=w_sum / a_sum,
         cond_c_first_decile_mean=first,
         cond_c_last_decile_mean=last,
         cond_c_decreasing=last < first,
+        float_decisions=floats,
+        exact_fallbacks=exact,
     )
 
 
@@ -631,11 +722,11 @@ def abel_condition_check(exp: Experiment) -> AbelReport:
         raise ValueError("Abel check requires a non-increasing alpha sequence")
     cps = _checkpoints(exp.config.K)
     densities = (Fraction(order, q) for q, order in zip(exp.qs, exp.orders))
-    _, s_rows, _, c_star = _prefix_ratio(repeat(1), densities, cps)
+    rows, c_star, _, _ = _prefix_ratio(repeat(1), densities, cps)
     rep = check_conditions(exp)
     return AbelReport(
         checkpoints=cps,
-        density_partial=s_rows,
+        density_partial=tuple(Fraction(s, L) for L, _, s in rows),
         c_star=c_star,
         weighted_lhs=rep.weighted_sum,
         weighted_rhs=tuple(c_star * a for a in rep.partial_sum_alpha),

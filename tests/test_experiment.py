@@ -4,6 +4,7 @@ deterministic Monte Carlo harness."""
 import json
 import math
 import pickle
+import random
 import sys
 from fractions import Fraction
 
@@ -103,6 +104,16 @@ class TestMaterialization:
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
             prepare(small_cfg(alpha_sequence=AlphaSequence("c/k", c=F(1, 2))))
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [AlphaSequence("explicit", values=(0.25, 0.2, 0.1)), AlphaSequence("c/k", c=0.25)],
+        ids=["explicit", "c/k"],
+    )
+    def test_float_radii_rejected(self, alpha):
+        # radii stay exact rationals: a float is refused, not carried into the sums
+        with pytest.raises(TypeError):
+            prepare(small_cfg(alpha_sequence=alpha, K=3))
 
     def test_coset_representative_must_be_unit(self):
         with pytest.raises(ValueError):
@@ -670,6 +681,129 @@ def test_prefix_minima_match_all_prefix_reference(kw, off_grid):
         values = series[name]
         argmin = values.index(min(values)) + 1
         assert argmin not in cond.checkpoints, (name, argmin)
+
+
+def _prefix_ratio_reference(dens, nums, cps):
+    """The plain Fraction walk that the integer pass replaced: D_n, N_n and
+    N_n / D_n at the checkpoints, and the minimum of N_n / D_n over every
+    prefix."""
+    cps = set(cps)
+    d_sum = n_sum = F(0)
+    ratio_min = None
+    rows = []
+    for n, (den, num) in enumerate(zip(dens, nums), start=1):
+        d_sum += den
+        n_sum += num
+        ratio = n_sum / d_sum
+        if ratio_min is None or ratio < ratio_min:
+            ratio_min = ratio
+        if n in cps:
+            rows.append((d_sum, n_sum, ratio))
+    d_rows, n_rows, ratio_rows = zip(*rows)
+    return d_rows, n_rows, ratio_rows, ratio_min
+
+
+def _assert_conditions_match_reference(exp):
+    """check_conditions, and abel_condition_check when the radii allow it,
+    against the Fraction walk; returns the conditions report."""
+    weighted = [a * F(o, q) for q, a, o in zip(exp.qs, exp.alphas, exp.orders)]
+    cps = experiment._checkpoints(exp.config.K)
+    d_rows, n_rows, ratio_rows, ratio_min = _prefix_ratio_reference(exp.alphas, weighted, cps)
+    rep = check_conditions(exp)
+    assert not {"partial_sum_alpha", "weighted_sum", "c_ratio"} & set(vars(rep))  # rows are lazy
+    assert rep.checkpoints == cps
+    assert rep.c_ratio_min == ratio_min
+    assert rep.c_ratio_final == ratio_rows[-1]
+    assert rep.partial_sum_alpha_final == d_rows[-1]
+    assert rep.weighted_sum_final == n_rows[-1]
+    assert rep.partial_sum_alpha == d_rows
+    assert rep.weighted_sum == n_rows
+    assert rep.c_ratio == ratio_rows
+    assert all(type(x) is F for x in rep.c_ratio + rep.weighted_sum + rep.partial_sum_alpha)
+    assert rep.float_decisions + rep.exact_fallbacks == exp.config.K - 1
+    if all(b <= a for a, b in zip(exp.alphas, exp.alphas[1:])):
+        densities = [F(o, q) for q, o in zip(exp.qs, exp.orders)]
+        _, s_rows, _, c_star = _prefix_ratio_reference([1] * exp.config.K, densities, cps)
+        abel = abel_condition_check(exp)
+        assert abel.c_star == c_star
+        assert abel.density_partial == s_rows
+    return rep
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [AlphaSequence("c/k", c=F(1, 3)), AlphaSequence("c*2^-k", c=F(1, 4))],
+    ids=["c/k", "c*2^-k"],
+)
+def test_exact_ties_take_the_integer_fallback(alpha):
+    # q = 2^k with the full group: every density is 1/2, so every prefix
+    # ratio is 1/2 and every comparison is an exact tie, which equal
+    # doubles cannot decide.
+    K = 200
+    qs = tuple(2**k for k in range(1, K + 1))
+    cfg = small_cfg(q_sequence=QSequence("explicit", values=qs), alpha_sequence=alpha, K=K)
+    rep = _assert_conditions_match_reference(prepare(cfg))
+    assert rep.c_ratio_min == F(1, 2)
+    assert rep.exact_fallbacks == K - 1 and rep.float_decisions == 0
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["ratio-stays", "ratio-falls"])
+def test_near_ties_take_the_integer_fallback(sign):
+    # Densities 4/5 (q = 5), 1/2 (q = 8), then 2/3 (q = 3^b).  With
+    # alpha_2 / alpha_1 = 4/5 exactly, r_2 would be 2/3; the 2^-58 nudge puts
+    # r_2 about 2^-60 below 2/3 (sign 1) or above it (sign -1).  Every later
+    # mediant is 2/3, within 2^-60 of the running minimum: past double
+    # resolution, so each step from n = 3 on needs the integers.  With
+    # sign -1 the ratio falls at every step, so the minimum is the last one.
+    K = 40
+    qs = (5, 8) + tuple(3**b for b in range(2, K))
+    alphas = (F(1, 4), F(1, 5) + sign * F(1, 2**58)) + tuple(F(1, 4 * k) for k in range(3, K + 1))
+    cfg = small_cfg(q_sequence=QSequence("explicit", values=qs),
+                    alpha_sequence=AlphaSequence("explicit", values=alphas), K=K)
+    rep = _assert_conditions_match_reference(prepare(cfg))
+    assert 0 < abs(rep.c_ratio[1] - F(2, 3)) < F(1, 2**59)
+    assert rep.c_ratio_min == (rep.c_ratio[1] if sign == 1 else rep.c_ratio[-1])
+    assert rep.exact_fallbacks == K - 2 and rep.float_decisions == 1
+
+
+@st.composite
+def conditions_configs(draw):
+    """Configs over every subgroup mode and radius rule, with K both below
+    and past 1024, where the checkpoint grid turns sparse and the prefix
+    minima can fall between its points."""
+    K = draw(st.one_of(st.integers(1, 60), st.integers(1025, 1300)))
+    mode = draw(st.sampled_from(SUBGROUP_MODES))
+    q_kind = draw(st.sampled_from(["integers", "primes"]))
+    kw = dict(subgroup_mode=mode, q_sequence=QSequence(q_kind))
+    if mode == "dth-powers":
+        kw["d"] = draw(st.integers(1, 3))
+    elif mode == "generators":
+        if draw(st.booleans()):  # the trivial subgroup, density 1/q
+            kw.update(q_sequence=QSequence("integers"), generators=(1,))
+        else:  # 2 and 3 generate large subgroups, so K stays small
+            K = min(K, 150)
+            gens = draw(st.sampled_from([(2,), (3,), (2, 3)]))
+            kw.update(q_sequence=QSequence("primes-coprime-to-a"), a=6, generators=gens)
+    kind = draw(st.sampled_from(experiment.ALPHA_KINDS))
+    if kind == "explicit":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        values = tuple(F(rng.randint(1, 2**20), 2**21 + rng.randint(0, 3**12)) for _ in range(K))
+        alpha = AlphaSequence(kind, values=values)
+    else:
+        alpha = AlphaSequence(kind, c=draw(st.sampled_from([F(1, 4), F(1, 3), F(2, 5), F(1, 7)])))
+    return small_cfg(K=K, alpha_sequence=alpha, **kw)
+
+
+@settings(max_examples=25, deadline=None)
+@given(conditions_configs())
+def test_prefix_pass_matches_fraction_walk(cfg):
+    _assert_conditions_match_reference(prepare(cfg))
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_epsilon_rejected(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        check_conditions(prepare(small_cfg()), epsilon=epsilon)
 
 
 class TestExactStrings:
