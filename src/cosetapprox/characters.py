@@ -122,8 +122,11 @@ def pv_bound(n: int) -> float:
 
 # ---------------------------------------------------------------------------
 # Vectorized value tables.  These exist so that full sweeps over all
-# characters and all partial sums stay within the acceptance time budgets;
-# the tests pin them against evaluate()/char_sum() on random samples.
+# characters and all partial sums stay within the acceptance time budgets.
+# Values are gathered from one table of the L-th roots of unity by the
+# integer exponent table, so only L complex exponentials are taken per
+# modulus; the tests pin every cell against evaluate() and the prefix sums
+# against char_sum().
 # ---------------------------------------------------------------------------
 
 
@@ -153,7 +156,7 @@ def character_matrix(g: UnitGroup, chars: list[DirichletCharacter]) -> np.ndarra
     L = g.exponent()
     E = np.array([c.exponents for c in chars], dtype=np.int64).reshape(len(chars), len(orders))
     T = (E * (L // orders)) @ D % L
-    V = np.exp((2j * np.pi / L) * T)
+    V = np.exp((2j * np.pi / L) * np.arange(L))[T]
     V[:, ~mask] = 0
     return V
 
@@ -174,11 +177,18 @@ def pv_sweep_max(n: int) -> tuple[float, float]:
 
     Uses the prefix-sum table, so one call covers every character and every
     prefix length for the modulus (h = n repeats h = n - 1, as chi(n) = 0).
+    The conjugate character has the conjugate sums, so the table keeps only
+    characters whose exponent vector is <= its conjugate's: one of each
+    conjugate pair and every real character, the principal one still first.
     """
     from .residue_group import unit_group
 
     g = unit_group(n)
-    chars = all_characters(g)
+    orders = [o for _, o in g.cyclic_factors]
+    chars = [
+        chi for chi in all_characters(g)
+        if chi.exponents <= tuple([-e % o for e, o in zip(chi.exponents, orders)])
+    ]
     _, S = character_prefix_sums(g, chars)
     if len(chars) <= 1:
         return 0.0, pv_bound(n)

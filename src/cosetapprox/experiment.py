@@ -664,7 +664,8 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
     sum(alpha_k |G_k| / q_k), their ratio (whose running minimum is an
     empirical lower estimate of the constant c), and per index k the decay
     statistic phi(q_k) / (q_k^(1/2 - epsilon) |G_k|).  A non-finite
-    epsilon raises ValueError.
+    epsilon raises ValueError, and so does a q_k whose power leaves the
+    float range (any q_k >= 2^1024), naming the first such k.
     """
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
@@ -673,10 +674,15 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
     rows, ratio_min, floats, exact = _prefix_ratio(exp.alphas, weighted, cps)
     L, a_sum, w_sum = rows[-1]
     a_sum, w_sum = Fraction(a_sum, L), Fraction(w_sum, L)
-    cond_c = [
-        euler_phi(factor(q)) / (q ** (0.5 - epsilon) * order)
-        for q, order in zip(exp.qs, exp.orders)
-    ]
+    cond_c = []
+    for k, (q, order) in enumerate(zip(exp.qs, exp.orders), 1):
+        try:
+            cond_c.append(euler_phi(factor(q)) / (q ** (0.5 - epsilon) * order))
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(
+                f"q_{k} has {q.bit_length()} bits: q_k^(1/2 - epsilon) with "
+                f"epsilon = {epsilon} is out of the float range of the decay statistic"
+            ) from None
     dec = max(1, len(cond_c) // 10)
     first = sum(cond_c[:dec]) / dec
     last = sum(cond_c[-dec:]) / dec

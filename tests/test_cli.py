@@ -322,6 +322,17 @@ class TestExperiment:
         assert code == 1
         assert "--epsilon" in err and "finite" in err and out == ""
 
+    def test_modulus_beyond_float_range_exits_2(self, tmp_path, capsys):
+        cfg = self.make_config(
+            tmp_path,
+            q_sequence={"kind": "explicit", "values": [2**e for e in range(1020, 1030)]},
+            K=10,
+            samples=4,
+        )
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 2
+        assert "q_5 has 1025 bits" in err and out == ""
+
     def test_finite_epsilon_reaches_summary(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path, K=30, samples=5)
         code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg), "--epsilon", "0.1")

@@ -806,6 +806,17 @@ def test_non_finite_epsilon_rejected(epsilon):
         check_conditions(prepare(small_cfg()), epsilon=epsilon)
 
 
+def test_decay_statistic_out_of_float_range_rejected():
+    # q_5 = 2^1024 is the first modulus that does not convert to a float
+    qs = QSequence("explicit", values=tuple(2**e for e in range(1020, 1030)))
+    cfg = small_cfg(q_sequence=qs, K=10)
+    with pytest.raises(ValueError, match=r"q_5 has 1025 bits"):
+        check_conditions(prepare(cfg))
+    # 3^(1/2 - 1000) underflows to 0.0, so q_3 = 3 is the first to fail
+    with pytest.raises(ValueError, match=r"q_3 has 2 bits"):
+        check_conditions(prepare(small_cfg()), epsilon=1000.0)
+
+
 class TestExactStrings:
     def test_round_trip_huge(self):
         x = F(3**5000 + 1, 2**9000)
