@@ -36,8 +36,8 @@ __all__ = [
     "u_d",
 ]
 
-# Brute-force enumerations refuse moduli above this unless the caller raises
-# the limit explicitly; keeps accidental O(n) scans out of large sweeps.
+# Brute-force enumerations refuse moduli above this; keeps accidental O(n)
+# scans out of large sweeps.
 ORACLE_CUTOFF = 10**6
 
 # Deterministic Miller-Rabin witness set, exact for all n < 3.3e24.
@@ -242,24 +242,24 @@ def s_d(q: int, d: int) -> Fraction:
     return Fraction(r_d(factor(q), d), q)
 
 
-def brute_u_d(n: int, d: int, cutoff: int = ORACLE_CUTOFF) -> int:
+def brute_u_d(n: int, d: int) -> int:
     """Oracle: count x in Z/nZ with x^d = 1 by exhaustive enumeration."""
-    _check_oracle_args(n, d, cutoff)
+    _check_oracle_args(n, d)
     one = 1 % n
     return sum(1 for x in range(n) if pow(x, d, n) == one)
 
 
-def brute_r_d(n: int, d: int, cutoff: int = ORACLE_CUTOFF) -> int:
+def brute_r_d(n: int, d: int) -> int:
     """Oracle: count distinct d-th powers of units mod n by enumeration."""
-    _check_oracle_args(n, d, cutoff)
+    _check_oracle_args(n, d)
     return len({pow(x, d, n) for x in range(n) if math.gcd(x, n) == 1})
 
 
-def _check_oracle_args(n: int, d: int, cutoff: int) -> None:
+def _check_oracle_args(n: int, d: int) -> None:
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    if n > cutoff:
-        raise ValueError(f"modulus {n} exceeds enumeration cutoff {cutoff}")
+    if n > ORACLE_CUTOFF:
+        raise ValueError(f"modulus {n} exceeds enumeration cutoff {ORACLE_CUTOFF}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +318,17 @@ def trend_threshold(stat: str, eps: float, d: int = 2) -> int | None:
     return threshold
 
 
-def growth_scan(
-    n_max: int,
-    d: int = 2,
-    eps_values: tuple[float, ...] = (0.5, 0.25),
-    first_block: int = 16,
-) -> list[GrowthRow]:
-    """Tabulate block maxima of tau(n)/n^eps and (2d)^omega(n)/n^eps.
+def growth_scan(n_max: int, d: int = 2) -> list[GrowthRow]:
+    """Tabulate block maxima of tau(n)/n^eps and (2d)^omega(n)/n^eps for
+    eps = 1/2 and 1/4.
 
-    Blocks are the doubling ranges (N, 2N] starting at first_block.  The
-    caller decides, via trend_threshold, for which eps the block maxima can
+    Blocks are the doubling ranges (N, 2N] from (8, 16] up.  The caller
+    decides, via trend_threshold, for which eps the block maxima can
     honestly be asserted non-increasing at desk scale.
     """
     import numpy as np
 
-    if n_max < 2 * first_block:
+    if n_max < 32:
         raise ValueError("scan range too small")
     tau_arr = np.zeros(n_max + 1, dtype=np.int64)
     for i in range(1, n_max + 1):
@@ -343,11 +339,11 @@ def growth_scan(
     base = 2 * d
     ns = np.arange(n_max + 1, dtype=np.float64)
     rows = []
-    for eps in eps_values:
+    for eps in (0.5, 0.25):
         scale = ns[1:] ** eps
         tau_ratio = tau_arr[1:] / scale
         pow_ratio = (float(base) ** omega_arr[1:]) / scale
-        hi = first_block
+        hi = 16
         while hi <= n_max:
             lo = hi // 2
             sl = slice(lo, hi)  # ratios are indexed from n = 1

@@ -52,9 +52,6 @@ class DirichletCharacter:
         )
         return DirichletCharacter(self.group, exps)
 
-    def __call__(self, m: int) -> complex:
-        return evaluate(self, m)
-
 
 def all_characters(g: UnitGroup) -> list[DirichletCharacter]:
     """All phi(n) characters mod n, lexicographic in the exponent vector,
@@ -102,13 +99,11 @@ def quotient_characters(G: Subgroup) -> list[DirichletCharacter]:
     """The characters trivial on G: exactly index(G) of them, and precisely
     those arising from characters of the quotient group.
 
-    Filters all characters on triviality over G's generators (or over every
-    element when no generator list is attached).
+    Filters all characters on triviality over G's generators.
     """
-    tests = G.generators if G.generators is not None else G.elements
     out = []
     for chi in all_characters(G.group):
-        if all(log_value(chi, t) == 0 for t in tests):
+        if all(log_value(chi, t) == 0 for t in G.generators):
             out.append(chi)
     return out
 

@@ -5,8 +5,8 @@ coset listings), chars (character sums with Polya-Vinogradov slack), equidist
 (error sweeps and overlap checks), experiment (Monte Carlo driver from a JSON
 config), verify (invariant suite).
 
-Exit codes: 0 ok, 1 usage, 2 validation error, 3 invariant failure.  All
-logs are natural logarithms.  Exact quantities are printed as integer or
+Exit codes: 0 ok, 1 usage, 2 validation or file error, 3 invariant failure.
+All logs are natural logarithms.  Exact quantities are printed as integer or
 num/den strings; floats carry 12 significant digits.  Identical invocations
 with identical seeds produce byte-identical output.
 """
@@ -50,8 +50,6 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
-    if isinstance(v, (int, Fraction)):
-        return str(v)
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
@@ -207,7 +205,7 @@ def _cmd_equidist(args) -> int:
         for q in qs:
             g = unit_group(q)
             G = _subgroup_for(g, args.mode, args.d, _parse_gens(args.generators))
-            systems.append(interval_system(1, q, args.d, Fraction(1, 5), args.a, G))
+            systems.append(interval_system(q, args.d, Fraction(1, 5), args.a, G))
         rep = overlap_excess_sweep(A, systems, epsilon=args.epsilon)
         rows = [[q, d, x] for q, d, x in rep.rows]
         _emit_rows(["q", "d", "abs_excess"], rows, args.format, args.out)
@@ -253,9 +251,6 @@ def _cmd_experiment(args) -> int:
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"malformed config at line {exc.lineno}, column {exc.colno}: {exc.msg}",
               file=sys.stderr)
@@ -394,6 +389,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -137,12 +137,6 @@ class CountEstimate:
     bound: float
     normalized_error: float
 
-    def __post_init__(self) -> None:
-        if self.abs_error != abs(self.exact_count - self.main_term):
-            raise ValueError("abs_error inconsistent with exact_count and main_term")
-        if self.bound < 0:
-            raise ValueError("bound must be nonnegative")
-
 
 def psi_estimate(mu, c: Coset) -> CountEstimate:
     """Compare psi_count with the main term mu*|G| and the explicit bound."""
@@ -178,7 +172,6 @@ class IntervalSystem:
     counting queries go through the periodic coset structure.
     """
 
-    k: int
     q: int
     d: int
     alpha: Fraction
@@ -218,19 +211,16 @@ class IntervalSystem:
             return 0
         return psi_count(min(X, Fraction(self.modulus)), self.coset)
 
-    def centers(self, limit: int = 2 * 10**6) -> list[int]:
-        if self.center_count > limit:
+    def centers(self) -> list[int]:
+        if self.center_count > 2 * 10**6:
             raise ValueError(f"{self.center_count} centers exceed materialization limit")
         elems = self.coset.elements
         return [b * self.q + t for b in range(self.q ** (self.d - 1)) for t in elems]
 
 
-def interval_system(k: int, q: int, d: int, alpha, a: int, G: Subgroup) -> IntervalSystem:
-    """Build the interval system for index k from (q, d, alpha, a, G)."""
-    alpha = as_fraction(alpha)
-    if alpha >= Fraction(1, 2):
-        raise ValueError(f"radius parameter {alpha} >= 1/2 is not supported")
-    return IntervalSystem(k=k, q=q, d=d, alpha=alpha, coset=coset(a, G))
+def interval_system(q: int, d: int, alpha, a: int, G: Subgroup) -> IntervalSystem:
+    """Build the interval system of (q, d, alpha) over the coset a G."""
+    return IntervalSystem(q=q, d=d, alpha=as_fraction(alpha), coset=coset(a, G))
 
 
 def overlap_measure(E: IntervalSystem, s, t) -> tuple[Fraction, Fraction]:

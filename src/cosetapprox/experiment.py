@@ -708,35 +708,28 @@ class AbelReport:
     weighted condition with the same constant when the radii are
     non-increasing."""
 
-    checkpoints: tuple[int, ...]
     density_partial: tuple[Fraction, ...]  # S_n = sum of |G_k|/q_k at checkpoints
     c_star: Fraction  # min over all prefixes of S_n / n
-    weighted_lhs: tuple[Fraction, ...]  # sum alpha_k |G_k|/q_k at checkpoints
-    weighted_rhs: tuple[Fraction, ...]  # c_star * sum alpha_k at checkpoints
     implication_holds: bool
 
 
-def abel_condition_check(exp: Experiment) -> AbelReport:
+def abel_condition_check(exp: Experiment, conditions: ConditionsReport) -> AbelReport:
     """Verify on the computed prefixes that S_n > c n forces the weighted
     condition with the same c.  Rejects configs whose radii increase.
 
-    The weighted side comes from check_conditions: every partial radius sum
-    is positive, so sum alpha_k |G_k|/q_k >= c_star sum alpha_k holds at
-    every prefix exactly when the all-prefix ratio minimum is >= c_star.
+    The weighted side comes from conditions = check_conditions(exp): every
+    partial radius sum is positive, so sum alpha_k |G_k|/q_k >= c_star
+    sum alpha_k holds at every prefix exactly when the all-prefix ratio
+    minimum is >= c_star.
     """
     if any(b > a for a, b in zip(exp.alphas, exp.alphas[1:])):
         raise ValueError("Abel check requires a non-increasing alpha sequence")
-    cps = _checkpoints(exp.config.K)
     densities = (Fraction(order, q) for q, order in zip(exp.qs, exp.orders))
-    rows, c_star, _, _ = _prefix_ratio(repeat(1), densities, cps)
-    rep = check_conditions(exp)
+    rows, c_star, _, _ = _prefix_ratio(repeat(1), densities, conditions.checkpoints)
     return AbelReport(
-        checkpoints=cps,
         density_partial=tuple(Fraction(s, L) for L, _, s in rows),
         c_star=c_star,
-        weighted_lhs=rep.weighted_sum,
-        weighted_rhs=tuple(c_star * a for a in rep.partial_sum_alpha),
-        implication_holds=rep.c_ratio_min >= c_star,
+        implication_holds=conditions.c_ratio_min >= c_star,
     )
 
 

@@ -144,7 +144,7 @@ class Subgroup:
 
     group: UnitGroup
     elements: tuple[int, ...]
-    generators: tuple[int, ...] | None = None
+    generators: tuple[int, ...]
 
     @cached_property
     def element_set(self) -> frozenset[int]:

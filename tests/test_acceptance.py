@@ -88,7 +88,7 @@ def test_criterion_03_sieve_identity():
 
 def test_criterion_04_character_axioms():
     t0 = time.monotonic()
-    ok, detail = check_character_axioms(n_max=500, tol=1e-9)
+    ok, detail = check_character_axioms(n_max=500)
     assert ok, detail
     report(4, f"character count and orthogonality ({detail})", t0)
 
@@ -104,7 +104,7 @@ def test_criterion_05_polya_vinogradov_sweep():
 
 def test_criterion_06_counting_identity(shared_tuples):
     t0 = time.monotonic()
-    ok, detail = check_counting_identity(shared_tuples, tol=1e-6)
+    ok, detail = check_counting_identity(shared_tuples)
     assert ok, detail
     report(6, f"character-sum counting identity ({detail})", t0)
 
@@ -118,7 +118,7 @@ def test_criterion_07_equidistribution_bound(shared_tuples):
 
 def test_criterion_08_overlap_theta():
     t0 = time.monotonic()
-    ok, detail = check_overlap_theta(cases=1000, seed=0x0E5)
+    ok, detail = check_overlap_theta(cases=1000)
     assert ok, detail
     report(8, f"overlap formula theta ({detail})", t0)
 

@@ -50,6 +50,12 @@ class TestArith:
         assert payload["schema_version"] == 1
         assert len(payload["rows"]) == 5
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(capsys, "arith", "--n-max", "5", "--out", str(out))
+        assert code == 2
+        assert err.count("\n") == 1 and str(out) in err
+
 
 class TestGroup:
     def test_squares_mod_7_listing(self, capsys):
@@ -205,6 +211,22 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 2
         assert "line" in err
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.json"
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 2
+        assert out == "" and err.count("\n") == 1 and str(cfg) in err
+
+    def test_unwritable_hits_csv_exits_2(self, tmp_path, capsys):
+        cfg = self.make_config(tmp_path, K=20, samples=4)
+        hits = tmp_path / "missing" / "h.csv"
+        code, _, err = run_cli(
+            capsys, "experiment", "--config", str(cfg), "--out", str(tmp_path / "s.json"),
+            "--hits-csv", str(hits),
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and str(hits) in err
 
     def test_missing_field_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

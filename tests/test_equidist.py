@@ -221,7 +221,7 @@ class TestPowerLift:
 class TestIntervalSystem:
     def test_example_q5(self):
         g = unit_group(5)
-        E = interval_system(1, 5, 1, F(1, 10), 1, full_subgroup(g))
+        E = interval_system(5, 1, F(1, 10), 1, full_subgroup(g))
         assert E.center_count == 4
         assert E.centers() == [1, 2, 3, 4]
         assert E.measure == F(4, 25)
@@ -229,18 +229,18 @@ class TestIntervalSystem:
 
     def test_trivial_subgroup_single_interval(self):
         g = unit_group(9)
-        E = interval_system(1, 9, 1, F(1, 4), 1, subgroup_from_generators(g, []))
+        E = interval_system(9, 1, F(1, 4), 1, subgroup_from_generators(g, []))
         assert E.centers() == [1]
 
     def test_power_case_count(self):
         g = unit_group(7)
-        E = interval_system(3, 7, 2, F(1, 5), 1, dth_power_subgroup(g, 2))
+        E = interval_system(7, 2, F(1, 5), 1, dth_power_subgroup(g, 2))
         assert E.center_count == 21 == len(E.centers())
         assert E.measure == 2 * F(1, 5) * 3 / 7
 
     def test_intervals_disjoint_inside_unit_interval(self):
         g = unit_group(11)
-        E = interval_system(1, 11, 1, F(49, 100), 2, dth_power_subgroup(g, 2))
+        E = interval_system(11, 1, F(49, 100), 2, dth_power_subgroup(g, 2))
         centers = E.centers()
         r = E.radius
         assert all(F(c, E.modulus) - r > 0 and F(c, E.modulus) + r < 1 for c in centers)
@@ -250,22 +250,22 @@ class TestIntervalSystem:
     def test_rejects_large_alpha(self):
         g = unit_group(5)
         with pytest.raises(ValueError):
-            interval_system(1, 5, 1, F(1, 2), 1, full_subgroup(g))
+            interval_system(5, 1, F(1, 2), 1, full_subgroup(g))
         with pytest.raises(ValueError):
-            interval_system(1, 5, 1, F(3, 5), 1, full_subgroup(g))
+            interval_system(5, 1, F(3, 5), 1, full_subgroup(g))
 
 
 class TestOverlap:
     def test_whole_interval(self):
         g = unit_group(5)
-        E = interval_system(1, 5, 1, F(1, 10), 1, full_subgroup(g))
+        E = interval_system(5, 1, F(1, 10), 1, full_subgroup(g))
         measure, theta = overlap_measure(E, 0, 1)
         assert measure == E.measure
         assert theta == 0
 
     def test_half_interval_example(self):
         g = unit_group(5)
-        E = interval_system(1, 5, 1, F(1, 10), 1, full_subgroup(g))
+        E = interval_system(5, 1, F(1, 10), 1, full_subgroup(g))
         measure, theta = overlap_measure(E, 0, F(1, 2))
         assert measure == F(2, 25)
         assert theta == 0
@@ -279,7 +279,7 @@ class TestOverlap:
             G = dth_power_subgroup(g, rng.randint(1, 4))
             a = rng.choice(g.units())
             alpha = F(rng.randint(1, 999), 2000)
-            E = interval_system(1, q, d, alpha, a, G)
+            E = interval_system(q, d, alpha, a, G)
             x, y = sorted((F(rng.randint(0, 1000), 1000), F(rng.randint(0, 1000), 1000)))
             if x == y:
                 y = x + F(1, 1000)
@@ -298,7 +298,7 @@ class TestOverlap:
 
     def test_monotone_in_window(self):
         g = unit_group(13)
-        E = interval_system(1, 13, 1, F(1, 5), 1, dth_power_subgroup(g, 2))
+        E = interval_system(13, 1, F(1, 5), 1, dth_power_subgroup(g, 2))
         last = F(0)
         for j in range(1, 11):
             m, _ = overlap_measure(E, 0, F(j, 10))
@@ -307,7 +307,7 @@ class TestOverlap:
 
     def test_bound_check_examples(self):
         g = unit_group(5)
-        E = interval_system(1, 5, 1, F(1, 10), 1, full_subgroup(g))
+        E = interval_system(5, 1, F(1, 10), 1, full_subgroup(g))
         rep = overlap_bound_check([(F(0), F(1))], E)
         assert rep.multiplier == 1 and rep.excess == 0
         rep = overlap_bound_check([(F(0), F(1, 2))], E)
@@ -315,7 +315,7 @@ class TestOverlap:
 
     def test_bound_check_validation(self):
         g = unit_group(5)
-        E = interval_system(1, 5, 1, F(1, 10), 1, full_subgroup(g))
+        E = interval_system(5, 1, F(1, 10), 1, full_subgroup(g))
         with pytest.raises(ValueError):
             overlap_bound_check([], E)
         with pytest.raises(ValueError):
@@ -327,7 +327,7 @@ class TestOverlap:
         for q in (101, 331, 1009, 3301):
             g = unit_group(q)
             G = dth_power_subgroup(g, 2)
-            systems.append(interval_system(1, q, 2, F(1, 5), 1, G))
+            systems.append(interval_system(q, 2, F(1, 5), 1, G))
         rep = overlap_excess_sweep(A, systems)
         assert rep.decays
         assert rep.rows[-1][2] < rep.rows[0][2]

@@ -1,6 +1,7 @@
 """Experiment configs, hit finding against brute scans, conditions, and the
 deterministic Monte Carlo harness."""
 
+import itertools
 import json
 import math
 import pickle
@@ -554,6 +555,10 @@ class TestConditions:
         assert len(rep.partial_sum_alpha) == 30
 
 
+def _abel(exp):
+    return abel_condition_check(exp, check_conditions(exp))
+
+
 class TestAbel:
     def test_rejects_increasing_alpha(self):
         cfg = small_cfg(
@@ -561,12 +566,12 @@ class TestAbel:
             K=3,
         )
         with pytest.raises(ValueError):
-            abel_condition_check(prepare(cfg))
+            _abel(prepare(cfg))
 
     def test_constant_density_case(self):
         # all q prime: |G|/q = (q-1)/q bounded below, both sides immediate
         cfg = small_cfg(q_sequence=QSequence("primes"), K=100)
-        rep = abel_condition_check(prepare(cfg))
+        rep = _abel(prepare(cfg))
         assert rep.implication_holds
         assert rep.c_star == F(1, 2)  # prefix n = 1: q = 2, density 1/2
 
@@ -578,7 +583,7 @@ class TestAbel:
             subgroup_mode="dth-powers",
             K=len(ps),
         )
-        rep = abel_condition_check(prepare(cfg))
+        rep = _abel(prepare(cfg))
         assert rep.implication_holds
         assert rep.c_star == F(1, 3)  # prefix n = 1: density (3-1)/6
 
@@ -587,26 +592,28 @@ class TestAbel:
             alpha_sequence=AlphaSequence("explicit", values=(F(1, 5),) * 50),
             K=50,
         )
-        rep = abel_condition_check(prepare(cfg))
+        exp = prepare(cfg)
+        cond = check_conditions(exp)
+        rep = abel_condition_check(exp, cond)
         assert rep.implication_holds
         # with constant alpha the weighted condition is the density bound itself
-        assert rep.weighted_lhs[-1] == F(1, 5) * rep.density_partial[-1]
+        assert cond.weighted_sum[-1] == F(1, 5) * rep.density_partial[-1]
 
 
 def _abel_reference(exp, c_star):
-    """The all-prefix walk: weighted sums and c_star-scaled radius sums at the
-    checkpoints, and whether the weighted bound holds at every prefix."""
+    """The all-prefix walk: weighted sums and radius sums at the checkpoints,
+    and whether the weighted bound with c_star holds at every prefix."""
     cps = set(experiment._checkpoints(exp.config.K))
     a_sum = w_sum = F(0)
-    lhs, rhs, holds = [], [], True
+    lhs, alpha_sums, holds = [], [], True
     for n, (q, alpha, order) in enumerate(zip(exp.qs, exp.alphas, exp.orders), start=1):
         a_sum += alpha
         w_sum += alpha * F(order, q)
         holds = holds and w_sum >= c_star * a_sum
         if n in cps:
             lhs.append(w_sum)
-            rhs.append(c_star * a_sum)
-    return tuple(lhs), tuple(rhs), holds
+            alpha_sums.append(a_sum)
+    return tuple(lhs), tuple(alpha_sums), holds
 
 
 @pytest.mark.parametrize(
@@ -632,12 +639,30 @@ def _abel_reference(exp, c_star):
 )
 def test_abel_matches_all_prefix_reference(kw):
     exp = prepare(small_cfg(**kw))
-    rep = abel_condition_check(exp)
-    lhs, rhs, holds = _abel_reference(exp, rep.c_star)
-    assert rep.checkpoints == experiment._checkpoints(exp.config.K)
-    assert rep.weighted_lhs == lhs
-    assert rep.weighted_rhs == rhs
+    cond = check_conditions(exp)
+    rep = abel_condition_check(exp, cond)
+    lhs, alpha_sums, holds = _abel_reference(exp, rep.c_star)
+    assert len(rep.density_partial) == len(experiment._checkpoints(exp.config.K))
+    assert cond.weighted_sum == lhs
+    assert cond.partial_sum_alpha == alpha_sums
     assert rep.implication_holds == holds
+
+
+def test_abel_reads_the_callers_report(monkeypatch):
+    # The Abel check takes the weighted side from the report it is handed and
+    # runs no second conditions pass of its own.
+    exp = prepare(small_cfg(alpha_sequence=AlphaSequence("c/(k log k)", c=F(1, 3)), K=1100))
+    cond = check_conditions(exp)
+
+    def no_second_pass(*args, **kwargs):
+        raise AssertionError("abel_condition_check ran check_conditions")
+
+    monkeypatch.setattr(experiment, "check_conditions", no_second_pass)
+    rep = abel_condition_check(exp, cond)
+    s_rows = itertools.accumulate(F(o, q) for q, o in zip(exp.qs, exp.orders))
+    c_star = min(s / n for n, s in enumerate(s_rows, start=1))
+    assert rep.c_star == c_star
+    assert rep.implication_holds == _abel_reference(exp, c_star)[2]
 
 
 # Sparse checkpoint grids (K > 1024) whose prefix minima fall between
@@ -666,7 +691,7 @@ _EVENS_THEN_PRIMES = tuple(range(2, 1621, 2)) + tuple(
 def test_prefix_minima_match_all_prefix_reference(kw, off_grid):
     exp = prepare(small_cfg(**kw))
     cond = check_conditions(exp)
-    abel = abel_condition_check(exp)
+    abel = abel_condition_check(exp, cond)
     a_sum = w_sum = s_sum = F(0)
     series = {"ratio": [], "density": []}
     for n, (q, alpha, order) in enumerate(zip(exp.qs, exp.alphas, exp.orders), start=1):
@@ -724,7 +749,7 @@ def _assert_conditions_match_reference(exp):
     if all(b <= a for a, b in zip(exp.alphas, exp.alphas[1:])):
         densities = [F(o, q) for q, o in zip(exp.qs, exp.orders)]
         _, s_rows, _, c_star = _prefix_ratio_reference([1] * exp.config.K, densities, cps)
-        abel = abel_condition_check(exp)
+        abel = abel_condition_check(exp, rep)
         assert abel.c_star == c_star
         assert abel.density_partial == s_rows
     return rep

@@ -132,7 +132,7 @@ class TestSubgroups:
     def test_validate_catches_non_subgroup(self):
         g = unit_group(7)
         good = subgroup_from_generators(g, [2])
-        bad = type(good)(group=g, elements=(1, 2), generators=None)
+        bad = type(good)(group=g, elements=(1, 2), generators=(2,))
         with pytest.raises(AssertionError):
             bad.validate()
 
