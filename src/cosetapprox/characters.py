@@ -118,41 +118,22 @@ def pv_bound(n: int) -> float:
 # ---------------------------------------------------------------------------
 # Vectorized value tables.  These exist so that full sweeps over all
 # characters and all partial sums stay within the acceptance time budgets.
-# Values are gathered from one table of the L-th roots of unity by the
-# integer exponent table, so only L complex exponentials are taken per
-# modulus; the tests pin every cell against evaluate() and the prefix sums
-# against char_sum().
+# The integer exponent table is one matrix product with the group's
+# dlog_table, and values are gathered from one table of the L-th roots of
+# unity by it, so only L complex exponentials are taken per modulus; the
+# tests pin every cell against evaluate() and the prefix sums against
+# char_sum().
 # ---------------------------------------------------------------------------
-
-
-def _dlog_rows(g: UnitGroup) -> tuple[np.ndarray, np.ndarray]:
-    """Dlog matrix (one row per cyclic factor, columns 0..n-1) and unit mask."""
-    n = g.n
-    idx = np.arange(n, dtype=np.int64)
-    mask = np.ones(n, dtype=bool)
-    rows = []
-    for (q, gens), table in zip(g.components, g.component_tables):
-        local_mask = np.array([table[r] is not None for r in range(q)], dtype=bool)
-        mask &= local_mask[idx % q]
-        for j in range(len(gens)):
-            local = np.array(
-                [table[r][j] if table[r] is not None else 0 for r in range(q)],
-                dtype=np.int64,
-            )
-            rows.append(local[idx % q])
-    D = np.vstack(rows) if rows else np.zeros((0, n), dtype=np.int64)
-    return D, mask
 
 
 def character_matrix(g: UnitGroup, chars: list[DirichletCharacter]) -> np.ndarray:
     """Complex value table V[i, j] = chars[i](j) for j = 0..n-1."""
-    D, mask = _dlog_rows(g)
     orders = np.array([o for _, o in g.cyclic_factors], dtype=np.int64)
     L = g.exponent()
     E = np.array([c.exponents for c in chars], dtype=np.int64).reshape(len(chars), len(orders))
-    T = (E * (L // orders)) @ D % L
+    T = (E * (L // orders)) @ g.dlog_table % L
     V = np.exp((2j * np.pi / L) * np.arange(L))[T]
-    V[:, ~mask] = 0
+    V[:, np.gcd(np.arange(g.n), g.n) != 1] = 0
     return V
 
 
@@ -167,8 +148,9 @@ def character_prefix_sums(
     return V, S
 
 
-def pv_sweep_max(n: int) -> tuple[float, float]:
-    """(max over non-principal chi and 1 <= h <= n of |char sum|, pv_bound(n)).
+def pv_sweep_max(g: UnitGroup) -> tuple[float, float]:
+    """(max over non-principal chi mod n = g.n and 1 <= h <= n of |char sum|,
+    pv_bound(n)).
 
     Uses the prefix-sum table, so one call covers every character and every
     prefix length for the modulus (h = n repeats h = n - 1, as chi(n) = 0).
@@ -176,9 +158,6 @@ def pv_sweep_max(n: int) -> tuple[float, float]:
     characters whose exponent vector is <= its conjugate's: one of each
     conjugate pair and every real character, the principal one still first.
     """
-    from .residue_group import unit_group
-
-    g = unit_group(n)
     orders = [o for _, o in g.cyclic_factors]
     chars = [
         chi for chi in all_characters(g)
@@ -186,16 +165,13 @@ def pv_sweep_max(n: int) -> tuple[float, float]:
     ]
     _, S = character_prefix_sums(g, chars)
     if len(chars) <= 1:
-        return 0.0, pv_bound(n)
-    return float(np.max(np.abs(S[1:, 1:]))), pv_bound(n)
+        return 0.0, pv_bound(g.n)
+    return float(np.max(np.abs(S[1:, 1:]))), pv_bound(g.n)
 
 
-def orthogonality_deviation(n: int) -> tuple[float, float]:
-    """(max |sum over chi of chi(g)| for units g != 1,
-        max |sum over units of chi(g)| for non-principal chi)."""
-    from .residue_group import unit_group
-
-    g = unit_group(n)
+def orthogonality_deviation(g: UnitGroup) -> tuple[float, float]:
+    """(max |sum over chi of chi(x)| for units x != 1,
+        max |sum over units of chi(x)| for non-principal chi)."""
     chars = all_characters(g)
     V = character_matrix(g, chars)
     col = V.sum(axis=0)

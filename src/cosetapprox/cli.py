@@ -282,11 +282,7 @@ def _cmd_experiment(args) -> int:
         "cond_c_decreasing": conditions.cond_c_decreasing,
     }
     text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # the hits go first, so a summary exists only after a finished run
     if args.hits_csv:
         with open(args.hits_csv, "w") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -294,6 +290,11 @@ def _cmd_experiment(args) -> int:
             for i, hits in enumerate(result.per_sample_hits):
                 for h in hits:
                     w.writerow([i, h.k, h.q, h.p, h.error.numerator, h.error.denominator])
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

@@ -320,14 +320,19 @@ def overlap_excess_sweep(A, systems, epsilon: float = 0.05) -> OverlapSweepRepor
 
     The reference decay rate is q^-(d - 1/2 - epsilon); the fitted slope is a
     least-squares log-log regression over the nonzero excesses (a trend
-    report, not a limit claim).
+    report, not a limit claim).  The systems must share one d and have
+    strictly increasing q: the fit and the early/late halves assume both.
     """
+    if len(systems) < 2:
+        raise ValueError("sweep needs at least two systems")
+    if any(E.q >= F.q for E, F in zip(systems, systems[1:])):
+        raise ValueError(f"sweep needs strictly increasing q, got {[E.q for E in systems]}")
+    if len({E.d for E in systems}) > 1:
+        raise ValueError(f"sweep needs one d for every system, got {[E.d for E in systems]}")
     rows = []
     for E in systems:
         rep = overlap_bound_check(A, E)
         rows.append((E.q, E.d, abs(float(rep.excess))))
-    if len(rows) < 2:
-        raise ValueError("sweep needs at least two systems")
     d = rows[0][1]
     pts = [(math.log(q), math.log(x)) for q, _, x in rows if x > 0]
     slope = None

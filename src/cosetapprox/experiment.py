@@ -96,9 +96,11 @@ class AlphaSequence:
     def __post_init__(self) -> None:
         if self.kind not in ALPHA_KINDS:
             raise ValueError(f"alpha_sequence kind must be one of {ALPHA_KINDS}, got {self.kind!r}")
+        if (self.kind == "explicit") != (self.values is not None):
+            raise ValueError("alpha_sequence values are required exactly for kind 'explicit'")
         if self.kind == "explicit":
-            if self.values is None:
-                raise ValueError("alpha_sequence values are required for kind 'explicit'")
+            if self.c is not None:
+                raise ValueError("alpha_sequence kind 'explicit' takes no constant c")
         elif self.c is None or self.c <= 0:
             raise ValueError(f"alpha_sequence rule {self.kind!r} needs a positive constant c")
 
@@ -128,8 +130,8 @@ class ExperimentConfig:
             raise ValueError("min_hits must be at least 1")
         if self.subgroup_mode not in SUBGROUP_MODES:
             raise ValueError(f"subgroup_mode must be one of {SUBGROUP_MODES}")
-        if self.subgroup_mode == "generators" and not self.generators:
-            raise ValueError("subgroup_mode 'generators' needs a nonempty generator list")
+        if (self.subgroup_mode == "generators") != bool(self.generators):
+            raise ValueError("generators are required exactly for subgroup_mode 'generators'")
 
     def to_dict(self) -> dict:
         q: dict = {"kind": self.q_sequence.kind}

@@ -2,17 +2,18 @@
 reproducible generators, subgroups, cosets, and membership tests.
 
 Everything is sized for moduli up to about 10^6: subgroups and cosets are
-stored as explicit sorted element sets, and per prime-power discrete-log
-tables are built on demand.  All objects are treated as immutable after
+stored as explicit sorted element sets, and the discrete-log table of the
+whole group is built on demand.  All objects are treated as immutable after
 construction; operations are pure.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .arith import Factorization, euler_phi, factor
 
@@ -67,15 +68,14 @@ class UnitGroup:
     """(Z/nZ)^* as a direct product of cyclic groups.
 
     cyclic_factors lists (generator, order) pairs with generators lifted to
-    residues mod n; every unit has a unique exponent vector against them.
-    Discrete-log tables (one per prime-power component) are built lazily.
+    residues mod n; every unit has a unique exponent vector against them,
+    read from the one discrete-log table, built lazily.
     """
 
     n: int
     factorization: Factorization
     phi: int
     cyclic_factors: tuple[tuple[int, int], ...]
-    components: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     def units(self) -> list[int]:
         return [x for x in range(1, self.n) if math.gcd(x, self.n) == 1]
@@ -85,28 +85,28 @@ class UnitGroup:
         return math.lcm(*(o for _, o in self.cyclic_factors)) if self.cyclic_factors else 1
 
     @cached_property
-    def component_tables(self) -> list[list[tuple[int, ...] | None]]:
-        """Per-component dlog tables: table[r] is the local exponent vector
-        of the residue r, or None when r is not a unit of the component."""
-        tables = []
-        for q, gens in self.components:
-            table: list[tuple[int, ...] | None] = [None] * q
-            for exps in itertools.product(*(range(o) for _, o in gens)):
-                val = 1
-                for (g, _), e in zip(gens, exps):
-                    val = val * pow(g, e, q) % q
-                table[val] = exps
-            tables.append(table)
-        return tables
+    def dlog_table(self) -> np.ndarray:
+        """int64 array, one row per cyclic factor: column x holds the exponent
+        vector of x against cyclic_factors for a unit x, zeros otherwise.
+
+        Built by enumerating the products of generator powers mod n; those
+        int64 products stay below n^2, safe for moduli up to about 10^6.
+        """
+        values = np.ones(1, dtype=np.int64)
+        exps = np.zeros((0, 1), dtype=np.int64)
+        for g, order in self.cyclic_factors:
+            powers = np.array([pow(g, e, self.n) for e in range(order)], dtype=np.int64)
+            values = (powers[:, None] * values % self.n).ravel()
+            exps = np.vstack([np.tile(exps, order), np.repeat(np.arange(order), exps.shape[1])])
+        table = np.zeros((len(self.cyclic_factors), self.n), dtype=np.int64)
+        table[:, values] = exps
+        return table
 
     def dlog(self, x: int) -> tuple[int, ...]:
         """Exponent vector of the unit x against cyclic_factors."""
         if math.gcd(x, self.n) != 1:
             raise ValueError(f"{x} is not a unit mod {self.n}")
-        out: list[int] = []
-        for (q, _), table in zip(self.components, self.component_tables):
-            out.extend(table[x % q])
-        return tuple(out)
+        return tuple(self.dlog_table[:, x % self.n].tolist())
 
 
 def unit_group(n: int) -> UnitGroup:
@@ -114,14 +114,11 @@ def unit_group(n: int) -> UnitGroup:
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     f = factor(n)
-    components = []
     cyclic = []
     for p, e in f:
         q = p**e
-        gens = _component_gens(p, e)
-        components.append((q, gens))
         rest = n // q
-        for g, order in gens:
+        for g, order in _component_gens(p, e):
             if rest == 1:
                 lifted = g % n
             else:
@@ -134,7 +131,6 @@ def unit_group(n: int) -> UnitGroup:
         factorization=f,
         phi=euler_phi(f),
         cyclic_factors=tuple(cyclic),
-        components=tuple(components),
     )
 
 

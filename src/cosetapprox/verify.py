@@ -138,7 +138,7 @@ def check_character_axioms(n_max: int = 500) -> tuple[bool, str]:
         if len(chars) != g.phi or len({c.exponents for c in chars}) != g.phi:
             bad += 1
             continue
-        col, row = orthogonality_deviation(n)
+        col, row = orthogonality_deviation(g)
         worst = max(worst, col, row)
         if col > 1e-9 or row > 1e-9:
             bad += 1
@@ -150,7 +150,7 @@ def check_polya_vinogradov(n_max: int = 1000) -> tuple[bool, str]:
     violations = 0
     worst_slack = math.inf
     for n in range(3, n_max + 1):
-        mx, bound = pv_sweep_max(n)
+        mx, bound = pv_sweep_max(unit_group(n))
         worst_slack = min(worst_slack, bound - mx)
         if mx > bound:
             violations += 1

@@ -195,7 +195,7 @@ class TestPolyaVinogradov:
         # 8, 12, 24 and 40 have several cyclic factors and many real
         # characters, which the sweep's conjugate folding must keep
         for n in (8, 9, 12, 16, 23, 24, 36, 40):
-            mx, bound = pv_sweep_max(n)
+            mx, bound = pv_sweep_max(unit_group(n))
             direct = 0.0
             for chi in all_characters(unit_group(n))[1:]:
                 total = 0j
@@ -223,7 +223,7 @@ class TestVectorizedTable:
         for n in (5, 8, 12, 36, 100):
             g = unit_group(n)
             chars = all_characters(g)
-            col, row = orthogonality_deviation(n)
+            col, row = orthogonality_deviation(g)
             # direct column sums over characters at fixed unit g != 1
             worst_col = 0.0
             for x in range(2, n):

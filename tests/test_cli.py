@@ -126,6 +126,12 @@ class TestEquidist:
         assert header == ["q", "d", "abs_excess"]
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("qs", ["7,7", "9,3"])
+    def test_overlap_sweep_rejects_unordered_q(self, capsys, qs):
+        code, out, err = run_cli(capsys, "equidist", "--overlap-q", qs, "--d", "1", "--mode", "full")
+        assert code == 2
+        assert "strictly increasing q" in err and out == ""
+
 
 class TestExperiment:
     def make_config(self, tmp_path, **kw):
@@ -227,6 +233,7 @@ class TestExperiment:
         )
         assert code == 2
         assert err.count("\n") == 1 and str(hits) in err
+        assert not (tmp_path / "s.json").exists()  # no summary without a finished run
 
     def test_missing_field_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -313,6 +320,37 @@ class TestExperiment:
     )
     def test_strict_config_fields_exit_2(self, tmp_path, capsys, field, value, message):
         cfg = self.make_config(tmp_path, **{field: value})
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 2
+        assert message in err and out == ""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            pytest.param(
+                {"generators": [2]},
+                "generators are required exactly for subgroup_mode 'generators'",
+                id="generators-in-full-mode",
+            ),
+            pytest.param(
+                {"subgroup_mode": "dth-powers", "d": 2, "generators": [3]},
+                "generators are required exactly for subgroup_mode 'generators'",
+                id="generators-in-dth-powers-mode",
+            ),
+            pytest.param(
+                {"alpha_sequence": {"kind": "c/k", "c": "1/3", "values": ["1/4"] * 200}},
+                "alpha_sequence values are required exactly for kind 'explicit'",
+                id="alpha-values-with-rule",
+            ),
+            pytest.param(
+                {"alpha_sequence": {"kind": "explicit", "c": "1/3", "values": ["1/4"] * 200}},
+                "alpha_sequence kind 'explicit' takes no constant c",
+                id="alpha-c-with-explicit",
+            ),
+        ],
+    )
+    def test_keys_the_rule_ignores_exit_2(self, tmp_path, capsys, fields, message):
+        cfg = self.make_config(tmp_path, **fields)
         code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
         assert code == 2
         assert message in err and out == ""

@@ -331,3 +331,19 @@ class TestOverlap:
         rep = overlap_excess_sweep(A, systems)
         assert rep.decays
         assert rep.rows[-1][2] < rep.rows[0][2]
+
+    def test_excess_sweep_validation(self):
+        # the fit and the early/late halves need ascending q and one d
+        A = [(F(1, 10), F(1, 5))]
+
+        def system(q, d):
+            return interval_system(q, d, F(1, 5), 1, full_subgroup(unit_group(q)))
+
+        for qds, message in (
+            (((7, 1),), "at least two systems"),
+            (((7, 1), (7, 1)), "strictly increasing q"),
+            (((9, 1), (3, 1)), "strictly increasing q"),
+            (((7, 1), (11, 2)), "one d"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                overlap_excess_sweep(A, [system(q, d) for q, d in qds])

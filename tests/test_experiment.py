@@ -363,7 +363,10 @@ def hit_problems(draw):
             max_size=len(qs),
         )
     )
-    cfg = explicit_cfg(qs, alphas, d=d, a=a, subgroup_mode=mode, generators=gens)
+    cfg = explicit_cfg(
+        qs, alphas, d=d, a=a, subgroup_mode=mode,
+        generators=gens if mode == "generators" else (),
+    )
     exp = prepare(cfg)
     if draw(st.booleans()):
         x = draw(st.fractions(min_value=0, max_value=1, max_denominator=1 << 200))

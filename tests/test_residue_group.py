@@ -1,5 +1,6 @@
 """Unit group structure, subgroups, cosets, and the exponent fast path."""
 
+import math
 from itertools import combinations
 
 import pytest
@@ -52,22 +53,30 @@ class TestUnitGroup:
             unit_group(0)
 
     def test_structure_exhaustive(self):
-        # orders multiply to phi(n); dlog is a bijection that reconstructs.
-        for n in range(2, 90):
+        # orders multiply to phi(n); every column of the dlog table is read:
+        # on the units it is a bijection that reconstructs x, off them zero.
+        # 1000, 1024 and 2916 = 4 * 729 have large 2- and 3-power parts.
+        for n in [*range(2, 401), 1000, 1024, 2916]:
             g = unit_group(n)
             prod = 1
             for gen, order in g.cyclic_factors:
                 assert mult_order(gen, n) == order
                 prod *= order
             assert prod == g.phi
+            assert g.dlog_table.shape == (len(g.cyclic_factors), n)
             vectors = set()
-            for x in g.units():
-                e = g.dlog(x)
+            for x, column in enumerate(g.dlog_table.T.tolist()):
+                e = tuple(column)
+                if math.gcd(x, n) != 1:
+                    assert not any(e), (n, x)
+                    continue
+                assert g.dlog(x) == e
                 vectors.add(e)
                 val = 1
-                for (gen, _), ei in zip(g.cyclic_factors, e):
+                for (gen, order), ei in zip(g.cyclic_factors, e):
+                    assert 0 <= ei < order
                     val = val * pow(gen, ei, n) % n
-                assert val == x
+                assert val == x, (n, x)
             assert len(vectors) == g.phi
 
     def test_dlog_rejects_non_units(self):
