@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -98,6 +99,8 @@ def _parse_gens(spec: str) -> tuple[int, ...]:
 
 
 def _subgroup_for(g, mode: str, d: int, gens: tuple[int, ...]):
+    if gens and mode != "generators":
+        raise ValueError(f"--generators is only read in --mode generators, not {mode!r}")
     if mode == "full":
         return full_subgroup(g)
     if mode == "dth-powers":
@@ -197,6 +200,9 @@ def _cmd_chars(args) -> int:
 
 
 def _cmd_equidist(args) -> int:
+    if args.mu_grid < 2:
+        raise ValueError(f"--mu-grid must be >= 2 (mu runs over j/mu_grid, 0 < j < mu_grid), "
+                         f"got {args.mu_grid}")
     if args.overlap_q:
         qs = [int(t) for t in args.overlap_q.split(",") if t.strip()]
         A = [(Fraction(1, 10), Fraction(1, 5)), (Fraction(1, 2), Fraction(3, 5)),
@@ -300,12 +306,13 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify_mod.run_suite(quick=args.quick)
+    failed = sum(not r.ok for r in results)
+    if args.format == "json":
+        print(json.dumps([dataclasses.asdict(r) for r in results], indent=2))
+        return 0 if failed == 0 else 3
     width = max(len(r.name) for r in results)
-    failed = 0
     for r in results:
         tag = "PASS" if r.ok else "FAIL"
-        if not r.ok:
-            failed += 1
         print(f"{tag}  {r.name.ljust(width)}  [{r.seconds:7.2f}s]  {r.detail}")
     scale = "quick" if args.quick else "full"
     print(f"{len(results) - failed}/{len(results)} checks passed ({scale} scale)")
@@ -371,6 +378,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("--quick", action="store_true", help="small-n suites only")
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="json: one array of {name, ok, detail, seconds} objects")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

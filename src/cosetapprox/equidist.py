@@ -58,7 +58,9 @@ def phi_mu_sieve(n: int, mu) -> tuple[int, Fraction]:
     """Inclusion-exclusion count over the squarefree divisors of n.
 
     Returns (count, R) where R = count - mu*phi(n) is the exact remainder;
-    the identity guarantees count = phi_mu(n, mu) and |R| <= tau(n).
+    the identity guarantees count = phi_mu(n, mu) and |R| <= tau(n).  With
+    mu = num/den each term floor(mu*n/k) is the integer floor division
+    num*n // (den*k), so the sum needs no rationals; only R is one.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
@@ -66,16 +68,11 @@ def phi_mu_sieve(n: int, mu) -> tuple[int, Fraction]:
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     f = factor(n)
-    primes = [p for p, _ in f]
-    target = mu * n
-    count = 0
-    for bits in range(1 << len(primes)):
-        prod, sign = 1, 1
-        for i, p in enumerate(primes):
-            if bits >> i & 1:
-                prod *= p
-                sign = -sign
-        count += sign * math.floor(target / prod)
+    divisors = [(1, 1)]  # (squarefree k | n, Moebius sign of k)
+    for p, _ in f:
+        divisors += [(k * p, -sign) for k, sign in divisors]
+    top, den = mu.numerator * n, mu.denominator
+    count = sum(sign * (top // (den * k)) for k, sign in divisors)
     remainder = count - mu * euler_phi(f)
     if abs(remainder) > tau(f):
         raise ArithmeticError(f"sieve remainder {remainder} exceeds tau({n})")

@@ -90,7 +90,7 @@ def check_formula_oracle(n_max: int = 5000, d_max: int = 6) -> tuple[bool, str]:
             checked += 1
             if u_d(f, d) != int(np.count_nonzero(cur == one)):
                 mismatches += 1
-            if r_d(f, d) != len(np.unique(cur)):
+            if r_d(f, d) != int(np.count_nonzero(np.bincount(cur, minlength=n))):
                 mismatches += 1
             if d < d_max:
                 cur = cur * units % n
@@ -260,16 +260,20 @@ def check_overlap_theta(cases: int = 1000) -> tuple[bool, str]:
         if abs(theta) > 2:
             bad += 1
         if E.center_count <= 3000:
+            # clip each center in integer units of 1/(N D)
             oracle_checked += 1
-            r = E.radius
             N = E.modulus
-            direct = Fraction(0)
+            D = math.lcm(alpha.denominator, s.denominator, t.denominator)
+            r = alpha.numerator * (D // alpha.denominator)
+            S = s.numerator * (D // s.denominator) * N
+            T = t.numerator * (D // t.denominator) * N
+            direct = 0
             for p in E.centers():
-                left = max(Fraction(p, N) - r, s)
-                right = min(Fraction(p, N) + r, t)
+                left = max(p * D - r, S)
+                right = min(p * D + r, T)
                 if right > left:
                     direct += right - left
-            if direct != measure:
+            if Fraction(direct, N * D) != measure:
                 bad += 1
     return bad == 0, f"{cases} cases ({oracle_checked} against the clipping oracle), {bad} bad"
 

@@ -3,12 +3,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cosetapprox.arith import (
     Factorization,
+    GrowthRow,
+    _divisor_counts,
     brute_r_d,
     brute_u_d,
     euler_phi,
@@ -151,7 +154,45 @@ class TestProperties:
             assert is_prime(n) == (n in primes)
 
 
+def slow_growth_rows(n_max, d):
+    """growth_scan with one tau slice per n and omega from factor(n): the
+    oracle for the divisor-pair sieve."""
+    tau_arr = np.zeros(n_max + 1, dtype=np.int64)
+    for i in range(1, n_max + 1):
+        tau_arr[i::i] += 1
+    omega_arr = np.array([0] + [omega(factor(n)) for n in range(1, n_max + 1)], dtype=np.int64)
+    ns = np.arange(n_max + 1, dtype=np.float64)
+    rows = []
+    for eps in (0.5, 0.25):
+        tau_ratio = tau_arr[1:] / ns[1:] ** eps
+        pow_ratio = float(2 * d) ** omega_arr[1:] / ns[1:] ** eps
+        hi = 16
+        while hi <= n_max:
+            lo = hi // 2
+            ti = int(np.argmax(tau_ratio[lo:hi]))
+            pi = int(np.argmax(pow_ratio[lo:hi]))
+            rows.append(
+                GrowthRow(lo, hi, eps, 2 * d, float(tau_ratio[lo + ti]), lo + 1 + ti,
+                          float(pow_ratio[lo + pi]), lo + 1 + pi)
+            )
+            hi *= 2
+    return rows
+
+
 class TestGrowthScan:
+    @pytest.mark.parametrize("n_max", [32, 35, 36, 1023, 1024, 4097])
+    def test_divisor_pair_sieve_matches_slow_sieve(self, n_max):
+        # square boundaries: 36 = 6^2, 1024 = 32^2, 4096 = 64^2 < 4097
+        want = [0] + [tau(factor(n)) for n in range(1, n_max + 1)]
+        assert _divisor_counts(n_max).tolist() == want
+        for d in (1, 2, 3):
+            assert growth_scan(n_max, d=d) == slow_growth_rows(n_max, d)
+
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_rejects_power_below_one(self, d):
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            growth_scan(64, d=d)
+
     def test_block_maxima_trend_at_half(self):
         rows = growth_scan(2**18, d=2)
         for stat in ("tau", "pow_omega"):

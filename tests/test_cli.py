@@ -44,6 +44,12 @@ class TestArith:
         header, rows = parse_csv(out)
         assert header[0] == "block_lo" and len(rows) > 4
 
+    @pytest.mark.parametrize("d", ["0", "-2"])
+    def test_growth_power_below_one_exits_2(self, capsys, d):
+        code, out, err = run_cli(capsys, "arith", "--growth", "--n-max", "64", "--d", d)
+        assert code == 2
+        assert "power must be >= 1" in err and out == ""
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "arith", "--n-max", "5", "--format", "json")
         payload = json.loads(out)
@@ -79,6 +85,14 @@ class TestGroup:
     def test_bad_modulus_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "group", "--n", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["full", "dth-powers"])
+    def test_generators_outside_generator_mode_exit_2(self, capsys, mode):
+        code, out, err = run_cli(
+            capsys, "group", "--n", "8", "--mode", mode, "--generators", "3", "--a", "7"
+        )
+        assert code == 2
+        assert "--generators" in err and out == ""
 
 
 class TestChars:
@@ -125,6 +139,21 @@ class TestEquidist:
         header, rows = parse_csv(out)
         assert header == ["q", "d", "abs_excess"]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("extra", [[], ["--overlap-q", "19,53"]])
+    @pytest.mark.parametrize("mode", ["full", "dth-powers"])
+    def test_generators_outside_generator_mode_exit_2(self, capsys, mode, extra):
+        code, out, err = run_cli(
+            capsys, "equidist", "--n-max", "10", "--mode", mode, "--generators", "3", *extra
+        )
+        assert code == 2
+        assert "--generators" in err and out == ""
+
+    @pytest.mark.parametrize("grid", ["0", "1", "-3"])
+    def test_mu_grid_below_two_exits_2(self, capsys, grid):
+        code, out, err = run_cli(capsys, "equidist", "--n-max", "10", f"--mu-grid={grid}")
+        assert code == 2
+        assert "--mu-grid" in err and out == ""
 
     @pytest.mark.parametrize("qs", ["7,7", "9,3"])
     def test_overlap_sweep_rejects_unordered_q(self, capsys, qs):
@@ -424,3 +453,24 @@ class TestUsageAndVerify:
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
         assert "checks passed" in out
+
+    def test_verify_json_format(self, capsys, monkeypatch):
+        from cosetapprox import verify
+
+        checks = {
+            "good": (lambda: (True, "fine"), (), ()),
+            "bad": (lambda: (False, "broken"), (), ()),
+        }
+        monkeypatch.setattr(verify, "_CHECKS", checks)
+        code, out, _ = run_cli(capsys, "verify", "--quick", "--format", "json")
+        assert code == 3
+        results = json.loads(out)
+        assert [(r["name"], r["ok"], r["detail"]) for r in results] == [
+            ("good", True, "fine"),
+            ("bad", False, "broken"),
+        ]
+        assert all(set(r) == {"name", "ok", "detail", "seconds"} for r in results)
+        assert all(isinstance(r["seconds"], float) and r["seconds"] >= 0 for r in results)
+        del checks["bad"]
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 0 and [r["name"] for r in json.loads(out)] == ["good"]

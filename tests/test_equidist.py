@@ -86,6 +86,42 @@ class TestSieve:
                 assert count == phi_mu(n, mu)
                 assert abs(rem) <= t
 
+    @staticmethod
+    def fraction_sieve(n, mu):
+        """The sieve summed over Fraction floors, one divisor bitmask at a time."""
+        f = factor(n)
+        primes = [p for p, _ in f]
+        count = 0
+        for bits in range(1 << len(primes)):
+            prod, sign = 1, 1
+            for i, p in enumerate(primes):
+                if bits >> i & 1:
+                    prod *= p
+                    sign = -sign
+            count += sign * math.floor(mu * n / prod)
+        return count, count - mu * euler_phi(f)
+
+    def test_large_mu_and_large_denominators(self):
+        big = 10**9 + 7
+        rng = random.Random(0x51E)
+        mus = [F(3, 2), F(7), F(29, 3), F(big - 1, big), F(big + 1, big), F(1, big)]
+        mus += [F(rng.randint(1, 5 * big), big) for _ in range(6)]
+        for n in (2, 6, 30, 64, 210, 997, 2310, 30030):
+            t = tau(factor(n))
+            for mu in mus:
+                count, rem = phi_mu_sieve(n, mu)
+                assert (count, rem) == self.fraction_sieve(n, mu), (n, mu)
+                assert count == phi_mu(n, mu), (n, mu)
+                assert abs(rem) <= t
+
+    def test_eight_primes(self):
+        n = 9699690  # 2*3*5*7*11*13*17*19: 256 signed divisors
+        for mu in (F(1, 10**9 + 7), F(10**9, 10**9 + 7), F(3, 2)):
+            count, rem = phi_mu_sieve(n, mu)
+            assert (count, rem) == self.fraction_sieve(n, mu)
+            assert mu > 1 or count == phi_mu(n, mu)  # the scan is slow past n
+            assert abs(rem) <= tau(factor(n)) == 256
+
 
 class TestPsiCount:
     def test_one_period_gives_order(self):
