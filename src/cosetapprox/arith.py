@@ -40,8 +40,11 @@ __all__ = [
 # scans out of large sweeps.
 ORACLE_CUTOFF = 10**6
 
-# Deterministic Miller-Rabin witness set, exact for all n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the 13 prime bases 2..41 are exact
+# below psi_13, the least strong pseudoprime to all of them (Sorenson-Webster,
+# Math. Comp. 86, 2017).  The 12 bases 2..37 are fooled by psi_12 ~ 3.2e23.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 _TRIAL_LIMIT = 10_000
 
@@ -57,9 +60,12 @@ def as_fraction(x) -> Fraction:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact below 3.3e24)."""
+    """Deterministic Miller-Rabin primality test, exact below psi_13 ~ 3.3e24;
+    ValueError at or above it, where the answer would be a guess."""
     if n < 2:
         return False
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is beyond the exact primality range (< {_MR_EXACT_BELOW})")
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p

@@ -98,9 +98,29 @@ def _parse_gens(spec: str) -> tuple[int, ...]:
         raise ValueError(f"bad generator list {spec!r}; expected comma-separated integers")
 
 
+def _read_only(flag: str, given: bool, read: bool, where: str) -> None:
+    """Reject a flag that was given but that the chosen mode never reads."""
+    if given and not read:
+        raise ValueError(f"{flag} is only read {where}")
+
+
+def _at_least(flag: str, value: int, low: int, why: str) -> None:
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low} ({why}), got {value}")
+
+
+def _mode_inputs(args, power_read: bool = False) -> tuple[int, tuple[int, ...]]:
+    """--d (default 2) and --generators; the subgroup reads --d only in
+    --mode dth-powers and --generators only in --mode generators."""
+    gens = _parse_gens(args.generators)
+    _read_only("--generators", bool(gens), args.mode == "generators",
+               f"in --mode generators, not {args.mode!r}")
+    _read_only("--d", args.d is not None, power_read or args.mode == "dth-powers",
+               f"in --mode dth-powers, not {args.mode!r}")
+    return (2 if args.d is None else args.d), gens
+
+
 def _subgroup_for(g, mode: str, d: int, gens: tuple[int, ...]):
-    if gens and mode != "generators":
-        raise ValueError(f"--generators is only read in --mode generators, not {mode!r}")
     if mode == "full":
         return full_subgroup(g)
     if mode == "dth-powers":
@@ -114,6 +134,7 @@ def _subgroup_for(g, mode: str, d: int, gens: tuple[int, ...]):
 
 
 def _cmd_arith(args) -> int:
+    _read_only("--oracle", args.oracle, not args.growth, "without --growth")
     if args.growth:
         rows = []
         for r in growth_scan(args.n_max, d=args.d):
@@ -127,6 +148,7 @@ def _cmd_arith(args) -> int:
             args.out,
         )
         return 0
+    _at_least("--n-max", args.n_max, 1, "the table runs n = 1..n_max")
     columns = ["n", "phi", "tau", "omega", f"u_{args.d}", f"r_{args.d}", f"s_{args.d}"]
     if args.oracle:
         columns += ["brute_u", "brute_r", "u_mismatch", "r_mismatch"]
@@ -149,8 +171,9 @@ def _cmd_arith(args) -> int:
 
 
 def _cmd_group(args) -> int:
+    d, gens = _mode_inputs(args)
     g = unit_group(args.n)
-    G = _subgroup_for(g, args.mode, args.d, _parse_gens(args.generators))
+    G = _subgroup_for(g, args.mode, d, gens)
     c = coset(args.a, G)
     rows = [[
         g.n,
@@ -173,6 +196,7 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_chars(args) -> int:
+    _at_least("--n-max", args.n_max, 3, "the table runs n = 3..n_max")
     rows = []
     for n in range(3, args.n_max + 1):
         g = unit_group(n)
@@ -200,19 +224,21 @@ def _cmd_chars(args) -> int:
 
 
 def _cmd_equidist(args) -> int:
-    if args.mu_grid < 2:
-        raise ValueError(f"--mu-grid must be >= 2 (mu runs over j/mu_grid, 0 < j < mu_grid), "
-                         f"got {args.mu_grid}")
-    if args.overlap_q:
+    overlap = bool(args.overlap_q)
+    d, gens = _mode_inputs(args, power_read=overlap)
+    _read_only("--n-max", args.n_max is not None, not overlap, "without --overlap-q")
+    _read_only("--mu-grid", args.mu_grid is not None, not overlap, "without --overlap-q")
+    _read_only("--epsilon", args.epsilon is not None, overlap, "with --overlap-q")
+    if overlap:
         qs = [int(t) for t in args.overlap_q.split(",") if t.strip()]
         A = [(Fraction(1, 10), Fraction(1, 5)), (Fraction(1, 2), Fraction(3, 5)),
              (Fraction(4, 5), Fraction(9, 10))]
         systems = []
         for q in qs:
             g = unit_group(q)
-            G = _subgroup_for(g, args.mode, args.d, _parse_gens(args.generators))
-            systems.append(interval_system(q, args.d, Fraction(1, 5), args.a, G))
-        rep = overlap_excess_sweep(A, systems, epsilon=args.epsilon)
+            G = _subgroup_for(g, args.mode, d, gens)
+            systems.append(interval_system(q, d, Fraction(1, 5), args.a, G))
+        rep = overlap_excess_sweep(A, systems, epsilon=0.05 if args.epsilon is None else args.epsilon)
         rows = [[q, d, x] for q, d, x in rep.rows]
         _emit_rows(["q", "d", "abs_excess"], rows, args.format, args.out)
         print(
@@ -222,16 +248,20 @@ def _cmd_equidist(args) -> int:
             file=sys.stderr,
         )
         return 0
+    n_max = 200 if args.n_max is None else args.n_max
+    mu_grid = 10 if args.mu_grid is None else args.mu_grid
+    _at_least("--n-max", n_max, 2, "the sweep runs n = 2..n_max")
+    _at_least("--mu-grid", mu_grid, 2, "mu runs over j/mu_grid, 0 < j < mu_grid")
+    shared = [n for n in range(2, n_max + 1) if math.gcd(args.a, n) != 1]
+    if shared:
+        raise ValueError(f"--a {args.a} is not a unit mod {shared[0]}, and the sweep runs n = 2..{n_max}")
     rows = []
     violations = 0
-    for n in range(2, args.n_max + 1):
-        g = unit_group(n)
-        G = _subgroup_for(g, args.mode, args.d, _parse_gens(args.generators))
-        if math.gcd(args.a, n) != 1:
-            continue
+    for n in range(2, n_max + 1):
+        G = _subgroup_for(unit_group(n), args.mode, d, gens)
         c = coset(args.a, G)
-        for j in range(1, args.mu_grid):
-            mu = Fraction(j, args.mu_grid)
+        for j in range(1, mu_grid):
+            mu = Fraction(j, mu_grid)
             try:
                 est = psi_estimate(mu, c)
             except ArithmeticError:
@@ -347,7 +377,7 @@ def _build_parser() -> _Parser:
     p = common(sub.add_parser("group", help="subgroup and coset listing"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=SUBGROUP_MODES, default="dth-powers")
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=None, help="power, --mode dth-powers only (default 2)")
     p.add_argument("--generators", default="", help="comma-separated residues")
     p.add_argument("--a", type=int, default=1)
     p.set_defaults(fn=_cmd_group)
@@ -357,13 +387,15 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_chars)
 
     p = common(sub.add_parser("equidist", help="equidistribution error sweeps"))
-    p.add_argument("--n-max", type=int, default=200)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--n-max", type=int, default=None, help="sweep n = 2..n_max (default 200)")
+    p.add_argument("--d", type=int, default=None,
+                   help="power: the subgroup's in --mode dth-powers, q^d's with --overlap-q (default 2)")
     p.add_argument("--mode", choices=SUBGROUP_MODES, default="dth-powers")
     p.add_argument("--generators", default="")
     p.add_argument("--a", type=int, default=1)
-    p.add_argument("--mu-grid", type=int, default=10, help="mu runs over j/mu_grid")
-    p.add_argument("--epsilon", type=_finite_float, default=0.05)
+    p.add_argument("--mu-grid", type=int, default=None, help="sweep mu over j/mu_grid (default 10)")
+    p.add_argument("--epsilon", type=_finite_float, default=None,
+                   help="--overlap-q only: reference exponent slack (default 0.05)")
     p.add_argument("--overlap-q", default="", help="comma-separated q values: run the overlap sweep")
     p.set_defaults(fn=_cmd_equidist)
 

@@ -50,14 +50,6 @@ def exact_str(x: Fraction) -> str:
     return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
-def exact_fraction(s: str) -> Fraction:
-    """Inverse of exact_str, for digit strings of any length."""
-    num, _, den = s.partition("/")
-    return Fraction(*Decimal(num).as_integer_ratio()) / Fraction(
-        *Decimal(den or "1").as_integer_ratio()
-    )
-
-
 Q_KINDS = ("explicit", "integers", "primes", "primes-coprime-to-a")
 ALPHA_KINDS = ("explicit", "c/k", "c/(k log k)", "c*2^-k")
 SUBGROUP_MODES = ("full", "dth-powers", "generators")

@@ -12,12 +12,7 @@ from fractions import Fraction
 import pytest
 
 from cosetapprox.cli import main as cli_main
-from cosetapprox.experiment import (
-    ExperimentConfig,
-    check_conditions,
-    exact_fraction,
-    prepare,
-)
+from cosetapprox.experiment import ExperimentConfig, check_conditions, prepare
 from cosetapprox.verify import (
     check_character_axioms,
     check_counting_identity,
@@ -29,6 +24,8 @@ from cosetapprox.verify import (
     check_subgroup_consistency,
     sample_count_tuples,
 )
+
+from helpers import exact_fraction
 
 F = Fraction
 

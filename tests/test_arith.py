@@ -153,6 +153,22 @@ class TestProperties:
         for n in range(50):
             assert is_prime(n) == (n in primes)
 
+    def test_strong_pseudoprime_to_twelve_bases_is_composite(self):
+        # psi_12 passes Miller-Rabin to every prime base 2..37; base 41 exposes it
+        psi12 = 318665857834031151167461
+        assert not is_prime(psi12)
+        assert factor(psi12).factors == ((399165290221, 1), (798330580441, 1))
+
+    def test_refuses_beyond_exact_range(self):
+        # psi_13 passes every base 2..41, so no answer at or above it is exact
+        psi13 = 3317044064679887385961981
+        assert is_prime(psi13 - 1) is False  # even, and just inside the range
+        for n in (psi13, psi13 + 1, 2**100 + 277):
+            with pytest.raises(ValueError, match="exact primality range"):
+                is_prime(n)
+        with pytest.raises(ValueError, match="exact primality range"):
+            factor(psi13)
+
 
 def slow_growth_rows(n_max, d):
     """growth_scan with one tau slice per n and omega from factor(n): the

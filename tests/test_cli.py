@@ -50,6 +50,17 @@ class TestArith:
         assert code == 2
         assert "power must be >= 1" in err and out == ""
 
+    @pytest.mark.parametrize("n_max", ["0", "-5"])
+    def test_empty_table_exits_2(self, capsys, n_max):
+        code, out, err = run_cli(capsys, "arith", f"--n-max={n_max}")
+        assert code == 2
+        assert "--n-max must be >= 1" in err and out == ""
+
+    def test_oracle_with_growth_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "arith", "--growth", "--n-max", "64", "--oracle")
+        assert code == 2
+        assert "--oracle" in err and out == ""
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "arith", "--n-max", "5", "--format", "json")
         payload = json.loads(out)
@@ -94,6 +105,12 @@ class TestGroup:
         assert code == 2
         assert "--generators" in err and out == ""
 
+    @pytest.mark.parametrize("mode, extra", [("full", []), ("generators", ["--generators", "5"])])
+    def test_power_outside_power_mode_exits_2(self, capsys, mode, extra):
+        code, out, err = run_cli(capsys, "group", "--n", "12", "--mode", mode, "--d", "3", *extra)
+        assert code == 2
+        assert "--d is only read in --mode dth-powers" in err and out == ""
+
 
 class TestChars:
     def test_csv_slack_nonnegative(self, capsys):
@@ -109,6 +126,12 @@ class TestChars:
         _, rows = parse_csv(out)
         # moduli 3, 4, 5 contribute (phi(n)-1) * n rows each
         assert len(rows) == 1 * 3 + 1 * 4 + 3 * 5
+
+    @pytest.mark.parametrize("n_max", ["2", "0"])
+    def test_empty_table_exits_2(self, capsys, n_max):
+        code, out, err = run_cli(capsys, "chars", f"--n-max={n_max}")
+        assert code == 2
+        assert "--n-max must be >= 3" in err and out == ""
 
 
 class TestEquidist:
@@ -154,6 +177,44 @@ class TestEquidist:
         code, out, err = run_cli(capsys, "equidist", "--n-max", "10", f"--mu-grid={grid}")
         assert code == 2
         assert "--mu-grid" in err and out == ""
+
+    @pytest.mark.parametrize("n_max", ["1", "0"])
+    def test_empty_sweep_exits_2(self, capsys, n_max):
+        code, out, err = run_cli(capsys, "equidist", f"--n-max={n_max}")
+        assert code == 2
+        assert "--n-max must be >= 2" in err and out == ""
+
+    @pytest.mark.parametrize("a, first", [("0", 2), ("15", 3), ("-49", 7)])
+    def test_representative_sharing_a_factor_exits_2(self, capsys, a, first):
+        code, out, err = run_cli(capsys, "equidist", "--n-max", "10", f"--a={a}")
+        assert code == 2
+        assert f"--a {a} is not a unit mod {first}," in err and out == ""
+
+    def test_representative_coprime_to_the_whole_sweep(self, capsys):
+        code, out, _ = run_cli(capsys, "equidist", "--n-max", "6", "--a", "7")
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 5 * 9
+
+    @pytest.mark.parametrize("flag", ["--n-max=3", "--mu-grid=5"])
+    def test_sweep_flags_with_overlap_exit_2(self, capsys, flag):
+        code, out, err = run_cli(capsys, "equidist", "--overlap-q", "19,53", flag)
+        assert code == 2
+        assert f"{flag.split('=')[0]} is only read without --overlap-q" in err and out == ""
+
+    def test_epsilon_without_overlap_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "equidist", "--n-max", "10", "--epsilon", "0.3")
+        assert code == 2
+        assert "--epsilon is only read with --overlap-q" in err and out == ""
+
+    def test_power_outside_power_mode_in_sweep_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "equidist", "--n-max", "10", "--mode", "full", "--d", "2")
+        assert code == 2
+        assert "--d is only read in --mode dth-powers" in err and out == ""
+
+    def test_overlap_sweep_reads_power_in_every_mode(self, capsys):
+        code, out, _ = run_cli(capsys, "equidist", "--overlap-q", "19,53", "--mode", "full", "--d", "2")
+        assert code == 0
+        assert [r[1] for r in parse_csv(out)[1]] == ["2", "2"]
 
     @pytest.mark.parametrize("qs", ["7,7", "9,3"])
     def test_overlap_sweep_rejects_unordered_q(self, capsys, qs):
@@ -421,6 +482,30 @@ class TestExperiment:
         code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
         assert code == 2
         assert "q_5 has 1025 bits" in err and out == ""
+
+    def test_strong_pseudoprime_modulus_gets_its_true_totient(self, tmp_path, capsys):
+        # psi_12 passes Miller-Rabin to the bases 2..37; with phi(psi_12) taken
+        # as psi_12 - 1 the union bound 2 alpha phi(q)/q came out too large
+        psi12 = 318665857834031151167461
+        cfg = self.make_config(
+            tmp_path, q_sequence={"kind": "explicit", "values": [psi12]}, K=1, samples=4
+        )
+        code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 0
+        phi = (399165290221 - 1) * (798330580441 - 1)
+        assert F(2, 3) * F(phi, psi12) == F(212443905221889103531200, psi12)
+        assert json.loads(out)["union_bound"]["exact"] == f"212443905221889103531200/{psi12}"
+
+    def test_modulus_beyond_exact_primality_exits_2(self, tmp_path, capsys):
+        cfg = self.make_config(
+            tmp_path,
+            q_sequence={"kind": "explicit", "values": [3317044064679887385961981]},
+            K=1,
+            samples=4,
+        )
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 2
+        assert "exact primality range" in err and out == ""
 
     def test_finite_epsilon_reaches_summary(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path, K=30, samples=5)

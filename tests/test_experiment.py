@@ -23,11 +23,12 @@ from cosetapprox.experiment import (
     _sample_point,
     abel_condition_check,
     check_conditions,
-    exact_fraction,
     exact_str,
     prepare,
 )
 from cosetapprox.residue_group import coset, dth_power_subgroup, unit_group
+
+from helpers import exact_fraction
 
 F = Fraction
 
