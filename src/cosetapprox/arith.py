@@ -18,6 +18,8 @@ from functools import lru_cache
 
 __all__ = [
     "ORACLE_CUTOFF",
+    "SIEVE_LIMIT",
+    "SIEVE_PER_VALUE",
     "Factorization",
     "GrowthRow",
     "as_fraction",
@@ -25,6 +27,7 @@ __all__ = [
     "brute_u_d",
     "euler_phi",
     "factor",
+    "factor_all",
     "growth_scan",
     "is_prime",
     "omega",
@@ -40,11 +43,30 @@ __all__ = [
 # scans out of large sweeps.
 ORACLE_CUTOFF = 10**6
 
-# Deterministic Miller-Rabin witness set: the 13 prime bases 2..41 are exact
-# below psi_13, the least strong pseudoprime to all of them (Sorenson-Webster,
-# Math. Comp. 86, 2017).  The 12 bases 2..37 are fooled by psi_12 ~ 3.2e23.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3317044064679887385961981
+# Miller-Rabin witness table (see is_prime): rows (psi_t, t), where the first
+# t prime bases are exact below psi_t.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_TABLE = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+_MR_EXACT_BELOW = _MR_TABLE[-1][0]  # psi_13: 2..41 is the widest set kept
+
+# factor_all sieves only up to SIEVE_LIMIT (a uint16 smallest prime factor
+# per entry, so 20 MB), and only when the sieve has at most SIEVE_PER_VALUE
+# entries per number factored.  On a 2-core x86 box under Python 3.11 an
+# entry costs about 25 ns and a factor call 10-80 us, so 256 entries cost
+# less than one call.
+SIEVE_LIMIT = 10**7
+SIEVE_PER_VALUE = 256
 
 _TRIAL_LIMIT = 10_000
 
@@ -61,19 +83,45 @@ def as_fraction(x) -> Fraction:
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact below psi_13 ~ 3.3e24;
-    ValueError at or above it, where the answer would be a guess."""
-    if n < 2:
-        return False
-    if n >= _MR_EXACT_BELOW:
+    ValueError at or above it, where the answer would be a guess.
+
+    psi_t is the least odd composite that is a strong pseudoprime to each of
+    the first t prime bases, so n < psi_t is decided exactly by those t
+    bases, and n > 41 is tested with the smallest such t (n <= 41 is
+    looked up among the bases themselves):
+
+        t   psi_t                          bases
+        1   2047                           2
+        2   1373653                        2, 3
+        3   25326001                       2..5
+        4   3215031751                     2..7
+        5   2152302898747                  2..11
+        6   3474749660383                  2..13
+        7   341550071728321                2..17
+        9   3825123056546413051            2..23
+        12  318665857834031151167461       2..37
+        13  3317044064679887385961981      2..41
+
+    psi_1..psi_8 are from Jaeschke (Math. Comp. 61, 1993), psi_9..psi_13
+    from Sorenson and Webster (Math. Comp. 86, 2017).  psi_7 = psi_8 and
+    psi_9 = psi_10 = psi_11, so 8, 10 and 11 bases never pay.
+    """
+    if n <= _MR_BASES[-1]:
+        return n in _MR_BASES
+    for bound, t in _MR_TABLE:
+        if n < bound:
+            break
+    else:
         raise ValueError(f"{n} is beyond the exact primality range (< {_MR_EXACT_BELOW})")
-    for p in _MR_WITNESSES:
+    bases = _MR_BASES[:t]
+    for p in bases:
         if n % p == 0:
-            return n == p
+            return False
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -149,7 +197,9 @@ class Factorization:
 def factor(n: int) -> Factorization:
     """Factor n >= 1: trial division to 10^4, then rho on the cofactor.
 
-    Targets n up to about 10^12; rejects n = 0 and negatives.
+    Targets n up to about 10^12, and is exact wherever is_prime is (every
+    prime factor below psi_13 ~ 3.3e24, else ValueError); rejects n = 0 and
+    negatives.  To factor many numbers at once use factor_all.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
@@ -182,6 +232,39 @@ def factor(n: int) -> Factorization:
         g = _rho_split(m)
         stack += [g, m // g]
     return Factorization(n, tuple(sorted(out.items())))
+
+
+def factor_all(ns) -> list[Factorization]:
+    """factor(n) for every n in ns, in order, from one local sieve if it pays.
+
+    When max(ns) <= SIEVE_LIMIT and max(ns) <= SIEVE_PER_VALUE * len(ns), one
+    smallest-prime-factor sieve up to max(ns) is built, each n is peeled by
+    reading only the entries it needs, and the sieve is dropped on return:
+    factor's cache is neither read nor filled.  Otherwise this is factor per
+    n.  The Factorizations validate themselves either way.
+    """
+    ns = list(ns)
+    top = max(ns, default=0)
+    if top > min(SIEVE_LIMIT, SIEVE_PER_VALUE * len(ns)) or min(ns, default=1) < 1:
+        return [factor(n) for n in ns]
+    import numpy as np
+
+    # spf[m] is the least prime factor of a composite m and 0 for a prime;
+    # every such factor is <= sqrt(SIEVE_LIMIT) < 2^16.
+    spf = np.zeros(top + 1, dtype=np.uint16)
+    for p in primes_up_to(math.isqrt(top)):
+        multiples = spf[p * p :: p]
+        multiples[multiples == 0] = p
+    out = []
+    for n in ns:
+        fs: dict[int, int] = {}
+        m = n
+        while m > 1:
+            p = spf.item(m) or m
+            fs[p] = fs.get(p, 0) + 1
+            m //= p
+        out.append(Factorization(n, tuple(fs.items())))
+    return out
 
 
 def euler_phi(f: Factorization) -> int:

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import verify as verify_mod
-from .arith import euler_phi, factor, growth_scan, omega, r_d, s_d, tau, u_d
+from .arith import euler_phi, factor_all, growth_scan, omega, r_d, tau, u_d
 from .arith import brute_r_d, brute_u_d
 from .characters import all_characters, character_prefix_sums, pv_bound
 from .equidist import interval_system, overlap_excess_sweep, psi_estimate
@@ -154,10 +154,9 @@ def _cmd_arith(args) -> int:
         columns += ["brute_u", "brute_r", "u_mismatch", "r_mismatch"]
     rows = []
     mismatches = 0
-    for n in range(1, args.n_max + 1):
-        f = factor(n)
+    for n, f in enumerate(factor_all(range(1, args.n_max + 1)), start=1):
         u, r = u_d(f, args.d), r_d(f, args.d)
-        row = [n, euler_phi(f), tau(f), omega(f), u, r, s_d(n, args.d)]
+        row = [n, euler_phi(f), tau(f), omega(f), u, r, Fraction(r, n)]
         if args.oracle:
             bu, br = brute_u_d(n, args.d), brute_r_d(n, args.d)
             row += [bu, br, int(u != bu), int(r != br)]

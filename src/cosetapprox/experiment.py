@@ -25,7 +25,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .arith import as_fraction, euler_phi, factor, primes_up_to, r_d
+from .arith import as_fraction, euler_phi, factor_all, primes_up_to, r_d
 from .residue_group import closure, is_dth_power
 
 __all__ = [
@@ -301,6 +301,7 @@ class Experiment:
     alphas: tuple[Fraction, ...]
     moduli: tuple[int, ...] = field(repr=False)  # q_k ** d
     orders: tuple[int, ...] = field(repr=False)  # |G_k|
+    phis: tuple[int, ...] = field(repr=False)  # phi(q_k)
     _members: list = field(repr=False)  # per-index coset membership tests
     # Hit screen arrays, one entry per index (see find_hits).
     _q_word: np.ndarray = field(repr=False)  # Q_k mod 2^64 as uint64
@@ -458,25 +459,32 @@ def prepare(cfg: ExperimentConfig) -> Experiment:
     """Materialize the sequences, validate the coset data, build membership
     tests (exponent fast path for d-th powers, explicit sets for generator
     mode, gcd only for the full group).  The tests are module-level
-    functions, partials and frozenset methods, so the Experiment pickles."""
+    functions, partials and frozenset methods, so the Experiment pickles.
+
+    Every q_k is factored by one arith.factor_all call: a smallest-prime-
+    factor sieve local to this call when max q_k is small enough to pay for
+    it, else factor per q_k.  phi(q_k) is kept beside |G_k| for
+    check_conditions."""
     qs = _materialize_q(cfg)
     alphas = _materialize_alpha(cfg)
-    members = []
-    orders = []
     for q in qs:
         if math.gcd(cfg.a, q) != 1:
             raise ValueError(f"coset representative a={cfg.a} shares a factor with q={q}")
-        f = factor(q)
+        for g in cfg.generators:
+            if math.gcd(g, q) != 1:
+                raise ValueError(f"generator {g} shares a factor with q={q}")
+    facts = factor_all(qs)
+    phis = tuple(map(euler_phi, facts))
+    members = []
+    orders = []
+    for q, f, phi in zip(qs, facts, phis):
         if cfg.subgroup_mode == "full":
             members.append(_any_unit)
-            orders.append(euler_phi(f))
+            orders.append(phi)
         elif cfg.subgroup_mode == "dth-powers":
             members.append(partial(_in_dth_power_coset, f, pow(cfg.a, -1, q), cfg.d))
             orders.append(r_d(f, cfg.d))
         else:
-            for g in cfg.generators:
-                if math.gcd(g, q) != 1:
-                    raise ValueError(f"generator {g} shares a factor with q={q}")
             sub = closure(cfg.generators, q)
             members.append(frozenset(cfg.a * x % q for x in sub).__contains__)
             orders.append(len(sub))
@@ -488,6 +496,7 @@ def prepare(cfg: ExperimentConfig) -> Experiment:
         alphas=alphas,
         moduli=moduli,
         orders=tuple(orders),
+        phis=phis,
         _members=members,
         _q_word=q_word,
         _q_low=q_word.astype(np.float64) * 2.0**-128,
@@ -669,9 +678,9 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
     L, a_sum, w_sum = rows[-1]
     a_sum, w_sum = Fraction(a_sum, L), Fraction(w_sum, L)
     cond_c = []
-    for k, (q, order) in enumerate(zip(exp.qs, exp.orders), 1):
+    for k, (q, phi, order) in enumerate(zip(exp.qs, exp.phis, exp.orders), 1):
         try:
-            cond_c.append(euler_phi(factor(q)) / (q ** (0.5 - epsilon) * order))
+            cond_c.append(phi / (q ** (0.5 - epsilon) * order))
         except (OverflowError, ZeroDivisionError):
             raise ValueError(
                 f"q_{k} has {q.bit_length()} bits: q_k^(1/2 - epsilon) with "

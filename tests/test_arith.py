@@ -1,6 +1,7 @@
 """Arithmetic functions against enumeration oracles and multiplicative laws."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cosetapprox import arith
 from cosetapprox.arith import (
+    SIEVE_LIMIT,
+    SIEVE_PER_VALUE,
     Factorization,
     GrowthRow,
     _divisor_counts,
@@ -16,9 +20,11 @@ from cosetapprox.arith import (
     brute_u_d,
     euler_phi,
     factor,
+    factor_all,
     growth_scan,
     is_prime,
     omega,
+    primes_up_to,
     r_d,
     s_d,
     tau,
@@ -74,6 +80,68 @@ class TestFactor:
             Factorization(12, ((3, 1), (2, 2)))  # order
         with pytest.raises(ValueError):
             Factorization(8, ((8, 1),))  # not prime
+
+
+# the fewest values for which a sieve up to SIEVE_LIMIT pays
+SIEVE_MIN_VALUES = -(-SIEVE_LIMIT // SIEVE_PER_VALUE)
+
+
+class TestFactorAll:
+    """The local smallest-prime-factor sieve of factor_all against factor."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        real = arith.factor
+        monkeypatch.setattr(arith, "factor", lambda n: calls.append(n) or real(n))
+        return calls
+
+    def test_sieve_path_matches_factor(self, monkeypatch):
+        rng = random.Random(2024)
+        lists = [list(range(1, 3001)), sorted(rng.sample(range(1, 200_000), 2000)), [1], []]
+        expected = [[factor(n) for n in ns] for ns in lists]
+        calls = self.spy(monkeypatch)
+        assert [factor_all(ns) for ns in lists] == expected
+        assert calls == []
+
+    def test_leaves_the_factor_cache_alone(self):
+        factor.cache_clear()
+        factor_all(range(1, 5000))
+        assert factor.cache_info().currsize == 0
+
+    def test_sieve_entries_fit_uint16(self):
+        # the sieve stores prime factors <= isqrt(SIEVE_LIMIT) in 16 bits
+        assert math.isqrt(SIEVE_LIMIT) < 2**16
+
+    def test_at_the_real_limit(self, monkeypatch):
+        # just enough small values that a sieve up to SIEVE_LIMIT pays, plus
+        # prime powers and the largest prime square below the limit
+        top = [3137**2, 5**10, 2**23, 9999991, SIEVE_LIMIT]
+        ns = list(range(1, SIEVE_MIN_VALUES - len(top) + 1)) + top
+        expected = {n: factor(n) for n in ns[-len(top) - 3 :]}
+        calls = self.spy(monkeypatch)
+        got = dict(zip(ns, factor_all(ns)))
+        assert calls == []
+        assert {n: got[n] for n in expected} == expected
+        assert got[SIEVE_LIMIT].factors == ((2, 7), (5, 7))
+
+    @pytest.mark.parametrize(
+        "ns",
+        [
+            [SIEVE_LIMIT + 1],  # above the memory limit
+            list(range(1, SIEVE_MIN_VALUES - 1)) + [SIEVE_LIMIT],  # one value short
+            [3, 5, 999_999_999_989],  # one lone large value
+            [0, 5],
+        ],
+        ids=["above-limit", "too-few-values", "lone-large", "zero"],
+    )
+    def test_falls_back_to_factor(self, monkeypatch, ns):
+        monkeypatch.setattr(arith, "factor", lambda n: ("factor", n))
+        assert factor_all(ns) == [("factor", n) for n in ns]
+
+    def test_fallback_propagates_errors(self):
+        with pytest.raises(ValueError, match="cannot factor"):
+            factor_all([0, 1, 2])
 
 
 class TestClosedForms:
@@ -168,6 +236,67 @@ class TestProperties:
                 is_prime(n)
         with pytest.raises(ValueError, match="exact primality range"):
             factor(psi13)
+
+
+# psi_t: the least odd composite that is a strong pseudoprime to each of the
+# first t prime bases (Jaeschke 1993; Sorenson-Webster 2017), with one prime
+# factor of each as an independent proof that it is composite.
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI = {
+    1: (2047, 23),
+    2: (1373653, 829),
+    3: (25326001, 2251),
+    4: (3215031751, 151),
+    5: (2152302898747, 6763),
+    6: (3474749660383, 1303),
+    7: (341550071728321, 10670053),
+    8: (341550071728321, 10670053),
+    9: (3825123056546413051, 149491),
+    10: (3825123056546413051, 149491),
+    11: (3825123056546413051, 149491),
+    12: (318665857834031151167461, 399165290221),
+    13: (3317044064679887385961981, 1287836182261),
+}
+
+
+def strong_probable_prime(n, a):
+    """Whether odd n > 2 passes one Miller-Rabin round to base a, written
+    out on its own so is_prime is not its own oracle."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d, d odd
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = pow(x, 2, n)
+        if x == n - 1:
+            return True
+    return False
+
+
+class TestWitnessTable:
+    @pytest.mark.parametrize("t", sorted(PSI))
+    def test_psi_t_fools_the_first_t_bases(self, t):
+        psi, p = PSI[t]
+        assert 1 < p < psi and psi % p == 0
+        assert all(strong_probable_prime(psi, a) for a in PRIME_BASES[:t])
+        if t < 13 and PSI.get(t + 1, (None,))[0] != psi:
+            assert not strong_probable_prime(psi, PRIME_BASES[t])  # the next base exposes it
+
+    @pytest.mark.parametrize("t", sorted(PSI))
+    def test_is_prime_at_each_cut_point(self, t):
+        psi, _ = PSI[t]
+        if t == 13:
+            with pytest.raises(ValueError, match="exact primality range"):
+                is_prime(psi)
+        else:
+            assert is_prime(psi) is False
+
+    def test_matches_the_sieve_below_1_5e6(self):
+        # crosses the cut points 2047 and 1373653
+        prime = bytearray(1_500_000)
+        for p in primes_up_to(len(prime) - 1):
+            prime[p] = 1
+        assert [n for n in range(len(prime)) if is_prime(n) != prime[n]] == []
 
 
 def slow_growth_rows(n_max, d):

@@ -1,6 +1,7 @@
 """Command-line interface: output schemas, exit codes, and byte determinism."""
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -72,6 +73,28 @@ class TestArith:
         code, _, err = run_cli(capsys, "arith", "--n-max", "5", "--out", str(out))
         assert code == 2
         assert err.count("\n") == 1 and str(out) in err
+
+
+# SHA-256 of `arith` tables written with --out by the per-n `factor` table
+# that the single factor_all pass replaced: (argv tail, format) -> digest.
+ARITH_TABLE_DIGESTS = {
+    (("--n-max", "5000", "--d", "1"), "csv"): "9428e1ffdfbd5379ae09f8da962565a0e8c662a89278aaf3867c03e01db5fb64",
+    (("--n-max", "5000", "--d", "1"), "json"): "88eabdabfc3dc2b2804c459b2540942cc1567ca45e063be4e4ebe9f375c94d29",
+    (("--n-max", "5000", "--d", "2"), "csv"): "03bc30272aa7d6f40553ed131308f7ce787a0877a6ccb42e0630a40bf6c557b7",
+    (("--n-max", "5000", "--d", "2"), "json"): "c5f922fc0cf1a79cdd739d0b7164280a70e8ecbfb35f3d70367e1836e7e688fb",
+    (("--n-max", "5000", "--d", "3"), "csv"): "459d31bc871f0e4354401c5b42ec21caf6c8d31a95315dae5254acc5dd29cb13",
+    (("--n-max", "5000", "--d", "3"), "json"): "c2e4e7de0e26e81ca5db70ad0b7f3a48853194028a5be8ed274f4e26e4e64010",
+    (("--n-max", "1500", "--d", "2", "--oracle"), "csv"): "1ccaab587f34ac56dd47ad8b0e6d1f0d8566cc51d6dc6e7581597b08f9dfee8e",
+    (("--n-max", "1500", "--d", "3", "--oracle"), "json"): "abfc066f3bccb9bee8b1cb8798d5daddbdc45df1055089b5e8dd3d0d31affa7a",
+}
+
+
+@pytest.mark.parametrize("argv, fmt", sorted(ARITH_TABLE_DIGESTS))
+def test_arith_table_bytes_unchanged(tmp_path, capsys, argv, fmt):
+    out = tmp_path / f"table.{fmt}"
+    code, _, _ = run_cli(capsys, "arith", *argv, "--format", fmt, "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ARITH_TABLE_DIGESTS[argv, fmt]
 
 
 class TestGroup:

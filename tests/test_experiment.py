@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetapprox import experiment
-from cosetapprox.arith import primes_up_to
+from cosetapprox import arith, experiment
+from cosetapprox.arith import euler_phi, factor, primes_up_to, r_d
 from cosetapprox.experiment import (
     SUBGROUP_MODES,
     AlphaSequence,
@@ -490,7 +490,9 @@ class TestMonteCarlo:
         )
         exp = prepare(cfg)
         copy = pickle.loads(pickle.dumps(exp))
-        assert (copy.qs, copy.alphas, copy.orders) == (exp.qs, exp.alphas, exp.orders)
+        assert (copy.qs, copy.alphas, copy.orders, copy.phis) == (
+            exp.qs, exp.alphas, exp.orders, exp.phis
+        )
         found = 0
         for i in range(40):
             x = _sample_point(19, i, 128)
@@ -827,6 +829,68 @@ def conditions_configs(draw):
 @given(conditions_configs())
 def test_prefix_pass_matches_fraction_walk(cfg):
     _assert_conditions_match_reference(prepare(cfg))
+
+
+# A lowered SIEVE_LIMIT, so the sieve boundary is cheap to reach (test_arith
+# covers the real one), and prime squares and prime powers up to it, with the
+# limit 2^12 itself and the prime 4093 just below it.
+SIEVE_TEST_LIMIT = 4096
+NEAR_LIMIT = tuple(
+    sorted({p**e for p in primes_up_to(64) for e in range(2, 13) if p**e <= 4096} | {4093})
+)
+# name: (q-sequence, K, whether prepare takes the sieve path)
+SIEVE_CASES = {
+    "integers": (QSequence("integers"), 300, True),
+    "primes": (QSequence("primes"), 500, True),
+    "at-limit": (QSequence("explicit", NEAR_LIMIT), len(NEAR_LIMIT), True),
+    "above-limit": (QSequence("explicit", (*NEAR_LIMIT, 4097)), len(NEAR_LIMIT) + 1, False),
+    "lone-large": (QSequence("explicit", (5, 7, 9, 999_999_999_989)), 4, False),
+}
+
+
+class TestSieveFactoring:
+    """prepare's q-sequence factoring: the sieve path of arith.factor_all and
+    its fallback to factor."""
+
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        monkeypatch.setattr(arith, "SIEVE_LIMIT", SIEVE_TEST_LIMIT)
+        calls = []
+        real = arith.factor
+        monkeypatch.setattr(arith, "factor", lambda n: calls.append(n) or real(n))
+        return calls
+
+    @pytest.mark.parametrize("mode", ["full", "dth-powers"])
+    @pytest.mark.parametrize("case", sorted(SIEVE_CASES))
+    def test_orders_and_phis_equal_factor(self, factor_calls, case, mode):
+        qs, K, sieved = SIEVE_CASES[case]
+        exp = prepare(small_cfg(q_sequence=qs, K=K, d=2, subgroup_mode=mode))
+        assert factor_calls == ([] if sieved else list(exp.qs))
+        facts = [factor(q) for q in exp.qs]
+        want = [euler_phi(f) if mode == "full" else r_d(f, 2) for f in facts]
+        assert exp.orders == tuple(want)
+        assert exp.phis == tuple(map(euler_phi, facts))
+
+    def test_conditions_call_no_factor(self, monkeypatch):
+        cfg = small_cfg(q_sequence=QSequence("primes"), K=200, d=2, subgroup_mode="dth-powers")
+        exp = prepare(cfg)
+        want = check_conditions(exp)
+
+        def refuse(n):
+            raise AssertionError("check_conditions must read phi(q_k) from the Experiment")
+
+        monkeypatch.setattr(arith, "factor", refuse)
+        monkeypatch.setattr(experiment, "factor", refuse, raising=False)
+        got = check_conditions(exp)
+        assert (got.rows, got.cond_c_first_decile_mean, got.cond_c_last_decile_mean) == (
+            want.rows, want.cond_c_first_decile_mean, want.cond_c_last_decile_mean
+        )
+        abel_condition_check(exp, got)
+
+    def test_sieve_path_leaves_the_factor_cache_alone(self):
+        factor.cache_clear()
+        prepare(small_cfg(K=2000))
+        assert factor.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
