@@ -17,7 +17,6 @@ from .arith import (
     u_d,
 )
 from .characters import (
-    DirichletCharacter,
     all_characters,
     char_sum,
     evaluate,

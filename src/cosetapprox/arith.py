@@ -324,11 +324,9 @@ def r_d(f: Factorization, d: int) -> int:
     return out
 
 
-def s_d(q: int, d: int) -> Fraction:
-    """Density r_d(q) / q of d-th power residues, as an exact rational."""
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
-    return Fraction(r_d(factor(q), d), q)
+def s_d(f: Factorization, d: int) -> Fraction:
+    """Density r_d(q) / q of d-th power residues, q = f.n, as an exact rational."""
+    return Fraction(r_d(f, d), f.n)
 
 
 def brute_u_d(n: int, d: int) -> int:

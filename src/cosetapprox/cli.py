@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import verify as verify_mod
-from .arith import euler_phi, factor_all, growth_scan, omega, r_d, tau, u_d
+from .arith import euler_phi, factor_all, growth_scan, omega, r_d, s_d, tau, u_d
 from .arith import brute_r_d, brute_u_d
 from .characters import all_characters, character_prefix_sums, pv_bound
 from .equidist import interval_system, overlap_excess_sweep, psi_estimate
@@ -156,7 +156,7 @@ def _cmd_arith(args) -> int:
     mismatches = 0
     for n, f in enumerate(factor_all(range(1, args.n_max + 1)), start=1):
         u, r = u_d(f, args.d), r_d(f, args.d)
-        row = [n, euler_phi(f), tau(f), omega(f), u, r, Fraction(r, n)]
+        row = [n, euler_phi(f), tau(f), omega(f), u, r, s_d(f, args.d)]
         if args.oracle:
             bu, br = brute_u_d(n, args.d), brute_r_d(n, args.d)
             row += [bu, br, int(u != bu), int(r != br)]
@@ -204,13 +204,12 @@ def _cmd_chars(args) -> int:
             continue
         _, prefix = character_prefix_sums(g, chars)
         bound = pv_bound(n)
-        for i, chi in enumerate(chars):
-            if chi.is_principal:
-                continue
+        for i in range(1, len(chars)):  # row 0 is the principal character
+            label = ";".join(map(str, chars[i].tolist()))
             for h in range(1, n + 1):
                 v = prefix[i, min(h, n - 1)]
                 rows.append(
-                    [n, ";".join(map(str, chi.exponents)), h,
+                    [n, label, h,
                      float(v.real), float(v.imag), bound, bound - abs(v)]
                 )
     _emit_rows(

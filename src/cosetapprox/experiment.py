@@ -188,6 +188,10 @@ class ExperimentConfig:
                 raise ValueError(f"config field '{name}' is missing")
             return data[name]
 
+        def optional(name, parse):
+            """{name: parsed value} when given, else {} for the field default."""
+            return {name: parse(name, data[name])} if name in data else {}
+
         known("config", data, _CONFIG_KEYS)
         version = integer("schema_version", data.get("schema_version", 1))
         if version != 1:
@@ -217,12 +221,12 @@ class ExperimentConfig:
             d=integer("d", need("d")),
             a=integer("a", need("a")),
             subgroup_mode=need("subgroup_mode"),
-            generators=each("generators", data.get("generators", []), integer),
+            **optional("generators", lambda name, vs: each(name, vs, integer)),
             K=integer("K", need("K")),
             samples=integer("samples", need("samples")),
-            precision_bits=integer("precision_bits", data.get("precision_bits", 128)),
+            **optional("precision_bits", integer),
             seed=integer("seed", need("seed")),
-            min_hits=integer("min_hits", data.get("min_hits", 5)),
+            **optional("min_hits", integer),
         )
 
 

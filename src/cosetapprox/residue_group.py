@@ -144,10 +144,6 @@ class Subgroup:
     elements: tuple[int, ...]
     generators: tuple[int, ...]
 
-    @cached_property
-    def element_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
     @property
     def order(self) -> int:
         return len(self.elements)

@@ -17,7 +17,13 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import brute_r_d, brute_u_d, euler_phi, factor, r_d, tau, u_d
-from .characters import all_characters, orthogonality_deviation, pv_sweep_max
+from .characters import (
+    all_characters,
+    evaluate,
+    orthogonality_deviation,
+    pv_sweep_max,
+    quotient_characters,
+)
 from .equidist import (
     interval_system,
     overlap_measure,
@@ -135,7 +141,7 @@ def check_character_axioms(n_max: int = 500) -> tuple[bool, str]:
     for n in range(2, n_max + 1):
         g = unit_group(n)
         chars = all_characters(g)
-        if len(chars) != g.phi or len({c.exponents for c in chars}) != g.phi:
+        if len(chars) != g.phi or len(set(map(tuple, chars.tolist()))) != g.phi:
             bad += 1
             continue
         col, row = orthogonality_deviation(g)
@@ -308,27 +314,26 @@ def check_coset_partition(n_max: int = 40) -> tuple[bool, str]:
 def check_quotient_characters(n_max: int = 30) -> tuple[bool, str]:
     """Annihilator characters: count equals index(G), closed under products,
     and exactly the characters constant on every coset."""
-    from .characters import evaluate, quotient_characters
-
     bad = 0
     for n in range(2, n_max + 1):
         g = unit_group(n)
+        orders = np.array([o for _, o in g.cyclic_factors], dtype=np.int64)
         for d in (2, 3, 4):
             G = dth_power_subgroup(g, d)
             qc = quotient_characters(G)
             if len(qc) != index(G):
                 bad += 1
                 continue
-            exps = {c.exponents for c in qc}
-            if any((c1 * c2).exponents not in exps for c1 in qc for c2 in qc):
+            exps = set(map(tuple, qc.tolist()))
+            if any(tuple(((e1 + e2) % orders).tolist()) not in exps for e1 in qc for e2 in qc):
                 bad += 1
-            for chi in all_characters(g):
+            for chi in all_characters(g).tolist():
                 constant = all(
-                    max(abs(evaluate(chi, x) - evaluate(chi, a)) for x in coset(a, G).elements)
+                    max(abs(evaluate(g, chi, x) - evaluate(g, chi, a)) for x in coset(a, G).elements)
                     < 1e-12
                     for a in g.units()
                 )
-                if constant != (chi.exponents in exps):
+                if constant != (tuple(chi) in exps):
                     bad += 1
     return bad == 0, f"n <= {n_max}, {bad} violations"
 
@@ -444,8 +449,25 @@ def _hit_test_configs() -> list[ExperimentConfig]:
     ]
 
 
+def _coset_member(cfg: ExperimentConfig, q: int):
+    """Membership in the coset a*G mod q, decided by the explicit element set
+    of a residue_group coset rather than by find_hits' own predicates; mod 1
+    every p is a member."""
+    if q == 1:
+        return lambda p: True
+    g = unit_group(q)
+    if cfg.subgroup_mode == "full":
+        G = full_subgroup(g)
+    elif cfg.subgroup_mode == "dth-powers":
+        G = dth_power_subgroup(g, cfg.d)
+    else:
+        G = subgroup_from_generators(g, cfg.generators)
+    return coset(cfg.a, G).__contains__
+
+
 def check_hits_brute(samples: int = 25) -> tuple[bool, str]:
-    """find_hits against a full scan of every numerator p in [0, q^d]."""
+    """find_hits against a full scan of every numerator p in [0, q^d], with
+    coset membership read from explicit cosets."""
     from .experiment import _sample_point
 
     seed = 0xD10
@@ -454,6 +476,7 @@ def check_hits_brute(samples: int = 25) -> tuple[bool, str]:
     cases = 0
     for cfg in _hit_test_configs():
         exp = prepare(cfg)
+        members = [_coset_member(cfg, q) for q in exp.qs]
         for i in range(samples):
             x = _sample_point(seed + i, i, 64) if rng.random() < 0.7 else Fraction(
                 rng.randint(1, 999), 1000
@@ -461,14 +484,10 @@ def check_hits_brute(samples: int = 25) -> tuple[bool, str]:
             got = {(h.k, h.p) for h in exp.find_hits(x)}
             want = set()
             for idx, (q, Q, alpha, member) in enumerate(
-                zip(exp.qs, exp.moduli, exp.alphas, exp._members)
+                zip(exp.qs, exp.moduli, exp.alphas, members)
             ):
                 for p in range(0, Q + 1):
-                    if (
-                        abs(x - Fraction(p, Q)) < alpha / Q
-                        and math.gcd(p, q) == 1
-                        and member(p % q)
-                    ):
+                    if abs(x - Fraction(p, Q)) < alpha / Q and math.gcd(p, q) == 1 and member(p):
                         want.add((idx + 1, p))
             cases += 1
             if got != want:

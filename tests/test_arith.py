@@ -172,10 +172,10 @@ class TestClosedForms:
         assert r_d(factor(1), 4) == 1
 
     def test_s_d_examples(self):
-        assert s_d(49, 2) == Fraction(21, 49) == Fraction(3, 7)
+        assert s_d(factor(49), 2) == Fraction(21, 49) == Fraction(3, 7)
         for q in (2, 7, 12, 36):
-            assert s_d(q, 1) == Fraction(euler_phi(factor(q)), q)
-        assert s_d(1, 2) == 1
+            assert s_d(factor(q), 1) == Fraction(euler_phi(factor(q)), q)
+        assert s_d(factor(1), 2) == 1
 
     def test_rejects_bad_power(self):
         with pytest.raises(ValueError):

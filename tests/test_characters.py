@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from cosetapprox import characters
 from cosetapprox.characters import (
     all_characters,
     char_sum,
@@ -36,48 +37,52 @@ class TestEnumeration:
             g = unit_group(n)
             chars = all_characters(g)
             assert len(chars) == g.phi
-            assert len({c.exponents for c in chars}) == g.phi
+            assert len(set(map(tuple, chars.tolist()))) == g.phi
 
     def test_principal_first_lexicographic(self):
         chars = all_characters(unit_group(40))
-        assert chars[0].is_principal
-        assert sorted(c.exponents for c in chars) == [c.exponents for c in chars]
+        assert not chars[0].any()
+        assert sorted(chars.tolist()) == chars.tolist()
 
     def test_mod_8_characters_are_real(self):
-        for chi in all_characters(unit_group(8)):
+        g = unit_group(8)
+        for chi in all_characters(g):
             for x in (1, 3, 5, 7):
-                assert evaluate(chi, x) in (1, -1) or abs(evaluate(chi, x).imag) < 1e-15
+                assert evaluate(g, chi, x) in (1, -1) or abs(evaluate(g, chi, x).imag) < 1e-15
 
 
 class TestEvaluation:
     def test_principal_is_one_on_units(self):
         for n in (5, 8, 12, 30):
-            chi = all_characters(unit_group(n))[0]
+            g = unit_group(n)
+            chi = all_characters(g)[0]
             for m in range(1, n):
                 expected = 1 if math.gcd(m, n) == 1 else 0
-                assert evaluate(chi, m) == expected
+                assert evaluate(g, chi, m) == expected
 
     def test_vanishes_off_units(self):
-        for chi in all_characters(unit_group(12)):
-            assert evaluate(chi, 12) == 0
-            assert evaluate(chi, 2) == 0
-            assert evaluate(chi, -3 + 24) == 0
+        g = unit_group(12)
+        for chi in all_characters(g):
+            assert evaluate(g, chi, 12) == 0
+            assert evaluate(g, chi, 2) == 0
+            assert evaluate(g, chi, -3 + 24) == 0
 
     def test_mod_5_generator_value(self):
         g = unit_group(5)
         assert g.cyclic_factors[0][0] == 2  # smallest primitive root of 5
-        chi = [c for c in all_characters(g) if c.exponents == (1,)][0]
-        assert cmath.isclose(evaluate(chi, 2), 1j)
+        chi = [c for c in all_characters(g) if c.tolist() == [1]][0]
+        assert cmath.isclose(evaluate(g, chi, 2), 1j)
 
     def test_complete_multiplicativity(self):
         rng = random.Random(7)
         for n in (5, 8, 9, 24, 35):
-            for chi in all_characters(unit_group(n)):
+            g = unit_group(n)
+            for chi in all_characters(g):
                 for _ in range(20):
                     a, b = rng.randint(1, 4 * n), rng.randint(1, 4 * n)
                     assert cmath.isclose(
-                        evaluate(chi, a * b),
-                        evaluate(chi, a) * evaluate(chi, b),
+                        evaluate(g, chi, a * b),
+                        evaluate(g, chi, a) * evaluate(g, chi, b),
                         abs_tol=1e-12,
                     )
 
@@ -87,7 +92,7 @@ class TestEvaluation:
             L = g.exponent()
             for chi in all_characters(g):
                 for m in g.units():
-                    v = evaluate(chi, m)
+                    v = evaluate(g, chi, m)
                     assert abs(abs(v) - 1) < 1e-12
                     assert abs(v**L - 1) < 1e-9
 
@@ -96,35 +101,37 @@ class TestEvaluation:
         for chi in all_characters(g):
             for m in range(1, 9):
                 assert cmath.isclose(
-                    evaluate(chi, m), evaluate(chi, m + 9), abs_tol=1e-12
+                    evaluate(g, chi, m), evaluate(g, chi, m + 9), abs_tol=1e-12
                 )
 
 
 class TestCharSum:
     def test_zero_length(self):
-        chi = all_characters(unit_group(7))[1]
-        assert char_sum(chi, 0) == 0
+        g = unit_group(7)
+        chi = all_characters(g)[1]
+        assert char_sum(g, chi, 0) == 0
 
     def test_full_period(self):
         for n in (5, 8, 12, 21):
-            chars = all_characters(unit_group(n))
-            assert char_sum(chars[0], n) == chars[0].group.phi
+            g = unit_group(n)
+            chars = all_characters(g)
+            assert char_sum(g, chars[0], n) == g.phi
             for chi in chars[1:]:
-                assert abs(char_sum(chi, n)) < 1e-9
+                assert abs(char_sum(g, chi, n)) < 1e-9
 
     def test_fold_matches_direct(self):
         g = unit_group(12)
         for chi in all_characters(g):
             for h in (0, 5, 12, 25, 40):
-                direct = sum(evaluate(chi, k) for k in range(1, h + 1))
-                assert cmath.isclose(char_sum(chi, h), direct, abs_tol=1e-10)
+                direct = sum(evaluate(g, chi, k) for k in range(1, h + 1))
+                assert cmath.isclose(char_sum(g, chi, h), direct, abs_tol=1e-10)
 
 
 class TestQuotient:
     def test_full_group_gives_principal_only(self):
         g = unit_group(21)
         qc = quotient_characters(full_subgroup(g))
-        assert len(qc) == 1 and qc[0].is_principal
+        assert len(qc) == 1 and not qc[0].any()
 
     def test_squares_mod_7_give_legendre(self):
         g = unit_group(7)
@@ -134,7 +141,7 @@ class TestQuotient:
         quad = qc[1]
         squares = set(G.elements)
         for m in range(1, 7):
-            assert cmath.isclose(evaluate(quad, m), 1 if m in squares else -1, abs_tol=1e-12)
+            assert cmath.isclose(evaluate(g, quad, m), 1 if m in squares else -1, abs_tol=1e-12)
 
     def test_trivial_subgroup_gives_everything(self):
         g = unit_group(15)
@@ -148,26 +155,28 @@ class TestQuotient:
                 G = dth_power_subgroup(g, d)
                 qc = quotient_characters(G)
                 assert len(qc) == index(G)
-                exps = {c.exponents for c in qc}
+                orders = np.array([o for _, o in g.cyclic_factors])
+                exps = set(map(tuple, qc.tolist()))
                 for c1 in qc:
                     for c2 in qc:
-                        assert (c1 * c2).exponents in exps
+                        assert tuple(((c1 + c2) % orders).tolist()) in exps
 
     def test_membership_iff_constant_on_cosets(self):
         for n in (7, 9, 16, 15):
             g = unit_group(n)
             for d in (2, 3):
                 G = dth_power_subgroup(g, d)
-                qset = {c.exponents for c in quotient_characters(G)}
+                qset = set(map(tuple, quotient_characters(G).tolist()))
                 for chi in all_characters(g):
                     constant = all(
                         max(
-                            abs(evaluate(chi, x) - evaluate(chi, a)) for x in coset(a, G).elements
+                            abs(evaluate(g, chi, x) - evaluate(g, chi, a))
+                            for x in coset(a, G).elements
                         )
                         < 1e-12
                         for a in g.units()
                     )
-                    assert constant == (chi.exponents in qset), (n, d, chi.exponents)
+                    assert constant == (tuple(chi.tolist()) in qset), (n, d, chi.tolist())
 
 
 class TestPolyaVinogradov:
@@ -179,28 +188,30 @@ class TestPolyaVinogradov:
     def test_small_h_direct(self):
         g = unit_group(3)
         quad = all_characters(g)[1]
-        assert abs(char_sum(quad, 1)) <= pv_bound(3)
+        assert abs(char_sum(g, quad, 1)) <= pv_bound(3)
 
     def test_exhaustive_small_moduli_scalar_path(self):
         # independent of the vectorized sweep: plain evaluate() sums
         for n in range(3, 40):
             bound = pv_bound(n)
-            for chi in all_characters(unit_group(n))[1:]:
+            g = unit_group(n)
+            for chi in all_characters(g)[1:]:
                 total = 0j
                 for h in range(1, n + 1):
-                    total += evaluate(chi, h)
+                    total += evaluate(g, chi, h)
                     assert abs(total) <= bound
 
     def test_sweep_matches_scalar_maximum(self):
         # 8, 12, 24 and 40 have several cyclic factors and many real
         # characters, which the sweep's conjugate folding must keep
         for n in (8, 9, 12, 16, 23, 24, 36, 40):
-            mx, bound = pv_sweep_max(unit_group(n))
+            g = unit_group(n)
+            mx, bound = pv_sweep_max(g)
             direct = 0.0
-            for chi in all_characters(unit_group(n))[1:]:
+            for chi in all_characters(g)[1:]:
                 total = 0j
                 for h in range(1, n + 1):
-                    total += evaluate(chi, h)
+                    total += evaluate(g, chi, h)
                     direct = max(direct, abs(total))
             assert abs(mx - direct) < 1e-9
             assert bound == pv_bound(n)
@@ -217,7 +228,7 @@ class TestVectorizedTable:
             assert V.shape == (len(chars), n)
             for i, chi in enumerate(chars):
                 for j in range(n):
-                    assert abs(V[i, j] - evaluate(chi, j)) < 1e-12, (n, chi.exponents, j)
+                    assert abs(V[i, j] - evaluate(g, chi, j)) < 1e-12, (n, chi.tolist(), j)
 
     def test_orthogonality_helpers(self):
         for n in (5, 8, 12, 36, 100):
@@ -228,10 +239,10 @@ class TestVectorizedTable:
             worst_col = 0.0
             for x in range(2, n):
                 if math.gcd(x, n) == 1:
-                    worst_col = max(worst_col, abs(sum(evaluate(c, x) for c in chars)))
+                    worst_col = max(worst_col, abs(sum(evaluate(g, c, x) for c in chars)))
             worst_row = 0.0
             for c in chars[1:]:
-                worst_row = max(worst_row, abs(sum(evaluate(c, x) for x in range(1, n))))
+                worst_row = max(worst_row, abs(sum(evaluate(g, c, x) for x in range(1, n))))
             assert abs(col - worst_col) < 1e-9
             assert abs(row - worst_row) < 1e-9
             assert col < 1e-9 and row < 1e-9
@@ -244,4 +255,62 @@ class TestVectorizedTable:
         prefix = np.cumsum(V[:, 1:], axis=1)
         for i, chi in enumerate(chars):
             for h in (1, 5, 26):
-                assert abs(prefix[i, h - 1] - char_sum(chi, h)) < 1e-10
+                assert abs(prefix[i, h - 1] - char_sum(g, chi, h)) < 1e-10
+
+
+class TestRows:
+    def test_quotient_rows_equal_scalar_filter(self):
+        # the log table read at the generator columns against evaluate()
+        rng = random.Random(11)
+        for n in range(2, 201):
+            g = unit_group(n)
+            units = g.units()
+            subgroups = [dth_power_subgroup(g, d) for d in range(1, 7)]
+            subgroups.append(subgroup_from_generators(g, []))
+            k = rng.randint(1, min(3, len(units)))
+            subgroups.append(subgroup_from_generators(g, rng.sample(units, k)))
+            for G in subgroups:
+                want = [
+                    chi.tolist()
+                    for chi in all_characters(g)
+                    if all(evaluate(g, chi, t) == 1 for t in G.generators)
+                ]
+                assert quotient_characters(G).tolist() == want, (n, G.generators)
+
+    def test_rank_fold_keeps_the_tuple_rule_rows(self, monkeypatch):
+        # pv_sweep_max's one vector comparison against the tuple comparison
+        # of each row with its conjugate, and its maximum (exactly) against
+        # the sums of the tuple-selected rows
+        summed = []
+        real = characters.character_prefix_sums
+
+        def recording(g, chars):
+            summed.append(chars)
+            return real(g, chars)
+
+        monkeypatch.setattr(characters, "character_prefix_sums", recording)
+        most_factors = 0
+        for n in range(3, 401):
+            g = unit_group(n)
+            orders = tuple(o for _, o in g.cyclic_factors)
+            most_factors = max(most_factors, len(orders))
+            kept = [
+                e for e in all_characters(g).tolist()
+                if tuple(e) <= tuple(-x % o for x, o in zip(e, orders))
+            ]
+            summed.clear()
+            mx, bound = pv_sweep_max(g)
+            assert len(summed) == 1 and summed[0].tolist() == kept, n
+            _, S = real(g, np.array(kept, dtype=np.int64))
+            assert mx == float(np.max(np.abs(S[1:, 1:]))), n
+            assert bound == pv_bound(n)
+        assert most_factors >= 3
+
+    def test_two_has_one_empty_row(self):
+        g = unit_group(2)
+        chars = all_characters(g)
+        assert chars.shape == (1, 0) and chars.dtype == np.int64
+        assert quotient_characters(full_subgroup(g)).shape == (1, 0)
+        assert character_matrix(g, chars).tolist() == [[0, 1]]
+        assert char_sum(g, chars[0], 5) == 3
+        assert pv_sweep_max(g) == (0.0, pv_bound(2))

@@ -150,6 +150,14 @@ class TestChars:
         # moduli 3, 4, 5 contribute (phi(n)-1) * n rows each
         assert len(rows) == 1 * 3 + 1 * 4 + 3 * 5
 
+    def test_table_bytes_unchanged(self, capsys):
+        # SHA-256 of the table as written while characters were objects
+        # rather than exponent rows
+        code, out, _ = run_cli(capsys, "chars", "--n-max", "40")
+        assert code == 0
+        digest = "b766b171f5afc4e5a529315cb35fe003d248f534145af67119682c93624a4f80"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("n_max", ["2", "0"])
     def test_empty_table_exits_2(self, capsys, n_max):
         code, out, err = run_cli(capsys, "chars", f"--n-max={n_max}")

@@ -73,6 +73,50 @@ class TestConfig:
         with pytest.raises(ValueError, match="q_sequence"):
             ExperimentConfig.from_dict({"schema_version": 1})
 
+    def test_from_dict_omitted_optionals_take_the_defaults(self):
+        data = small_cfg().to_dict()
+        for key in ("generators", "precision_bits", "min_hits"):
+            del data[key]
+        expected = ExperimentConfig(
+            q_sequence=QSequence("integers"),
+            alpha_sequence=AlphaSequence("c/k", c=F(1, 3)),
+            d=1,
+            a=1,
+            subgroup_mode="full",
+            K=25,
+            samples=4,
+            seed=5,
+        )
+        assert ExperimentConfig.from_dict(data) == expected
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"generators": 5}, "config field 'generators' must be a list, got 5"),
+            ({"generators": [2.0]}, "config field 'generators' must be an integer, got 2.0"),
+            ({"precision_bits": True}, "config field 'precision_bits' must be an integer, got True"),
+            ({"min_hits": "5"}, "config field 'min_hits' must be an integer, got '5'"),
+            ({"precision_bits": 4}, "precision_bits must be at least 8"),
+            ({"min_hits": 0}, "min_hits must be at least 1"),
+            ({"K": None}, "config field 'K' is missing"),
+            ({"seed": None}, "config field 'seed' is missing"),
+            # fields are read in declaration order, so the first bad one is named
+            ({"generators": 5, "K": None}, "config field 'generators' must be a list, got 5"),
+            ({"precision_bits": 1.5, "seed": None}, "config field 'precision_bits' must be an integer, got 1.5"),
+            ({"seed": None, "min_hits": 1.5}, "config field 'seed' is missing"),
+        ],
+    )
+    def test_from_dict_messages(self, changes, message):
+        data = small_cfg().to_dict()
+        for key, value in changes.items():
+            if value is None:
+                del data[key]
+            else:
+                data[key] = value
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig.from_dict(data)
+        assert str(info.value) == message
+
     def test_mode_needs_generators(self):
         with pytest.raises(ValueError):
             small_cfg(subgroup_mode="generators")

@@ -1,9 +1,10 @@
 """The verify checks' own oracles, at the edges of their ranges."""
 
+import math
 from fractions import Fraction
 
-from cosetapprox import verify
-from cosetapprox.verify import check_formula_oracle, check_overlap_theta
+from cosetapprox import experiment, verify
+from cosetapprox.verify import check_formula_oracle, check_hits_brute, check_overlap_theta
 
 
 def test_formula_oracle_at_n_1():
@@ -23,3 +24,12 @@ def test_overlap_clipping_oracle_catches_a_shifted_measure(monkeypatch):
     monkeypatch.setattr(verify, "overlap_measure", shifted)
     ok, _ = check_overlap_theta(60)
     assert not ok
+
+
+def test_hit_oracle_catches_a_wrong_membership_test(monkeypatch):
+    # the brute scan decides membership from explicit cosets, so a d-th
+    # power test that accepts every unit changes find_hits but not the scan
+    assert check_hits_brute(10) == (True, "30 sampled points, 0 disagreements")
+    monkeypatch.setattr(experiment, "is_dth_power", lambda f, x, d: math.gcd(x, f.n) == 1)
+    ok, detail = check_hits_brute(10)
+    assert not ok, detail
