@@ -51,6 +51,7 @@ from .residue_group import (
     dth_power_subgroup,
     full_subgroup,
     index,
+    subgroup,
     subgroup_from_generators,
     unit_group,
 )

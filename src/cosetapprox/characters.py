@@ -114,11 +114,9 @@ def character_matrix(g: UnitGroup, chars: np.ndarray) -> np.ndarray:
 
 def character_prefix_sums(g: UnitGroup, chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(V, S): the value table V = character_matrix(g, chars) and its prefix
-    sums S[i, h] = chars[i](1) + ... + chars[i](h) for h = 0..n-1."""
+    sums S[i, h] = chars[i](0) + ... + chars[i](h) for h = 0..n-1 (chars[i](0) = 0)."""
     V = character_matrix(g, chars)
-    S = np.zeros_like(V)
-    np.cumsum(V[:, 1:], axis=1, out=S[:, 1:])
-    return V, S
+    return V, np.cumsum(V, axis=1)
 
 
 def pv_sweep_max(g: UnitGroup) -> tuple[float, float]:

@@ -27,15 +27,8 @@ from .arith import euler_phi, factor_all, growth_scan, omega, r_d, s_d, tau, u_d
 from .arith import brute_r_d, brute_u_d
 from .characters import all_characters, character_prefix_sums, pv_bound
 from .equidist import interval_system, overlap_excess_sweep, psi_estimate
-from .experiment import SUBGROUP_MODES, ExperimentConfig, check_conditions, exact_str, prepare
-from .residue_group import (
-    coset,
-    dth_power_subgroup,
-    full_subgroup,
-    index,
-    subgroup_from_generators,
-    unit_group,
-)
+from .experiment import ExperimentConfig, check_conditions, exact_str, prepare
+from .residue_group import SUBGROUP_MODES, coset, index, subgroup, unit_group
 
 SCHEMA_VERSION = 1
 
@@ -111,21 +104,15 @@ def _at_least(flag: str, value: int, low: int, why: str) -> None:
 
 def _mode_inputs(args, power_read: bool = False) -> tuple[int, tuple[int, ...]]:
     """--d (default 2) and --generators; the subgroup reads --d only in
-    --mode dth-powers and --generators only in --mode generators."""
+    --mode dth-powers and --generators (at least one) only in --mode generators."""
     gens = _parse_gens(args.generators)
     _read_only("--generators", bool(gens), args.mode == "generators",
                f"in --mode generators, not {args.mode!r}")
+    if args.mode == "generators" and not gens:
+        raise ValueError("--mode generators needs --generators (use --generators 1 for the trivial subgroup)")
     _read_only("--d", args.d is not None, power_read or args.mode == "dth-powers",
                f"in --mode dth-powers, not {args.mode!r}")
     return (2 if args.d is None else args.d), gens
-
-
-def _subgroup_for(g, mode: str, d: int, gens: tuple[int, ...]):
-    if mode == "full":
-        return full_subgroup(g)
-    if mode == "dth-powers":
-        return dth_power_subgroup(g, d)
-    return subgroup_from_generators(g, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +159,7 @@ def _cmd_arith(args) -> int:
 def _cmd_group(args) -> int:
     d, gens = _mode_inputs(args)
     g = unit_group(args.n)
-    G = _subgroup_for(g, args.mode, d, gens)
+    G = subgroup(g, args.mode, d, gens)
     c = coset(args.a, G)
     rows = [[
         g.n,
@@ -233,9 +220,8 @@ def _cmd_equidist(args) -> int:
              (Fraction(4, 5), Fraction(9, 10))]
         systems = []
         for q in qs:
-            g = unit_group(q)
-            G = _subgroup_for(g, args.mode, d, gens)
-            systems.append(interval_system(q, d, Fraction(1, 5), args.a, G))
+            G = subgroup(unit_group(q), args.mode, d, gens)
+            systems.append(interval_system(d, Fraction(1, 5), args.a, G))
         rep = overlap_excess_sweep(A, systems, epsilon=0.05 if args.epsilon is None else args.epsilon)
         rows = [[q, d, x] for q, d, x in rep.rows]
         _emit_rows(["q", "d", "abs_excess"], rows, args.format, args.out)
@@ -256,7 +242,7 @@ def _cmd_equidist(args) -> int:
     rows = []
     violations = 0
     for n in range(2, n_max + 1):
-        G = _subgroup_for(unit_group(n), args.mode, d, gens)
+        G = subgroup(unit_group(n), args.mode, d, gens)
         c = coset(args.a, G)
         for j in range(1, mu_grid):
             mu = Fraction(j, mu_grid)

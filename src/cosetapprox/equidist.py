@@ -163,13 +163,12 @@ def psi_estimate(mu, c: Coset) -> CountEstimate:
 @dataclass(eq=False)
 class IntervalSystem:
     """Open intervals of radius alpha/q^d centered at p/q^d, over the centers
-    p in (0, q^d) with p mod q in the coset.
+    p in (0, q^d) with p mod q in the coset; q is the coset's modulus.
 
     Centers are never materialized eagerly (there are |G| * q^(d-1) of them);
     counting queries go through the periodic coset structure.
     """
 
-    q: int
     d: int
     alpha: Fraction
     coset: Coset
@@ -177,10 +176,12 @@ class IntervalSystem:
     def __post_init__(self) -> None:
         if not (0 < self.alpha < Fraction(1, 2)):
             raise ValueError(f"radius parameter must lie in (0, 1/2), got {self.alpha}")
-        if self.coset.n != self.q:
-            raise ValueError("coset modulus does not match q")
         if self.d < 1:
             raise ValueError(f"power must be >= 1, got {self.d}")
+
+    @property
+    def q(self) -> int:
+        return self.coset.n
 
     @property
     def modulus(self) -> int:
@@ -208,6 +209,18 @@ class IntervalSystem:
             return 0
         return psi_count(min(X, Fraction(self.modulus)), self.coset)
 
+    def measure_upto(self, X) -> Fraction:
+        """Exact measure of E meet (0, X/N) in units of 1/N, N = q^d, for
+        0 <= X <= N: 2 alpha per interval ending by X, plus X - p + alpha when
+        the one center p = round(X) that alpha < 1/2 allows straddles X."""
+        X = as_fraction(X)
+        r = self.alpha
+        scaled = 2 * r * self.count_upto(X - r)
+        p = round(X)
+        if abs(X - p) < r and self.is_center(p):
+            scaled += X - p + r
+        return scaled
+
     def centers(self) -> list[int]:
         if self.center_count > 2 * 10**6:
             raise ValueError(f"{self.center_count} centers exceed materialization limit")
@@ -215,9 +228,9 @@ class IntervalSystem:
         return [b * self.q + t for b in range(self.q ** (self.d - 1)) for t in elems]
 
 
-def interval_system(q: int, d: int, alpha, a: int, G: Subgroup) -> IntervalSystem:
-    """Build the interval system of (q, d, alpha) over the coset a G."""
-    return IntervalSystem(q=q, d=d, alpha=as_fraction(alpha), coset=coset(a, G))
+def interval_system(d: int, alpha, a: int, G: Subgroup) -> IntervalSystem:
+    """Build the interval system of (d, alpha) over the coset a G mod q."""
+    return IntervalSystem(d=d, alpha=as_fraction(alpha), coset=coset(a, G))
 
 
 def overlap_measure(E: IntervalSystem, s, t) -> tuple[Fraction, Fraction]:
@@ -231,27 +244,10 @@ def overlap_measure(E: IntervalSystem, s, t) -> tuple[Fraction, Fraction]:
     if not (0 <= s < t <= 1):
         raise ValueError(f"need 0 <= s < t <= 1, got ({s}, {t})")
     N = E.modulus
-    r = E.alpha
     S, T = s * N, t * N
-    lo = math.ceil(S + r)
-    hi = math.floor(T - r)
-    inside = E.count_upto(hi) - E.count_upto(lo - 1) if hi >= lo else 0
-    scaled = 2 * r * inside  # measure in units of 1/N
-    seen: set[int] = set()
-    for edge in (S, T):
-        for p in range(max(math.floor(edge - r), 0), min(math.ceil(edge + r), N) + 1):
-            if p in seen or not (edge - r < p < edge + r):
-                continue
-            if hi >= lo and lo <= p <= hi:
-                continue
-            seen.add(p)
-            if E.is_center(p):
-                left = max(Fraction(p) - r, S)
-                right = min(Fraction(p) + r, T)
-                if right > left:
-                    scaled += right - left
+    scaled = E.measure_upto(T) - E.measure_upto(S)  # two prefix measures, units of 1/N
     window = E.count_upto(T) - E.count_upto(S)
-    theta = scaled / (2 * r) - window
+    theta = scaled / (2 * E.alpha) - window
     if abs(theta) > 2:
         raise ArithmeticError(f"overlap theta {theta} escapes [-2, 2]")
     return scaled / N, theta

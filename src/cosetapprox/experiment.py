@@ -26,7 +26,7 @@ from itertools import repeat
 import numpy as np
 
 from .arith import as_fraction, euler_phi, factor_all, primes_up_to, r_d
-from .residue_group import closure, is_dth_power
+from .residue_group import SUBGROUP_MODES, closure, is_dth_power
 
 __all__ = [
     "AbelReport",
@@ -52,7 +52,6 @@ def exact_str(x: Fraction) -> str:
 
 Q_KINDS = ("explicit", "integers", "primes", "primes-coprime-to-a")
 ALPHA_KINDS = ("explicit", "c/k", "c/(k log k)", "c*2^-k")
-SUBGROUP_MODES = ("full", "dth-powers", "generators")
 
 _LOG_SCALE = 1 << 16  # dyadic resolution of the rounded log in c/(k log k)
 _LOW_WORD = (1 << 64) - 1
@@ -387,6 +386,8 @@ class Experiment:
     def monte_carlo(self, threads: int = 1) -> "MonteCarloResult":
         """Sample dyadic rationals and tabulate hit-count fractions F(m, K').
         Pool workers get this Experiment, pickled, and a range of samples."""
+        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+            raise ValueError(f"threads must be an int >= 1, got {threads!r}")
         cfg = self.config
         n = cfg.samples
         workers = min(threads, n, os.cpu_count() or 1)

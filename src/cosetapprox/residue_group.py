@@ -17,7 +17,10 @@ import numpy as np
 
 from .arith import Factorization, euler_phi, factor
 
+SUBGROUP_MODES = ("full", "dth-powers", "generators")
+
 __all__ = [
+    "SUBGROUP_MODES",
     "Coset",
     "Subgroup",
     "UnitGroup",
@@ -27,6 +30,7 @@ __all__ = [
     "full_subgroup",
     "index",
     "is_dth_power",
+    "subgroup",
     "subgroup_from_generators",
     "unit_group",
 ]
@@ -197,6 +201,19 @@ def subgroup_from_generators(g: UnitGroup, gens) -> Subgroup:
             raise ValueError(f"generator {x} is not coprime to {n}")
         norm.append(x % n)
     return Subgroup(group=g, elements=tuple(sorted(closure(norm, n))), generators=tuple(norm))
+
+
+def subgroup(g: UnitGroup, mode: str, d: int, generators) -> Subgroup:
+    """The subgroup a (mode, d, generators) spec names.  It lists every
+    element (about n/2 residues for the squares mod a prime), so prepare
+    keeps its own cheaper membership predicates."""
+    if mode == "full":
+        return full_subgroup(g)
+    if mode == "dth-powers":
+        return dth_power_subgroup(g, d)
+    if mode == "generators":
+        return subgroup_from_generators(g, generators)
+    raise ValueError(f"subgroup mode must be one of {SUBGROUP_MODES}, got {mode!r}")
 
 
 def closure(gens, n: int) -> set[int]:

@@ -46,6 +46,7 @@ from .residue_group import (
     dth_power_subgroup,
     full_subgroup,
     index,
+    subgroup,
     subgroup_from_generators,
     unit_group,
 )
@@ -252,7 +253,7 @@ def check_overlap_theta(cases: int = 1000) -> tuple[bool, str]:
             G = subgroup_from_generators(g, [x])
         a = _random_unit(rng, q)
         alpha = Fraction(rng.randint(1, 999), 2000)
-        E = interval_system(q, d, alpha, a, G)
+        E = interval_system(d, alpha, a, G)
         lo = Fraction(rng.randint(0, 999), 1000)
         hi = Fraction(rng.randint(0, 999), 1000)
         if lo == hi:
@@ -455,13 +456,7 @@ def _coset_member(cfg: ExperimentConfig, q: int):
     every p is a member."""
     if q == 1:
         return lambda p: True
-    g = unit_group(q)
-    if cfg.subgroup_mode == "full":
-        G = full_subgroup(g)
-    elif cfg.subgroup_mode == "dth-powers":
-        G = dth_power_subgroup(g, cfg.d)
-    else:
-        G = subgroup_from_generators(g, cfg.generators)
+    G = subgroup(unit_group(q), cfg.subgroup_mode, cfg.d, cfg.generators)
     return coset(cfg.a, G).__contains__
 
 

@@ -128,6 +128,18 @@ class TestGroup:
         assert code == 2
         assert "--generators" in err and out == ""
 
+    @pytest.mark.parametrize("n, extra", [("7", []), ("8", ["--generators", ",,"])])
+    def test_generator_mode_without_generators_exits_2(self, capsys, n, extra):
+        code, out, err = run_cli(capsys, "group", "--n", n, "--mode", "generators", *extra)
+        assert code == 2
+        assert "--mode generators needs --generators" in err and out == ""
+
+    def test_generator_one_names_the_trivial_subgroup(self, capsys):
+        code, out, _ = run_cli(capsys, "group", "--n", "7", "--mode", "generators", "--generators", "1")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert dict(zip(header, rows[0]))["subgroup_elements"] == "1"
+
     @pytest.mark.parametrize("mode, extra", [("full", []), ("generators", ["--generators", "5"])])
     def test_power_outside_power_mode_exits_2(self, capsys, mode, extra):
         code, out, err = run_cli(capsys, "group", "--n", "12", "--mode", mode, "--d", "3", *extra)
@@ -202,6 +214,12 @@ class TestEquidist:
         )
         assert code == 2
         assert "--generators" in err and out == ""
+
+    @pytest.mark.parametrize("args", [["--n-max", "5", "--mu-grid", "2"], ["--overlap-q", "7,11"]])
+    def test_generator_mode_without_generators_exits_2(self, capsys, args):
+        code, out, err = run_cli(capsys, "equidist", "--mode", "generators", *args)
+        assert code == 2
+        assert "--mode generators needs --generators" in err and out == ""
 
     @pytest.mark.parametrize("grid", ["0", "1", "-3"])
     def test_mu_grid_below_two_exits_2(self, capsys, grid):

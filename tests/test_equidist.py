@@ -23,6 +23,7 @@ from cosetapprox.residue_group import (
     coset,
     dth_power_subgroup,
     full_subgroup,
+    subgroup,
     subgroup_from_generators,
     unit_group,
 )
@@ -257,7 +258,7 @@ class TestPowerLift:
 class TestIntervalSystem:
     def test_example_q5(self):
         g = unit_group(5)
-        E = interval_system(5, 1, F(1, 10), 1, full_subgroup(g))
+        E = interval_system(1, F(1, 10), 1, full_subgroup(g))
         assert E.center_count == 4
         assert E.centers() == [1, 2, 3, 4]
         assert E.measure == F(4, 25)
@@ -265,43 +266,51 @@ class TestIntervalSystem:
 
     def test_trivial_subgroup_single_interval(self):
         g = unit_group(9)
-        E = interval_system(9, 1, F(1, 4), 1, subgroup_from_generators(g, []))
+        E = interval_system(1, F(1, 4), 1, subgroup_from_generators(g, []))
         assert E.centers() == [1]
 
     def test_power_case_count(self):
         g = unit_group(7)
-        E = interval_system(7, 2, F(1, 5), 1, dth_power_subgroup(g, 2))
+        E = interval_system(2, F(1, 5), 1, dth_power_subgroup(g, 2))
         assert E.center_count == 21 == len(E.centers())
         assert E.measure == 2 * F(1, 5) * 3 / 7
 
     def test_intervals_disjoint_inside_unit_interval(self):
         g = unit_group(11)
-        E = interval_system(11, 1, F(49, 100), 2, dth_power_subgroup(g, 2))
+        E = interval_system(1, F(49, 100), 2, dth_power_subgroup(g, 2))
         centers = E.centers()
         r = E.radius
         assert all(F(c, E.modulus) - r > 0 and F(c, E.modulus) + r < 1 for c in centers)
         for c1, c2 in zip(centers, centers[1:]):
             assert F(c2 - c1, E.modulus) > 2 * r
 
+    def test_q_is_the_coset_modulus(self):
+        for q in (2, 5, 12, 49):
+            G = dth_power_subgroup(unit_group(q), 2)
+            for d in (1, 2, 3):
+                E = interval_system(d, F(1, 5), 1, G)
+                assert E.q == G.group.n == q
+                assert E.modulus == q**d
+
     def test_rejects_large_alpha(self):
         g = unit_group(5)
         with pytest.raises(ValueError):
-            interval_system(5, 1, F(1, 2), 1, full_subgroup(g))
+            interval_system(1, F(1, 2), 1, full_subgroup(g))
         with pytest.raises(ValueError):
-            interval_system(5, 1, F(3, 5), 1, full_subgroup(g))
+            interval_system(1, F(3, 5), 1, full_subgroup(g))
 
 
 class TestOverlap:
     def test_whole_interval(self):
         g = unit_group(5)
-        E = interval_system(5, 1, F(1, 10), 1, full_subgroup(g))
+        E = interval_system(1, F(1, 10), 1, full_subgroup(g))
         measure, theta = overlap_measure(E, 0, 1)
         assert measure == E.measure
         assert theta == 0
 
     def test_half_interval_example(self):
         g = unit_group(5)
-        E = interval_system(5, 1, F(1, 10), 1, full_subgroup(g))
+        E = interval_system(1, F(1, 10), 1, full_subgroup(g))
         measure, theta = overlap_measure(E, 0, F(1, 2))
         assert measure == F(2, 25)
         assert theta == 0
@@ -315,7 +324,7 @@ class TestOverlap:
             G = dth_power_subgroup(g, rng.randint(1, 4))
             a = rng.choice(g.units())
             alpha = F(rng.randint(1, 999), 2000)
-            E = interval_system(q, d, alpha, a, G)
+            E = interval_system(d, alpha, a, G)
             x, y = sorted((F(rng.randint(0, 1000), 1000), F(rng.randint(0, 1000), 1000)))
             if x == y:
                 y = x + F(1, 1000)
@@ -332,9 +341,40 @@ class TestOverlap:
                     direct += right - left
             assert measure == direct
 
+    def test_edge_families_match_integer_clipping(self):
+        # window ends at p +- alpha, at centers, half-integers, p +- 10^-9, 0
+        # and 1 (scaled by N = q^d), against clipping every center's interval
+        # in integer units of 1/(N D)
+        tiny = F(1, 10**9)
+        specs = [(7, 1, "full"), (12, 1, "generators"), (30, 1, "dth-powers"), (5, 2, "dth-powers"),
+                 (9, 2, "full"), (3, 3, "full"), (4, 3, "generators")]
+        for q, d, mode in specs:
+            g = unit_group(q)
+            G = subgroup(g, mode, 2, g.units()[-1:])
+            for alpha in (F(1, 3), F(3, 7), F(1, 1024), F(511, 1024), F(999, 2000)):
+                E = interval_system(d, alpha, g.units()[-1], G)
+                N = E.modulus
+                centers = E.centers()
+                assert E.measure_upto(0) == 0 and E.measure_upto(N) == E.measure * N
+                ps = {centers[0], centers[-1], centers[len(centers) // 2], q, N // 2}
+                ends = {F(0), F(N)}
+                for p in ps:
+                    ends |= {p - alpha, p + alpha, F(p), p + F(1, 2), p + tiny, p - tiny}
+                ends = sorted(X / N for X in ends if 0 <= X <= N)
+                for i, s in enumerate(ends):
+                    for t in ends[i + 1 :]:
+                        D = math.lcm(alpha.denominator, s.denominator, t.denominator)
+                        r = alpha.numerator * (D // alpha.denominator)
+                        S = s.numerator * (D // s.denominator) * N
+                        T = t.numerator * (D // t.denominator) * N
+                        direct = sum(max(0, min(p * D + r, T) - max(p * D - r, S)) for p in centers)
+                        measure, theta = overlap_measure(E, s, t)
+                        assert measure == F(direct, N * D), (q, d, mode, alpha, s, t)
+                        assert abs(theta) <= 2
+
     def test_monotone_in_window(self):
         g = unit_group(13)
-        E = interval_system(13, 1, F(1, 5), 1, dth_power_subgroup(g, 2))
+        E = interval_system(1, F(1, 5), 1, dth_power_subgroup(g, 2))
         last = F(0)
         for j in range(1, 11):
             m, _ = overlap_measure(E, 0, F(j, 10))
@@ -343,7 +383,7 @@ class TestOverlap:
 
     def test_bound_check_examples(self):
         g = unit_group(5)
-        E = interval_system(5, 1, F(1, 10), 1, full_subgroup(g))
+        E = interval_system(1, F(1, 10), 1, full_subgroup(g))
         rep = overlap_bound_check([(F(0), F(1))], E)
         assert rep.multiplier == 1 and rep.excess == 0
         rep = overlap_bound_check([(F(0), F(1, 2))], E)
@@ -351,7 +391,7 @@ class TestOverlap:
 
     def test_bound_check_validation(self):
         g = unit_group(5)
-        E = interval_system(5, 1, F(1, 10), 1, full_subgroup(g))
+        E = interval_system(1, F(1, 10), 1, full_subgroup(g))
         with pytest.raises(ValueError):
             overlap_bound_check([], E)
         with pytest.raises(ValueError):
@@ -363,7 +403,7 @@ class TestOverlap:
         for q in (101, 331, 1009, 3301):
             g = unit_group(q)
             G = dth_power_subgroup(g, 2)
-            systems.append(interval_system(q, 2, F(1, 5), 1, G))
+            systems.append(interval_system(2, F(1, 5), 1, G))
         rep = overlap_excess_sweep(A, systems)
         assert rep.decays
         assert rep.rows[-1][2] < rep.rows[0][2]
@@ -373,7 +413,7 @@ class TestOverlap:
         A = [(F(1, 10), F(1, 5))]
 
         def system(q, d):
-            return interval_system(q, d, F(1, 5), 1, full_subgroup(unit_group(q)))
+            return interval_system(d, F(1, 5), 1, full_subgroup(unit_group(q)))
 
         for qds, message in (
             (((7, 1),), "at least two systems"),

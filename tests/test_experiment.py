@@ -500,6 +500,17 @@ class TestMonteCarlo:
             serial.summary_dict(), sort_keys=True
         )
 
+    @pytest.mark.parametrize("threads", [0, -3, True, 1.5, "2"])
+    def test_threads_must_be_a_positive_int(self, monkeypatch, threads):
+        def refuse(max_workers):
+            raise AssertionError("a rejected thread count must start no pool")
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+        exp = prepare(small_cfg(K=50, samples=4))
+        with pytest.raises(ValueError, match="threads must be an int >= 1"):
+            exp.monte_carlo(threads=threads)
+
     def test_pool_workers_do_not_prepare(self, monkeypatch):
         exp = prepare(small_cfg(K=50, samples=12))
         serial = exp.monte_carlo()

@@ -13,6 +13,7 @@ from cosetapprox.residue_group import (
     full_subgroup,
     index,
     is_dth_power,
+    subgroup,
     subgroup_from_generators,
     unit_group,
 )
@@ -115,6 +116,23 @@ class TestSubgroups:
         assert subgroup_from_generators(g, [3]).elements == (1, 2, 3, 4, 5, 6)
         with pytest.raises(ValueError):
             subgroup_from_generators(unit_group(10), [5])
+
+    def test_mode_spec_matches_the_direct_constructors(self):
+        # each mode reads only its own input: d for the powers, the list for
+        # the generators
+        def same(G, H):
+            return (G.elements, G.generators) == (H.elements, H.generators)
+
+        for n in range(2, 201):
+            g = unit_group(n)
+            units = g.units()
+            for d in range(1, 7):
+                gens = tuple(units[d - 1 : d + 1])
+                assert same(subgroup(g, "full", d, gens), full_subgroup(g)), (n, d)
+                assert same(subgroup(g, "dth-powers", d, gens), dth_power_subgroup(g, d)), (n, d)
+                assert same(subgroup(g, "generators", d, gens), subgroup_from_generators(g, gens)), (n, d)
+        with pytest.raises(ValueError, match="subgroup mode must be one of"):
+            subgroup(unit_group(7), "squares", 2, ())
 
     def test_closure_of_several_generators(self):
         # the closure is every product x^i y^j; the generators mod 2^e need two
