@@ -368,12 +368,13 @@ class GrowthRow:
     pow_argmax: int
 
 
-def trend_threshold(stat: str, eps: float, d: int = 2) -> int | None:
+def trend_threshold(stat: str, eps: float) -> int | None:
     """Block bound past which the growth-scan maxima should stop increasing.
 
-    Marginal analysis: a new prime p multiplies base^omega by base = 2d (or
-    tau by 2) while n^eps grows by p^eps, so new primes pay only while
-    p^eps < base; raising an existing exponent a to a+1 multiplies tau by
+    Marginal analysis: a new prime p multiplies 4^omega by 4 (or tau by 2)
+    while n^eps grows by p^eps, so new primes pay only while p^eps < 4 (or 2).
+    Base 4 = 2d is growth_scan's default d = 2, the scan check_growth_trend
+    reads.  Raising an existing exponent a to a+1 multiplies tau by
     (a+2)/(a+1), so it pays while that beats p^eps.  The product of all
     paying prime powers bounds the turnover region.  Returns None when the
     bound exceeds any desk-scale scan (notably eps = 0.25), in which case
@@ -384,9 +385,8 @@ def trend_threshold(stat: str, eps: float, d: int = 2) -> int | None:
     cap = 5 * 10**6
     threshold = 1
     if stat == "pow_omega":
-        base = 2 * d
         for p in primes_up_to(10**4):
-            if p**eps >= base:
+            if p**eps >= 4:
                 break
             threshold *= p
             if threshold > cap:

@@ -58,6 +58,15 @@ _LOW_WORD = (1 << 64) - 1
 _SCREEN_Q_LIMIT = 1 << 53  # the hit screen's error bound needs Q_k exact in a double
 
 
+def _integer(name: str, v):
+    """v, when it is a Python int and not a bool; config integers are never
+    coerced, so a config built in Python round-trips through JSON as one
+    read by from_dict does."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"config field '{name}' must be an integer, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class QSequence:
     """Rule producing the strictly increasing moduli q_1 < q_2 < ..."""
@@ -70,6 +79,8 @@ class QSequence:
             raise ValueError(f"q_sequence kind must be one of {Q_KINDS}, got {self.kind!r}")
         if (self.kind == "explicit") != (self.values is not None):
             raise ValueError("q_sequence values are required exactly for kind 'explicit'")
+        for v in self.values or ():
+            _integer("q_sequence.values", v)
 
 
 @dataclass(frozen=True)
@@ -113,6 +124,10 @@ class ExperimentConfig:
     min_hits: int = 5
 
     def __post_init__(self) -> None:
+        for name in ("d", "a", "K", "samples", "precision_bits", "seed", "min_hits"):
+            _integer(name, getattr(self, name))
+        for v in self.generators:
+            _integer("generators", v)
         if self.d < 1 or self.a < 1 or self.K < 1 or self.samples < 1:
             raise ValueError("d, a, K and samples must all be positive")
         if self.precision_bits < 8:
@@ -162,11 +177,6 @@ class ExperimentConfig:
             if unknown:
                 raise ValueError(f"unknown {where} field(s): {', '.join(map(str, unknown))}")
 
-        def integer(name, v):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"config field '{name}' must be an integer, got {v!r}")
-            return v
-
         def rational(name, v):
             try:
                 if isinstance(v, (int, str)) and not isinstance(v, bool):
@@ -192,7 +202,7 @@ class ExperimentConfig:
             return {name: parse(name, data[name])} if name in data else {}
 
         known("config", data, _CONFIG_KEYS)
-        version = integer("schema_version", data.get("schema_version", 1))
+        version = _integer("schema_version", data.get("schema_version", 1))
         if version != 1:
             raise ValueError(f"unsupported schema_version {version}")
         qd = need("q_sequence")
@@ -201,7 +211,7 @@ class ExperimentConfig:
         known("q_sequence", qd, {"kind", "values"})
         qseq = QSequence(
             kind=qd["kind"],
-            values=each("q_sequence.values", qd["values"], integer) if "values" in qd else None,
+            values=each("q_sequence.values", qd["values"], _integer) if "values" in qd else None,
         )
         ad = need("alpha_sequence")
         if not isinstance(ad, dict) or "kind" not in ad:
@@ -217,15 +227,15 @@ class ExperimentConfig:
         return ExperimentConfig(
             q_sequence=qseq,
             alpha_sequence=aseq,
-            d=integer("d", need("d")),
-            a=integer("a", need("a")),
+            d=_integer("d", need("d")),
+            a=_integer("a", need("a")),
             subgroup_mode=need("subgroup_mode"),
-            **optional("generators", lambda name, vs: each(name, vs, integer)),
-            K=integer("K", need("K")),
-            samples=integer("samples", need("samples")),
-            **optional("precision_bits", integer),
-            seed=integer("seed", need("seed")),
-            **optional("min_hits", integer),
+            **optional("generators", lambda name, vs: each(name, vs, _integer)),
+            K=_integer("K", need("K")),
+            samples=_integer("samples", need("samples")),
+            **optional("precision_bits", _integer),
+            seed=_integer("seed", need("seed")),
+            **optional("min_hits", _integer),
         )
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import brute_r_d, brute_u_d, euler_phi, factor, r_d, tau, u_d
+from .arith import brute_r_d, brute_u_d, euler_phi, factor, growth_scan, r_d, trend_threshold, u_d
 from .characters import (
     all_characters,
     evaluate,
@@ -37,17 +37,17 @@ from .experiment import (
     AlphaSequence,
     ExperimentConfig,
     QSequence,
+    _sample_point,
     check_conditions,
     prepare,
 )
 from .residue_group import (
+    SUBGROUP_MODES,
     Subgroup,
     coset,
     dth_power_subgroup,
-    full_subgroup,
     index,
     subgroup,
-    subgroup_from_generators,
     unit_group,
 )
 
@@ -125,11 +125,11 @@ def check_sieve_identity(n_max: int = 2000, grid: int = 40) -> tuple[bool, str]:
     """Inclusion-exclusion count equals the gcd scan and |R| <= tau(n)."""
     bad = 0
     for n in range(2, n_max + 1):
-        t = tau(factor(n))
         for j in range(1, grid + 1):
             mu = Fraction(j, 20)
-            count, rem = phi_mu_sieve(n, mu)
-            if count != phi_mu(n, mu) or abs(rem) > t:
+            # phi_mu_sieve raises ArithmeticError itself when |R| > tau(n)
+            count, _ = phi_mu_sieve(n, mu)
+            if count != phi_mu(n, mu):
                 bad += 1
     return bad == 0, f"n <= {n_max}, {grid} mu values, {bad} violations"
 
@@ -164,12 +164,20 @@ def check_polya_vinogradov(n_max: int = 1000) -> tuple[bool, str]:
     return violations == 0, f"n <= {n_max}, {violations} violations, min slack {worst_slack:.3f}"
 
 
-def _random_unit(rng: random.Random, n: int) -> int:
-    """A uniformly drawn unit mod n, by rejection; 1 for n = 2, with no draw."""
+def _random_generator(rng: random.Random, n: int) -> int:
+    """A uniformly drawn unit in [1, n - 1], by rejection.  It draws even at
+    n = 2, where the only unit is 1: the subgroup-generator draws always
+    did, and the seeded streams depend on it."""
     while True:
-        a = rng.randint(1, n - 1) if n > 2 else 1
-        if math.gcd(a, n) == 1:
-            return a
+        x = rng.randint(1, n - 1)
+        if math.gcd(x, n) == 1:
+            return x
+
+
+def _random_unit(rng: random.Random, n: int) -> int:
+    """A uniformly drawn coset representative mod n: 1 for n = 2 with no
+    draw, which the seeded streams depend on, else _random_generator."""
+    return 1 if n == 2 else _random_generator(rng, n)
 
 
 def sample_count_tuples(count: int, n_max: int, seed: int) -> list[tuple[int, Subgroup, int, Fraction]]:
@@ -179,23 +187,10 @@ def sample_count_tuples(count: int, n_max: int, seed: int) -> list[tuple[int, Su
     out = []
     while len(out) < count:
         n = rng.randint(2, n_max)
-        g = unit_group(n)
-        mode = rng.randrange(4)
-        if mode == 0:
-            G = full_subgroup(g)
-        elif mode == 1:
-            G = subgroup_from_generators(g, [])
-        elif mode == 2:
-            G = dth_power_subgroup(g, rng.randint(2, 6))
-        else:
-            gens = []
-            for _ in range(rng.randint(1, 2)):
-                while True:
-                    x = rng.randint(1, n - 1)
-                    if math.gcd(x, n) == 1:
-                        gens.append(x)
-                        break
-            G = subgroup_from_generators(g, gens)
+        mode = rng.randrange(4)  # mode 1 is the trivial subgroup, no generators
+        power = rng.randint(2, 6) if mode == 2 else 1
+        gens = [_random_generator(rng, n) for _ in range(rng.randint(1, 2))] if mode == 3 else []
+        G = subgroup(unit_group(n), ("full", "generators", "dth-powers", "generators")[mode], power, gens)
         a = _random_unit(rng, n)
         mu = Fraction(rng.randint(1, 40), 20)
         out.append((n, G, a, mu))
@@ -239,18 +234,10 @@ def check_overlap_theta(cases: int = 1000) -> tuple[bool, str]:
     for _ in range(cases):
         q = rng.randint(2, 200)
         d = rng.choice((1, 2))
-        g = unit_group(q)
         mode = rng.randrange(3)
-        if mode == 0:
-            G = full_subgroup(g)
-        elif mode == 1:
-            G = dth_power_subgroup(g, rng.randint(2, 4))
-        else:
-            while True:
-                x = rng.randint(1, q - 1)
-                if math.gcd(x, q) == 1:
-                    break
-            G = subgroup_from_generators(g, [x])
+        power = rng.randint(2, 4) if mode == 1 else 1  # the subgroup's power, not the system's d
+        gens = [_random_generator(rng, q)] if mode == 2 else []
+        G = subgroup(unit_group(q), SUBGROUP_MODES[mode], power, gens)
         a = _random_unit(rng, q)
         alpha = Fraction(rng.randint(1, 999), 2000)
         E = interval_system(d, alpha, a, G)
@@ -260,12 +247,10 @@ def check_overlap_theta(cases: int = 1000) -> tuple[bool, str]:
             hi = lo + Fraction(1, 1000)
         s, t = min(lo, hi), max(lo, hi)
         try:
-            measure, theta = overlap_measure(E, s, t)
-        except ArithmeticError:
+            measure, _ = overlap_measure(E, s, t)
+        except ArithmeticError:  # overlap_measure enforces |theta| <= 2 by raising
             bad += 1
             continue
-        if abs(theta) > 2:
-            bad += 1
         if E.center_count <= 3000:
             # clip each center in integer units of 1/(N D)
             oracle_checked += 1
@@ -343,8 +328,6 @@ def check_growth_trend(n_max: int = 2**18) -> tuple[bool, str]:
     """Block maxima of tau(n)/sqrt(n) and 4^omega(n)/sqrt(n) decline past
     their documented turnover thresholds (eps = 0.25 has no desk-scale
     threshold and is reported only)."""
-    from .arith import growth_scan, trend_threshold
-
     rows = growth_scan(n_max)
     bad = 0
     for stat in ("tau", "pow_omega"):
@@ -414,37 +397,26 @@ def check_power_lift() -> tuple[bool, str]:
     return bad == 0, f"{cases} cases, {bad} mismatches"
 
 
+def _config(alpha=("c/k", Fraction(1, 3)), q=QSequence("integers"), **fields) -> ExperimentConfig:
+    """The config over q with the alpha rule (kind, c): one sample and the
+    ExperimentConfig defaults, except where fields says otherwise."""
+    kind, c = alpha
+    fields.setdefault("samples", 1)
+    return ExperimentConfig(q_sequence=q, alpha_sequence=AlphaSequence(kind, c=c), **fields)
+
+
 def _hit_test_configs() -> list[ExperimentConfig]:
-    odd_primes = (3, 5, 7, 11, 13, 17, 19, 23, 29)
+    odd_primes = QSequence("explicit", values=(3, 5, 7, 11, 13, 17, 19, 23, 29))
     return [
-        ExperimentConfig(
-            q_sequence=QSequence("integers"),
-            alpha_sequence=AlphaSequence("c/k", c=Fraction(1, 3)),
-            d=1,
-            subgroup_mode="full",
-            K=30,
-            samples=1,
-            seed=7,
-        ),
-        ExperimentConfig(
-            q_sequence=QSequence("explicit", values=odd_primes),
-            alpha_sequence=AlphaSequence("c*2^-k", c=Fraction(2, 5)),
-            d=2,
-            a=1,
-            subgroup_mode="dth-powers",
-            K=9,
-            samples=1,
-            seed=7,
-        ),
-        ExperimentConfig(
-            q_sequence=QSequence("explicit", values=odd_primes),
-            alpha_sequence=AlphaSequence("c/(k log k)", c=Fraction(1, 3)),
-            d=1,
+        _config(K=30, seed=7),
+        _config(("c*2^-k", Fraction(2, 5)), odd_primes, d=2, subgroup_mode="dth-powers", K=9, seed=7),
+        _config(
+            ("c/(k log k)", Fraction(1, 3)),
+            odd_primes,
             a=2,
             subgroup_mode="generators",
             generators=(4,),
             K=9,
-            samples=1,
             seed=7,
         ),
     ]
@@ -463,8 +435,6 @@ def _coset_member(cfg: ExperimentConfig, q: int):
 def check_hits_brute(samples: int = 25) -> tuple[bool, str]:
     """find_hits against a full scan of every numerator p in [0, q^d], with
     coset membership read from explicit cosets."""
-    from .experiment import _sample_point
-
     seed = 0xD10
     rng = random.Random(seed)
     bad = 0
@@ -492,16 +462,7 @@ def check_hits_brute(samples: int = 25) -> tuple[bool, str]:
 
 def check_mc_determinism() -> tuple[bool, str]:
     """Identical seed, different parallelism: byte-identical summaries."""
-    cfg = ExperimentConfig(
-        q_sequence=QSequence("integers"),
-        alpha_sequence=AlphaSequence("c/k", c=Fraction(1, 3)),
-        d=1,
-        subgroup_mode="full",
-        K=64,
-        samples=24,
-        seed=99,
-        min_hits=3,
-    )
+    cfg = _config(K=64, samples=24, seed=99, min_hits=3)
     blobs = []
     for t in (1, 1, 2):
         res = prepare(cfg).monte_carlo(threads=t)
@@ -513,16 +474,7 @@ def check_mc_determinism() -> tuple[bool, str]:
 def check_mc_dichotomy(K: int = 2000, samples: int = 150) -> tuple[bool, str]:
     """Reduced Monte Carlo dichotomy: the convergent control obeys its union
     bound plus a 3 sigma margin, and a divergent config accumulates hits."""
-    control = ExperimentConfig(
-        q_sequence=QSequence("integers"),
-        alpha_sequence=AlphaSequence("c*2^-k", c=Fraction(1, 4)),
-        d=1,
-        subgroup_mode="full",
-        K=K,
-        samples=samples,
-        seed=123,
-        min_hits=3,
-    )
+    control = _config(("c*2^-k", Fraction(1, 4)), K=K, samples=samples, seed=123, min_hits=3)
     exp = prepare(control)
     res = exp.monte_carlo()
     ub = min(check_conditions(exp).union_bound, Fraction(1))
@@ -531,16 +483,7 @@ def check_mc_dichotomy(K: int = 2000, samples: int = 150) -> tuple[bool, str]:
     ok_control = float(f1) <= float(ub) + margin
     # Radii of 1/(6k) keep the early hit fractions clearly below saturation,
     # so the strict growth along the ladder is observable.
-    divergent = ExperimentConfig(
-        q_sequence=QSequence("integers"),
-        alpha_sequence=AlphaSequence("c/k", c=Fraction(1, 6)),
-        d=1,
-        subgroup_mode="full",
-        K=K,
-        samples=samples,
-        seed=124,
-        min_hits=3,
-    )
+    divergent = _config(("c/k", Fraction(1, 6)), K=K, samples=samples, seed=124, min_hits=3)
     res2 = prepare(divergent).monte_carlo()
     ladder = res2.k_ladder
     ok_mono = all(
@@ -559,16 +502,7 @@ def check_mc_dichotomy(K: int = 2000, samples: int = 150) -> tuple[bool, str]:
 def check_conditions_reduction() -> tuple[bool, str]:
     """With the full unit group the density ratio reduces to the classical
     totient-weighted form, prefix by prefix."""
-    cfg = ExperimentConfig(
-        q_sequence=QSequence("integers"),
-        alpha_sequence=AlphaSequence("c/k", c=Fraction(1, 3)),
-        d=1,
-        subgroup_mode="full",
-        K=200,
-        samples=1,
-        seed=1,
-    )
-    rep = check_conditions(prepare(cfg))
+    rep = check_conditions(prepare(_config(K=200, seed=1)))
     a_sum = Fraction(0)
     w_sum = Fraction(0)
     k = 0

@@ -341,7 +341,7 @@ class TestGrowthScan:
     def test_block_maxima_trend_at_half(self):
         rows = growth_scan(2**18, d=2)
         for stat in ("tau", "pow_omega"):
-            threshold = trend_threshold(stat, 0.5, d=2)
+            threshold = trend_threshold(stat, 0.5)
             assert threshold is not None
             vals = [
                 (r.block_lo, r.tau_max if stat == "tau" else r.pow_max)
@@ -354,8 +354,8 @@ class TestGrowthScan:
     def test_quarter_eps_is_reported_but_not_asserted(self):
         # The turnover for eps = 0.25 sits beyond any desk-scale scan, so the
         # threshold is None and only the table is produced.
-        assert trend_threshold("tau", 0.25, d=2) is None
-        assert trend_threshold("pow_omega", 0.25, d=2) is None
+        assert trend_threshold("tau", 0.25) is None
+        assert trend_threshold("pow_omega", 0.25) is None
         rows = [r for r in growth_scan(2**12) if r.eps == 0.25]
         assert rows and all(r.tau_max > 0 and r.pow_max > 0 for r in rows)
 

@@ -9,6 +9,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +121,50 @@ class TestConfig:
     def test_mode_needs_generators(self):
         with pytest.raises(ValueError):
             small_cfg(subgroup_mode="generators")
+
+    @pytest.mark.parametrize(
+        "changes, name",
+        [
+            ({"d": True}, "d"),
+            ({"seed": False}, "seed"),
+            ({"K": 20.0}, "K"),
+            ({"K": np.int64(20), "seed": np.int64(3)}, "K"),
+            ({"samples": np.int32(4)}, "samples"),
+            ({"precision_bits": 128.0}, "precision_bits"),
+            ({"a": np.int64(1)}, "a"),
+            ({"min_hits": True}, "min_hits"),
+            ({"subgroup_mode": "generators", "generators": (2, np.int64(4))}, "generators"),
+        ],
+    )
+    def test_python_built_config_rejects_non_integers(self, changes, name):
+        # a config built in Python obeys from_dict's integer rule, so its
+        # summary's "config" always serializes and parses back
+        with pytest.raises(ValueError, match=f"config field '{name}' must be an integer"):
+            small_cfg(**changes)
+
+    @pytest.mark.parametrize("values", [(3, 5.0), (True, 5), (3, np.int64(5))])
+    def test_q_values_reject_non_integers(self, values):
+        with pytest.raises(ValueError, match="config field 'q_sequence.values' must be an integer"):
+            QSequence("explicit", values=values)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {},
+            {"d": 2, "subgroup_mode": "dth-powers", "seed": 2**70},
+            {
+                "a": 2,
+                "subgroup_mode": "generators",
+                "generators": (4, 7),
+                "q_sequence": QSequence("explicit", values=(3, 5, 11)),
+                "K": 3,
+            },
+        ],
+        ids=["full", "dth-powers", "generators"],
+    )
+    def test_python_built_config_round_trips(self, changes):
+        cfg = small_cfg(**changes)
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 class TestMaterialization:

@@ -1,7 +1,11 @@
-"""The verify checks' own oracles, at the edges of their ranges."""
+"""The verify checks' own oracles, at the edges of their ranges, and the
+seeded draws and quick-scale details they give."""
 
+import hashlib
 import math
 from fractions import Fraction
+
+import pytest
 
 from cosetapprox import experiment, verify
 from cosetapprox.verify import check_formula_oracle, check_hits_brute, check_overlap_theta
@@ -33,3 +37,62 @@ def test_hit_oracle_catches_a_wrong_membership_test(monkeypatch):
     monkeypatch.setattr(experiment, "is_dth_power", lambda f, x, d: math.gcd(x, f.n) == 1)
     ok, detail = check_hits_brute(10)
     assert not ok, detail
+
+
+@pytest.mark.parametrize(
+    "count, n_max, digest",
+    [
+        (40, 300, "0b7e63f3a31d8ddba8f70cbd0239e138a8eee72f421477f6eaccdca1c77da81b"),
+        (60, 1000, "3ff46cc8853edc9d77dde3292b6541ba93a7e40a297315ce080d24bd9ec64839"),
+        (200, 2000, "6cdd2fd8b43ef682a956fe87a005290ecddd6cf4792e8b0397b1b8986d2a12c6"),
+    ],
+)
+def test_sampled_tuples_are_pinned(count, n_max, digest):
+    # the (count, n_max) pairs of the quick, bench and full scales, under the
+    # suite's seed: any change to the draw order changes every tuple after it
+    records = [
+        (n, G.elements, G.generators, a, str(mu))
+        for n, G, a, mu in verify.sample_count_tuples(count, n_max, 0xC0DE)
+    ]
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
+
+
+def test_overlap_systems_are_pinned(monkeypatch):
+    # every (system, window) the quick-scale check builds, in order
+    records = []
+    exact = verify.overlap_measure
+
+    def recorded(E, s, t):
+        c = E.coset
+        records.append(
+            (E.d, str(E.alpha), E.q, c.representative, c.elements, c.subgroup.generators, str(s), str(t))
+        )
+        return exact(E, s, t)
+
+    monkeypatch.setattr(verify, "overlap_measure", recorded)
+    check_overlap_theta(150)
+    assert len(records) == 150
+    assert (
+        hashlib.sha256(repr(records).encode()).hexdigest()
+        == "32b0ce9088e6884f0caa2adf23bb3e50eec259514582fb2e1ee4e6b0d27f2880"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, detail",
+    [
+        ("overlap_theta", "150 cases (115 against the clipping oracle), 0 bad"),
+        ("counting_identity", "40 tuples, 0 violations, worst deviation 6.87e-15"),
+        ("equidistribution_bound", "40 tuples, 0 violations, worst normalized error 0.033"),
+        ("hit_finding", "30 sampled points, 0 disagreements"),
+        ("mc_determinism", "threads (1, 1, 2): identical"),
+        (
+            "mc_dichotomy",
+            "control F(1,K)=0.460 vs bound 0.390+0.207; divergent monotone=True, strict=True",
+        ),
+    ],
+)
+def test_quick_details_are_pinned(name, detail):
+    # ok alone would not see a draw that moved: these counts and statistics do
+    check, quick_args, _ = verify._CHECKS[name]
+    assert check(*quick_args) == (True, detail)
