@@ -18,7 +18,6 @@ from .arith import (
 )
 from .characters import (
     all_characters,
-    char_sum,
     evaluate,
     pv_bound,
     quotient_characters,

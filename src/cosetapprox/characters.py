@@ -20,7 +20,6 @@ from .residue_group import Subgroup, UnitGroup
 
 __all__ = [
     "all_characters",
-    "char_sum",
     "character_matrix",
     "character_prefix_sums",
     "evaluate",
@@ -64,17 +63,6 @@ def evaluate(g: UnitGroup, chi, m: int) -> complex:
     return cmath.exp(2j * cmath.pi * t / L)
 
 
-def char_sum(g: UnitGroup, chi, h: int) -> complex:
-    """Partial sum of chi(k) for k = 1..h, folding over full periods."""
-    if h < 0:
-        raise ValueError(f"upper limit must be >= 0, got {h}")
-    full, rem = divmod(h, g.n)
-    total = 0j if any(chi) else complex(full * g.phi)
-    for k in range(1, rem + 1):
-        total += evaluate(g, chi, k)
-    return total
-
-
 def quotient_characters(G: Subgroup) -> np.ndarray:
     """The rows of all_characters trivial on G: exactly index(G) of them, and
     precisely those arising from characters of the quotient group.
@@ -100,7 +88,7 @@ def pv_bound(n: int) -> float:
 # The integer log table is one matrix product with the group's dlog_table,
 # and values are gathered from one table of the L-th roots of unity by it,
 # so only L complex exponentials are taken per modulus; the tests pin every
-# cell against evaluate() and the prefix sums against char_sum().
+# cell against evaluate() and the prefix sums against the tests' char_sum.
 # ---------------------------------------------------------------------------
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -67,6 +67,14 @@ def _integer(name: str, v):
     return v
 
 
+def _rational(name: str, v):
+    """v, when it is a Fraction or an int that is not a bool: the Python side
+    of from_dict's rational rule, so a float radius never reaches the sums."""
+    if isinstance(v, Fraction) or (isinstance(v, int) and not isinstance(v, bool)):
+        return v
+    raise ValueError(f"config field '{name}' must be an exact rational, got {v!r}")
+
+
 @dataclass(frozen=True)
 class QSequence:
     """Rule producing the strictly increasing moduli q_1 < q_2 < ..."""
@@ -103,7 +111,9 @@ class AlphaSequence:
         if self.kind == "explicit":
             if self.c is not None:
                 raise ValueError("alpha_sequence kind 'explicit' takes no constant c")
-        elif self.c is None or self.c <= 0:
+            for v in self.values:
+                _rational("alpha_sequence.values", v)
+        elif self.c is None or _rational("alpha_sequence.c", self.c) <= 0:
             raise ValueError(f"alpha_sequence rule {self.kind!r} needs a positive constant c")
 
 
@@ -287,17 +297,18 @@ def _materialize_alpha(cfg: ExperimentConfig) -> tuple[Fraction, ...]:
     if seq.kind == "explicit":
         if len(seq.values) < cfg.K:
             raise ValueError(f"explicit alpha list has {len(seq.values)} entries, K={cfg.K}")
-        vals = seq.values[: cfg.K]
-    elif seq.kind == "c/k":
-        vals = tuple(seq.c / k for k in range(1, cfg.K + 1))
-    elif seq.kind == "c*2^-k":
-        vals = tuple(seq.c / (1 << k) for k in range(1, cfg.K + 1))
-    else:  # c/(k log k)
-        vals = tuple(
-            seq.c / (k * Fraction(max(_LOG_SCALE, round(math.log(k) * _LOG_SCALE)), _LOG_SCALE))
-            for k in range(1, cfg.K + 1)
-        )
-    vals = tuple(map(as_fraction, vals))  # a float radius raises TypeError
+        vals = tuple(map(Fraction, seq.values[: cfg.K]))  # an int radius as a Fraction
+    else:
+        c = Fraction(seq.c)
+        if seq.kind == "c/k":
+            vals = tuple(c / k for k in range(1, cfg.K + 1))
+        elif seq.kind == "c*2^-k":
+            vals = tuple(c / (1 << k) for k in range(1, cfg.K + 1))
+        else:  # c/(k log k)
+            vals = tuple(
+                c / (k * Fraction(max(_LOG_SCALE, round(math.log(k) * _LOG_SCALE)), _LOG_SCALE))
+                for k in range(1, cfg.K + 1)
+            )
     half = Fraction(1, 2)
     for k, a in enumerate(vals, start=1):
         if not (0 < a < half):
@@ -544,6 +555,56 @@ def _two_odd(b: int) -> tuple[int, int]:
     return e, b >> e
 
 
+def _prefix_steps(dens, nums, cps: tuple[int, ...]):
+    """_prefix_ratio's pass as a generator: one step per next(), yielding
+    whether prefix n is a new argmin (True at n = 1), and returning
+    _prefix_ratio's result when the series end.  check_conditions moves one
+    forward lazily as its exact cursor; see _prefix_ratio for the proof."""
+    cps_set = set(cps)
+    E, O = 0, 1
+    D = N = Dj = Nj = 0
+    r = 0.0
+    rows = []
+    floats = exact = 0
+    for n, (x, y) in enumerate(zip(dens, nums), start=1):
+        ex, ox = _two_odd(x.denominator)
+        ey, oy = _two_odd(y.denominator)
+        o = ox * oy // math.gcd(ox, oy)
+        shift = max(ex, ey, E) - E
+        E += shift
+        quo, rem = divmod(O, o)
+        m = 1
+        if rem:
+            g = math.gcd(rem, o)
+            m = o // g
+            quo = quo * m + rem // g
+            O *= m
+        if m > 1 or shift:
+            s = m << shift
+            D, N, Dj, Nj = D * s, N * s, Dj * s, Nj * s
+        D += ((x.numerator * (o // ox)) << (E - ex)) * quo
+        N += ((y.numerator * (o // oy)) << (E - ey)) * quo
+        if n in cps_set:
+            rows.append((O << E, D, N))
+        if n > 1:
+            dN, dD = N - Nj, D - Dj
+            t = dN / dD
+            if t == r:
+                exact += 1
+                if dN * Dj >= Nj * dD:
+                    yield False
+                    continue
+            else:
+                floats += 1
+                if t > r:
+                    yield False
+                    continue
+        Dj, Nj = D, N
+        r = N / D
+        yield True
+    return tuple(rows), Fraction(Nj, Dj), floats, exact
+
+
 def _prefix_ratio(dens, nums, cps: tuple[int, ...]):
     """The exact prefix-ratio pass over the series dens_k > 0 and nums_k > 0.
 
@@ -553,6 +614,11 @@ def _prefix_ratio(dens, nums, cps: tuple[int, ...]):
     how many of its comparisons floats decided and how many fell back to
     exact integers.  The series are consumed lazily.  Both callers pass
     nums_k / dens_k = |G_k| / q_k, a density in (0, 1].
+
+    This pass is the oracle of check_conditions' screen (_prefix_argmin),
+    and, run forward lazily as _prefix_steps, its exact fallback; the
+    checkpoint rows of ConditionsReport and abel_condition_check run it to
+    the end.  It costs O(K * bits) of the common denominator.
 
     Integers.  D_n and N_n are kept as integers D and N over one common
     denominator L = 2^E O with O odd, so r_n = N / D and no Fraction is
@@ -586,46 +652,159 @@ def _prefix_ratio(dens, nums, cps: tuple[int, ...]):
     the integers decide, by
         (N_n - N_j) D_j < N_j (D_n - D_j).
     """
-    cps_set = set(cps)
-    E, O = 0, 1
-    D = N = Dj = Nj = 0
-    r = 0.0
-    rows = []
-    floats = exact = 0
-    for n, (x, y) in enumerate(zip(dens, nums), start=1):
-        ex, ox = _two_odd(x.denominator)
-        ey, oy = _two_odd(y.denominator)
-        o = ox * oy // math.gcd(ox, oy)
-        shift = max(ex, ey, E) - E
-        E += shift
-        quo, rem = divmod(O, o)
-        m = 1
-        if rem:
-            g = math.gcd(rem, o)
-            m = o // g
-            quo = quo * m + rem // g
-            O *= m
-        if m > 1 or shift:
-            s = m << shift
-            D, N, Dj, Nj = D * s, N * s, Dj * s, Nj * s
-        D += ((x.numerator * (o // ox)) << (E - ex)) * quo
-        N += ((y.numerator * (o // oy)) << (E - ey)) * quo
-        if n in cps_set:
-            rows.append((O << E, D, N))
-        if n > 1:
-            dN, dD = N - Nj, D - Dj
-            t = dN / dD
-            if t == r:
-                exact += 1
-                if dN * Dj >= Nj * dD:
-                    continue
-            else:
-                floats += 1
-                if t > r:
-                    continue
-        Dj, Nj = D, N
-        r = N / D
-    return tuple(rows), Fraction(Nj, Dj), floats, exact
+    steps = _prefix_steps(dens, nums, cps)
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
+
+
+_EMPTY = -(1 << 62)  # exponent of an empty float sum, whose mantissa is 0.0
+_LEAF = 32  # terms per leaf of _lcm_sum's tree
+
+
+def _series(exp: Experiment, lo: int = 0, hi: int | None = None):
+    """The terms alpha_k and alpha_k |G_k| / q_k, lo < k <= hi, as two
+    iterators of (numerator, denominator) pairs, the second unreduced."""
+    alphas = exp.alphas[lo:hi]
+    dens = ((a.numerator, a.denominator) for a in alphas)
+    nums = (
+        (a.numerator * order, a.denominator * q)
+        for q, a, order in zip(exp.qs[lo:hi], alphas, exp.orders[lo:hi])
+    )
+    return dens, nums
+
+
+def _float_term(term: tuple[int, int]) -> tuple[float, int]:
+    """(m, x) with m 2^x the correctly rounded double of n / d for term =
+    (n, d), 1/2 <= m < 1 and x an int of any size: the division is scaled
+    to land in [1/2, 2), so neither underflow nor overflow can occur."""
+    n, d = term
+    s = d.bit_length() - n.bit_length()
+    m, x = math.frexp((n << s) / d if s >= 0 else n / (d << -s))
+    return m, x - s
+
+
+def _screen_margin(K: int) -> float:
+    """The relative margin M of _prefix_argmin's screen for K terms."""
+    return K * 2.0**-46 if K <= 1 << 36 else math.inf
+
+
+def _prefix_argmin(K: int, terms, cursor) -> tuple[int, int, int]:
+    """(j, floats, exact): the first argmin j of r_n = N_n / D_n over every
+    prefix n <= K, and how many of the K - 1 fall tests the float screen
+    decided and how many it left to the exact cursor.
+
+    terms yields, per index, the (m, x) pairs of _float_term of dens_k and
+    nums_k; cursor is _prefix_steps over the same series, not yet started.
+
+    Screen.  Fall tests are _prefix_ratio's: with j the argmin so far,
+    r_n < r_j iff rho < 1, where
+        rho = (N_n - N_j) D_j / ((D_n - D_j) N_j).
+    The tails T_N = N_n - N_j and T_D = D_n - D_j are float sums of the
+    terms j < k <= n, and D_j, N_j float sums built by adding each tail in
+    when its last term becomes the argmin.  Every sum is a double mantissa
+    s with an int exponent E: adding m 2^x aligns the smaller one with an
+    exact ldexp (or one that underflows) and adds.  The larger operand has
+    a mantissa >= 1/2, so no sum falls below 1/2 and the relative precision
+    holds whatever the exponents, past the double range (c*2^-k radii).
+    Each term adds less than 1 to s (plus rounding), so s < K + 1 and no
+    product or quotient of mantissas below overflows or underflows.
+
+    Margin.  Let u = 2^-53.  Each term's (m, x) is within a factor 1 + u of
+    the term.  Each addition multiplies the sum by at most 1 + u plus the
+    underflowed part of the smaller operand, at most 2^-1074 against a
+    larger operand of mantissa >= 1/2; so by 1 + 1.01u.  A term passes
+    through at most 2K additions (its tail's and one merge per later
+    argmin), so each of the four sums is within a factor (1 + 1.01u)^(2K+1)
+    <= 1 + eps of its exact value, eps = 8 K u = K 2^-50, for K <= 2^36.
+    The computed rho' = ldexp(frexp((T_N' D_j') / (T_D' N_j'))) takes three
+    more roundings (two products, one quotient; frexp is exact, and the
+    exponent is clamped to [-64, 64], which keeps the side of 1 and any
+    ldexp from rounding).  So with eps <= 2^-14,
+        rho' / rho  lies within  [1 / (1 + 5 eps), 1 + 5 eps].
+    With M = _screen_margin(K) = K 2^-46 = 16 eps,
+        rho' < 1 - M  gives  rho < (1 - 16 eps)(1 + 5 eps) < 1:  a new argmin,
+        rho' > 1 + M  gives  rho > (1 + 16 eps) / (1 + 5 eps) > 1:  none.
+    Past K = 2^36 the margin is infinite and no step is screened.
+
+    Fallback.  Every step within the margin, exact ties among them, goes to
+    the cursor, _prefix_steps run forward to step n; it decides all the
+    steps up to n exactly, so the first argmin on ties is kept.  The
+    cursor only moves forward: at worst (a tie at every step) it runs
+    once through, which is what _prefix_ratio costs.
+    """
+    lo, hi = 1 - _screen_margin(K), 1 + _screen_margin(K)
+    terms = iter(terms)
+    (dj, djx), (nj, njx) = next(terms)
+    td = tn = 0.0
+    tdx = tnx = _EMPTY
+    j, taken, floats, exact = 1, 0, 0, 0
+    for n, (d, w) in enumerate(terms, start=2):
+        td, tdx = _float_add(td, tdx, *d)
+        tn, tnx = _float_add(tn, tnx, *w)
+        v, e = math.frexp((tn * dj) / (td * nj))
+        rho = math.ldexp(v, min(max(e + tnx + djx - tdx - njx, -64), 64))
+        if rho < lo or rho > hi:
+            floats += 1
+            new = rho < lo
+        else:
+            exact += 1
+            while taken < n:
+                new = next(cursor)
+                taken += 1
+        if new:
+            j = n
+            dj, djx = _float_add(dj, djx, td, tdx)
+            nj, njx = _float_add(nj, njx, tn, tnx)
+            td = tn = 0.0
+            tdx = tnx = _EMPTY
+    return j, floats, exact
+
+
+def _float_add(s: float, E: int, m: float, x: int) -> tuple[float, int]:
+    """s 2^E + m 2^x for the float sums of _prefix_argmin."""
+    if x <= E:
+        return s + math.ldexp(m, x - E), E
+    return math.ldexp(s, E - x) + m, x
+
+
+def _lcm_add(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """a + b for terms (n, e, o) = n / (2^e o), o odd, over 2^max(e) lcm(o)."""
+    (n1, e1, o1), (n2, e2, o2) = a, b
+    g = math.gcd(o1, o2)
+    E = max(e1, e2)
+    return ((n1 * (o2 // g)) << (E - e1)) + ((n2 * (o1 // g)) << (E - e2)), E, o1 * (o2 // g)
+
+
+def _lcm_sum(pairs) -> tuple[int, int, int]:
+    """The exact sum of the (numerator, denominator) pairs as (n, e, o) =
+    n / (2^e o), o odd (0 / 1 when there are none).  Each leaf of _LEAF
+    terms is summed over the lcm of its small odd parts, then a balanced
+    tree of _lcm_add joins the leaves, so each big lcm is formed O(log K)
+    times, not K times.  Powers of two only shift, and never meet a gcd."""
+    pairs = iter(pairs)
+    nodes = []
+    while leaf := [(n, *_two_odd(d)) for n, d in islice(pairs, _LEAF)]:
+        E = max(e for _, e, _ in leaf)
+        O = math.lcm(*(o for _, _, o in leaf))
+        nodes.append((sum((n * (O // o)) << (E - e) for n, e, o in leaf), E, O))
+    while len(nodes) > 1:
+        nodes = [_lcm_add(*nodes[i : i + 2]) if i + 1 < len(nodes) else nodes[i]
+                 for i in range(0, len(nodes), 2)]
+    return nodes[0] if nodes else (0, 0, 1)
+
+
+def _fraction(term: tuple[int, int, int]) -> Fraction:
+    """The term (n, e, o) = n / (2^e o) as a reduced Fraction."""
+    n, e, o = term
+    return Fraction(n, o << e)
+
+
+def _weighted(exp: Experiment):
+    """The terms alpha_k |G_k| / q_k as Fractions, built lazily."""
+    return (a * Fraction(order, q) for q, a, order in zip(exp.qs, exp.alphas, exp.orders))
 
 
 @dataclass(frozen=True)
@@ -635,13 +814,13 @@ class ConditionsReport:
     Exact rationals are recorded on a checkpoint grid (every prefix when K is
     small); the running minimum and final value of the density ratio are
     exact over all prefixes regardless of the grid.  The checkpoint rows are
-    kept as integers and turned into Fractions only when read.
+    lazy: the first read of rows, partial_sum_alpha, weighted_sum or c_ratio
+    runs _prefix_ratio over the experiment once, and the rows are kept as
+    integers and turned into Fractions only when read.
     """
 
     epsilon: float
     checkpoints: tuple[int, ...]
-    # per checkpoint n, the integers (L, L sum alpha_k, L sum alpha_k |G_k|/q_k), k <= n
-    rows: tuple[tuple[int, int, int], ...] = field(repr=False)
     partial_sum_alpha_final: Fraction
     weighted_sum_final: Fraction
     c_ratio_min: Fraction
@@ -651,6 +830,13 @@ class ConditionsReport:
     cond_c_decreasing: bool
     float_decisions: int  # prefix-ratio comparisons that doubles decided
     exact_fallbacks: int  # and those left to exact integers
+    _exp: Experiment = field(repr=False, compare=False)  # read by the lazy rows
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, int, int], ...]:
+        """Per checkpoint n, the integers (L, L sum alpha_k, L sum alpha_k
+        |G_k| / q_k) over k <= n."""
+        return _prefix_ratio(self._exp.alphas, _weighted(self._exp), self.checkpoints)[0]
 
     @cached_property
     def partial_sum_alpha(self) -> tuple[Fraction, ...]:
@@ -684,14 +870,17 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
     statistic phi(q_k) / (q_k^(1/2 - epsilon) |G_k|).  A non-finite
     epsilon raises ValueError, and so does a q_k whose power leaves the
     float range (any q_k >= 2^1024), naming the first such k.
+
+    Only what the report holds is computed.  Floats only prune, and exact
+    integers decide: _prefix_argmin finds the first argmin j of the ratio
+    with a float screen of relative margin K 2^-46, proved in its
+    docstring, and sends every step within the margin (exact ties among
+    them) to _prefix_ratio's pass, run forward as its exact cursor.  The final sums and the prefix at j are then summed
+    exactly once each, by _lcm_sum over the terms k <= j and k > j.  The
+    checkpoint rows are lazy (see ConditionsReport).
     """
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
-    cps = _checkpoints(exp.config.K)
-    weighted = (a * Fraction(order, q) for q, a, order in zip(exp.qs, exp.alphas, exp.orders))
-    rows, ratio_min, floats, exact = _prefix_ratio(exp.alphas, weighted, cps)
-    L, a_sum, w_sum = rows[-1]
-    a_sum, w_sum = Fraction(a_sum, L), Fraction(w_sum, L)
     cond_c = []
     for k, (q, phi, order) in enumerate(zip(exp.qs, exp.phis, exp.orders), 1):
         try:
@@ -704,19 +893,29 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
     dec = max(1, len(cond_c) // 10)
     first = sum(cond_c[:dec]) / dec
     last = sum(cond_c[-dec:]) / dec
+    K = exp.config.K
+    dens, nums = _series(exp)
+    cursor = _prefix_steps(exp.alphas, _weighted(exp), ())
+    j, floats, exact = _prefix_argmin(
+        K, zip(map(_float_term, dens), map(_float_term, nums)), cursor
+    )
+    a_j, w_j = map(_lcm_sum, _series(exp, 0, j))
+    a_rest, w_rest = map(_lcm_sum, _series(exp, j))
+    a_sum, w_sum = _fraction(_lcm_add(a_j, a_rest)), _fraction(_lcm_add(w_j, w_rest))
+    ratio = w_sum / a_sum
     return ConditionsReport(
         epsilon=epsilon,
-        checkpoints=cps,
-        rows=rows,
+        checkpoints=_checkpoints(K),
         partial_sum_alpha_final=a_sum,
         weighted_sum_final=w_sum,
-        c_ratio_min=ratio_min,
-        c_ratio_final=w_sum / a_sum,
+        c_ratio_min=ratio if j == K else _fraction(w_j) / _fraction(a_j),
+        c_ratio_final=ratio,
         cond_c_first_decile_mean=first,
         cond_c_last_decile_mean=last,
         cond_c_decreasing=last < first,
         float_decisions=floats,
         exact_fallbacks=exact,
+        _exp=exp,
     )
 
 

@@ -11,7 +11,6 @@ import pytest
 from cosetapprox import characters
 from cosetapprox.characters import (
     all_characters,
-    char_sum,
     character_matrix,
     evaluate,
     orthogonality_deviation,
@@ -27,6 +26,8 @@ from cosetapprox.residue_group import (
     subgroup_from_generators,
     unit_group,
 )
+
+from helpers import char_sum
 
 
 class TestEnumeration:

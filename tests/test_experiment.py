@@ -197,14 +197,30 @@ class TestMaterialization:
             prepare(small_cfg(alpha_sequence=AlphaSequence("c/k", c=F(1, 2))))
 
     @pytest.mark.parametrize(
-        "alpha",
-        [AlphaSequence("explicit", values=(0.25, 0.2, 0.1)), AlphaSequence("c/k", c=0.25)],
-        ids=["explicit", "c/k"],
+        "kw, name",
+        [
+            (dict(kind="explicit", values=(0.25, 0.2, 0.1)), "values"),
+            (dict(kind="c/k", c=0.25), "c"),
+            (dict(kind="explicit", values=(F(1, 4), True)), "values"),
+            (dict(kind="explicit", values=(F(1, 4), np.int64(1))), "values"),
+            (dict(kind="c/k", c=True), "c"),
+            (dict(kind="c*2^-k", c="1/4"), "c"),
+        ],
+        ids=["explicit", "c/k", "explicit-bool", "explicit-numpy", "c-bool", "c-string"],
     )
-    def test_float_radii_rejected(self, alpha):
-        # radii stay exact rationals: a float is refused, not carried into the sums
-        with pytest.raises(TypeError):
-            prepare(small_cfg(alpha_sequence=alpha, K=3))
+    def test_float_radii_rejected(self, kw, name):
+        # radii stay exact rationals: a float, bool or string is refused when
+        # the config is built, as from_dict refuses it, naming the field
+        with pytest.raises(ValueError, match=f"config field 'alpha_sequence.{name}' must be an exact"):
+            AlphaSequence(**kw)
+
+    @pytest.mark.parametrize("kind", ["c/k", "c*2^-k", "c/(k log k)"])
+    def test_int_constant_stays_exact(self, kind):
+        # c = 1 puts alpha_1 out of range; the radius named is exact, not a float's
+        with pytest.raises(ValueError, match=r"alpha_1 = (1|1/2) outside"):
+            prepare(small_cfg(alpha_sequence=AlphaSequence(kind, c=1), K=3))
+        with pytest.raises(ValueError, match=r"alpha_1 = 3 outside"):
+            prepare(small_cfg(alpha_sequence=AlphaSequence("explicit", values=(3, F(1, 4))), K=2))
 
     def test_coset_representative_must_be_unit(self):
         with pytest.raises(ValueError):
@@ -841,7 +857,7 @@ def _assert_conditions_match_reference(exp):
     cps = experiment._checkpoints(exp.config.K)
     d_rows, n_rows, ratio_rows, ratio_min = _prefix_ratio_reference(exp.alphas, weighted, cps)
     rep = check_conditions(exp)
-    assert not {"partial_sum_alpha", "weighted_sum", "c_ratio"} & set(vars(rep))  # rows are lazy
+    assert not {"rows", "partial_sum_alpha", "weighted_sum", "c_ratio"} & set(vars(rep))
     assert rep.checkpoints == cps
     assert rep.c_ratio_min == ratio_min
     assert rep.c_ratio_final == ratio_rows[-1]
@@ -895,6 +911,79 @@ def test_near_ties_take_the_integer_fallback(sign):
     assert 0 < abs(rep.c_ratio[1] - F(2, 3)) < F(1, 2**59)
     assert rep.c_ratio_min == (rep.c_ratio[1] if sign == 1 else rep.c_ratio[-1])
     assert rep.exact_fallbacks == K - 2 and rep.float_decisions == 1
+
+
+def test_convergent_control_argmin_past_double_underflow(fixtures_dir):
+    # The convergent control fixture at the bench size: alpha_k = 2^-(k+2)
+    # leaves the double range near k = 1074, yet the ratio falls at 1724 of
+    # the 3000 steps, the last among them, so the argmin is k = K and each
+    # term down to 2^-3002 decides a step of the float screen.
+    data = json.loads((fixtures_dir / "convergent_control.json").read_text())
+    exp = prepare(ExperimentConfig.from_dict({**data, "K": 3000}))
+    rep = _assert_conditions_match_reference(exp)
+    _, ratio_min, _, _ = experiment._prefix_ratio(exp.alphas, experiment._weighted(exp), ())
+    assert rep.c_ratio_min == ratio_min == rep.c_ratio_final
+    assert rep.float_decisions == 2999 and rep.exact_fallbacks == 0
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["decreasing", "increasing"])
+def test_radii_spanning_past_the_double_range(order):
+    # Explicit radii from 1/6 down to 2^-1501 / 3 (or back up): the float
+    # sums must renormalise across 2^1500 without losing the small terms.
+    K = 16
+    alphas = tuple(F(1, 3 * 2 ** (1 + 100 * k)) for k in range(K))[::order]
+    cfg = small_cfg(alpha_sequence=AlphaSequence("explicit", values=alphas), K=K)
+    exp = prepare(cfg)
+    rep = _assert_conditions_match_reference(exp)
+    assert rep.c_ratio_min == experiment._prefix_ratio(exp.alphas, experiment._weighted(exp), ())[1]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["falls", "stays"])
+@pytest.mark.parametrize("scale, decided", [(F(1, 2), "exact"), (F(2), "float")])
+def test_near_tie_at_the_screen_margin(sign, scale, decided):
+    # Densities 1/2, 2/3, 1/3 (q = 2, 3, 6).  Step 2 is far from a tie; at
+    # step 3, alpha_2 = (1 - 3 s theta) / 8 and alpha_3 = (1 + 3 s theta) / 8
+    # make rho = (N_3 - N_1) D_1 / ((D_3 - D_1) N_1) = 1 - s theta exactly.
+    # theta = M / 2 lies inside the margin M = 3 2^-46 and goes to the exact
+    # cursor; theta = 2 M lies outside, and the float screen decides it.
+    K = 3
+    assert experiment._screen_margin(K) == 3 * 2.0**-46
+    theta = scale * F(3, 2**46)
+    alphas = (F(1, 4), (1 - 3 * sign * theta) / 8, (1 + 3 * sign * theta) / 8)
+    cfg = small_cfg(
+        q_sequence=QSequence("explicit", values=(2, 3, 6)),
+        alpha_sequence=AlphaSequence("explicit", values=alphas),
+        K=K,
+    )
+    rep = _assert_conditions_match_reference(prepare(cfg))
+    assert rep.c_ratio_min == (rep.c_ratio[2] if sign == 1 else F(1, 2))
+    want = (1, 1) if decided == "exact" else (2, 0)
+    assert (rep.float_decisions, rep.exact_fallbacks) == want
+
+
+def test_single_term():
+    rep = _assert_conditions_match_reference(prepare(small_cfg(K=1)))
+    assert rep.c_ratio_min == rep.c_ratio_final == 1
+    assert rep.float_decisions == rep.exact_fallbacks == 0
+
+
+def test_rows_stay_lazy_until_read(monkeypatch):
+    # check_conditions never runs the whole exact pass; reading a row does.
+    exp = prepare(small_cfg(alpha_sequence=AlphaSequence("c/(k log k)", c=F(1, 3)), K=1100))
+    want = check_conditions(exp)
+    rows = want.rows
+
+    def refuse(*args):
+        raise AssertionError("the exact pass ran before a row was read")
+
+    monkeypatch.setattr(experiment, "_prefix_ratio", refuse)
+    rep = check_conditions(exp)
+    assert rep.exact_fallbacks == 0 and "rows" not in vars(rep)
+    assert rep.c_ratio_min == want.c_ratio_min
+    with pytest.raises(AssertionError, match="before a row"):
+        rep.partial_sum_alpha
+    monkeypatch.undo()
+    assert rep.rows == rows and "rows" in vars(rep)
 
 
 @st.composite
