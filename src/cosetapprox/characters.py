@@ -92,18 +92,22 @@ def pv_bound(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def character_matrix(g: UnitGroup, chars: np.ndarray) -> np.ndarray:
-    """Complex value table V[i, j] = chars[i](j) for j = 0..n-1."""
+def character_matrix(g: UnitGroup, chars: np.ndarray, width: int | None = None) -> np.ndarray:
+    """Complex value table V[i, j] = chars[i](j) for j = 0..width-1, all n
+    columns when width is None."""
     L = g.exponent()
-    V = np.exp((2j * np.pi / L) * np.arange(L))[_log_table(g, chars, slice(None))]
-    V[:, np.gcd(np.arange(g.n), g.n) != 1] = 0
+    V = np.exp((2j * np.pi / L) * np.arange(L))[_log_table(g, chars, slice(width))]
+    V[:, np.gcd(np.arange(V.shape[1]), g.n) != 1] = 0
     return V
 
 
-def character_prefix_sums(g: UnitGroup, chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(V, S): the value table V = character_matrix(g, chars) and its prefix
-    sums S[i, h] = chars[i](0) + ... + chars[i](h) for h = 0..n-1 (chars[i](0) = 0)."""
-    V = character_matrix(g, chars)
+def character_prefix_sums(
+    g: UnitGroup, chars: np.ndarray, width: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(V, S): the value table V = character_matrix(g, chars, width) and its
+    prefix sums S[i, h] = chars[i](0) + ... + chars[i](h) over its columns
+    (chars[i](0) = 0)."""
+    V = character_matrix(g, chars, width)
     return V, np.cumsum(V, axis=1)
 
 
@@ -112,7 +116,11 @@ def pv_sweep_max(g: UnitGroup) -> tuple[float, float]:
     pv_bound(n)).
 
     Uses the prefix-sum table, so one call covers every character and every
-    prefix length for the modulus (h = n repeats h = n - 1, as chi(n) = 0).
+    prefix length for the modulus.  For non-principal chi the full-period sum
+    S(n - 1) vanishes and chi(n - k) = chi(-1) chi(k), so the mirror identity
+    S(n - 1 - h) = -chi(-1) S(h) holds; with S(n - 1) = S(n) = 0 the maximum
+    over 1 <= h <= n is reached at some h <= (n - 1) / 2, and the table has
+    only the half-width columns 0..floor((n - 1) / 2).
     The conjugate character has the conjugate sums, so the table keeps only
     rows e ranked at or before their conjugate (-e) mod orders, the rank of
     a row being its index e . s in all_characters (s_i the product of the
@@ -125,7 +133,7 @@ def pv_sweep_max(g: UnitGroup) -> tuple[float, float]:
     chars = chars[chars @ strides <= (-chars % orders) @ strides]
     if len(chars) <= 1:
         return 0.0, pv_bound(g.n)
-    _, S = character_prefix_sums(g, chars)
+    _, S = character_prefix_sums(g, chars, (g.n - 1) // 2 + 1)
     return float(np.max(np.abs(S[1:, 1:]))), pv_bound(g.n)
 
 

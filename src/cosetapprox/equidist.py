@@ -60,7 +60,9 @@ def phi_mu_sieve(n: int, mu) -> tuple[int, Fraction]:
     Returns (count, R) where R = count - mu*phi(n) is the exact remainder;
     the identity guarantees count = phi_mu(n, mu) and |R| <= tau(n).  With
     mu = num/den each term floor(mu*n/k) is the integer floor division
-    num*n // (den*k), so the sum needs no rationals; only R is one.
+    num*n // (den*k), so the sum needs no rationals.  The bound is tested on
+    the integer den*R = count*den - num*phi(n) as |den*R| <= tau(n)*den, so
+    only the returned R is a Fraction.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
@@ -73,10 +75,10 @@ def phi_mu_sieve(n: int, mu) -> tuple[int, Fraction]:
         divisors += [(k * p, -sign) for k, sign in divisors]
     top, den = mu.numerator * n, mu.denominator
     count = sum(sign * (top // (den * k)) for k, sign in divisors)
-    remainder = count - mu * euler_phi(f)
-    if abs(remainder) > tau(f):
-        raise ArithmeticError(f"sieve remainder {remainder} exceeds tau({n})")
-    return count, remainder
+    scaled = count * den - mu.numerator * euler_phi(f)  # den * R
+    if abs(scaled) > tau(f) * den:
+        raise ArithmeticError(f"sieve remainder {Fraction(scaled, den)} exceeds tau({n})")
+    return count, Fraction(scaled, den)
 
 
 def psi_count(X, c: Coset) -> int:

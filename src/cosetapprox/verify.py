@@ -438,7 +438,10 @@ def _coset_member(cfg: ExperimentConfig, q: int):
 
 def check_hits_brute(samples: int = 25) -> tuple[bool, str]:
     """find_hits against a full scan of every numerator p in [0, q^d], with
-    coset membership read from explicit cosets."""
+    coset membership read from explicit cosets.
+
+    |x - p/Q| < alpha/Q is decided in integers, cleared of both denominators:
+    |x.num Q - p x.den| alpha.den < alpha.num x.den."""
     seed = 0xD10
     rng = random.Random(seed)
     bad = 0
@@ -455,8 +458,10 @@ def check_hits_brute(samples: int = 25) -> tuple[bool, str]:
             for idx, (q, Q, alpha, member) in enumerate(
                 zip(exp.qs, exp.moduli, exp.alphas, members)
             ):
+                top, den = x.numerator * Q, x.denominator
+                scale, limit = alpha.denominator, alpha.numerator * den
                 for p in range(0, Q + 1):
-                    if abs(x - Fraction(p, Q)) < alpha / Q and math.gcd(p, q) == 1 and member(p):
+                    if abs(top - p * den) * scale < limit and math.gcd(p, q) == 1 and member(p):
                         want.add((idx + 1, p))
             cases += 1
             if got != want:

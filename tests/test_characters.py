@@ -280,14 +280,15 @@ class TestRows:
 
     def test_rank_fold_keeps_the_tuple_rule_rows(self, monkeypatch):
         # pv_sweep_max's one vector comparison against the tuple comparison
-        # of each row with its conjugate, and its maximum (exactly) against
-        # the sums of the tuple-selected rows
+        # of each row with its conjugate; its maximum exactly against the
+        # half-width columns of the tuple-selected rows' full table, and
+        # within rounding of that table's full-width maximum
         summed = []
         real = characters.character_prefix_sums
 
-        def recording(g, chars):
+        def recording(g, chars, width=None):
             summed.append(chars)
-            return real(g, chars)
+            return real(g, chars, width)
 
         monkeypatch.setattr(characters, "character_prefix_sums", recording)
         most_factors = 0
@@ -303,9 +304,25 @@ class TestRows:
             mx, bound = pv_sweep_max(g)
             assert len(summed) == 1 and summed[0].tolist() == kept, n
             _, S = real(g, np.array(kept, dtype=np.int64))
-            assert mx == float(np.max(np.abs(S[1:, 1:]))), n
+            assert mx == float(np.max(np.abs(S[1:, 1 : (n - 1) // 2 + 1]))), n
+            assert abs(mx - float(np.max(np.abs(S[1:, 1:])))) <= 1e-12 * pv_bound(n), n
             assert bound == pv_bound(n)
         assert most_factors >= 3
+
+    def test_mirror_identity_of_prefix_sums(self):
+        # |S(n - 1 - h)| = |S(h)| for every non-principal chi, which is what
+        # lets pv_sweep_max read only the half-width columns 0..(n - 1) // 2
+        for n in range(3, 201):
+            g = unit_group(n)
+            chars = all_characters(g)[1:]
+            V, S = characters.character_prefix_sums(g, chars)
+            assert np.allclose(np.abs(S), np.abs(S[:, ::-1]), rtol=0, atol=1e-12), n
+            width = (n - 1) // 2 + 1
+            half_V, half_S = characters.character_prefix_sums(g, chars, width)
+            assert half_V.shape == half_S.shape == (len(chars), width)
+            assert np.array_equal(half_V, V[:, :width]) and np.array_equal(half_S, S[:, :width])
+            if n <= 4:
+                assert width == 2
 
     def test_two_has_one_empty_row(self):
         g = unit_group(2)

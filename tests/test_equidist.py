@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from cosetapprox import equidist
 from cosetapprox.arith import euler_phi, factor, tau
 from cosetapprox.equidist import (
     interval_system,
@@ -122,6 +123,19 @@ class TestSieve:
             assert (count, rem) == self.fraction_sieve(n, mu)
             assert mu > 1 or count == phi_mu(n, mu)  # the scan is slow past n
             assert abs(rem) <= tau(factor(n)) == 256
+
+    @pytest.mark.parametrize(
+        "n, mu, count, remainder",
+        [(21, F(3, 4), 8, F(-1)), (57, F(3, 10), 12, F(6, 5)), (10, F(1, 3), 2, F(2, 3))],
+    )
+    def test_integer_bound_at_its_edge(self, monkeypatch, n, mu, count, remainder):
+        # |R| = tau passes; tau one below |R| (or the next integer below a
+        # fractional |R|) raises, and the message gives R exactly
+        monkeypatch.setattr(equidist, "tau", lambda f: abs(remainder))
+        assert phi_mu_sieve(n, mu) == (count, remainder)
+        monkeypatch.setattr(equidist, "tau", lambda f: math.ceil(abs(remainder)) - 1)
+        with pytest.raises(ArithmeticError, match=f"^sieve remainder {remainder} exceeds tau\\({n}\\)$"):
+            phi_mu_sieve(n, mu)
 
 
 class TestPsiCount:

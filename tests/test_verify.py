@@ -39,6 +39,35 @@ def test_hit_oracle_catches_a_wrong_membership_test(monkeypatch):
     assert not ok, detail
 
 
+@pytest.mark.parametrize("which", range(3))
+def test_hit_oracle_is_strict_at_interval_endpoints(monkeypatch, which):
+    # points exactly on the centers p/Q and the endpoints (p -+ alpha)/Q of
+    # the first and last hit interval of every index: the open intervals
+    # hold the centers and neither endpoint, for the scan as for find_hits
+    cfg = verify._hit_test_configs()[which]
+    exp = experiment.prepare(cfg)
+    points = {}
+    for q, Q, alpha in zip(exp.qs, exp.moduli, exp.alphas):
+        member = verify._coset_member(cfg, q)
+        centers = [p for p in range(Q + 1) if math.gcd(p, q) == 1 and member(p)]
+        for p in (centers[0], centers[-1]):
+            for x in ((p - alpha) / Q, Fraction(p, Q), (p + alpha) / Q):
+                if 0 < x < 1:
+                    points[x] = None  # a dict keeps the first-seen order
+    points = list(points)
+    drawn = []
+
+    def on_boundary(seed, i, bits):
+        drawn.append(points[len(drawn) % len(points)])
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "_hit_test_configs", lambda: [cfg])
+    monkeypatch.setattr(verify, "_sample_point", on_boundary)
+    samples = 2 * len(points)
+    assert check_hits_brute(samples) == (True, f"{samples} sampled points, 0 disagreements")
+    assert set(drawn) == set(points)
+
+
 @pytest.mark.parametrize(
     "count, n_max, digest",
     [
@@ -84,6 +113,8 @@ def test_overlap_systems_are_pinned(monkeypatch):
         ("overlap_theta", "150 cases (115 against the clipping oracle), 0 bad"),
         ("counting_identity", "40 tuples, 0 violations, worst deviation 6.87e-15"),
         ("equidistribution_bound", "40 tuples, 0 violations, worst normalized error 0.033"),
+        ("polya_vinogradov", "n <= 120, 0 violations, min slack 2.806"),
+        ("sieve_identity", "n <= 150, 20 mu values, 0 violations"),
         ("hit_finding", "30 sampled points, 0 disagreements"),
         ("mc_determinism", "threads (1, 1, 2): identical"),
         (
