@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 __all__ = [
     "ORACLE_CUTOFF",
@@ -144,7 +145,7 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, v in enumerate(sieve) if v]
+    return list(compress(range(n + 1), sieve))
 
 
 def _rho_split(n: int) -> int:
@@ -417,6 +418,25 @@ def _divisor_counts(n_max: int):
     return tau_arr
 
 
+def _omega_counts(n_max: int):
+    """omega(n) for n = 0..n_max as an int64 array (0 at n = 0 and 1), by the
+    prime sieve described in growth_scan."""
+    import numpy as np
+
+    omega_arr = np.zeros(n_max + 1, dtype=np.int64)
+    primes = np.array(primes_up_to(n_max), dtype=np.int64)
+    cut = n_max // 64
+    for p in primes[primes <= cut].tolist():
+        omega_arr[p::p] += 1
+    large = primes[primes > cut]
+    m = 1
+    while large.size:  # m < 64: every large prime exceeds n_max / 64
+        omega_arr[large * m] += 1  # distinct primes, so distinct indices
+        m += 1
+        large = large[large * m <= n_max]
+    return omega_arr
+
+
 def growth_scan(n_max: int, d: int = 2) -> list[GrowthRow]:
     """Tabulate block maxima of tau(n)/n^eps and (2d)^omega(n)/n^eps for
     eps = 1/2 and 1/4.
@@ -430,6 +450,11 @@ def growth_scan(n_max: int, d: int = 2) -> list[GrowthRow]:
     multiples m = i*i, i*(i+1), ... and takes 1 back at the square i*i,
     where the pair collapses to one divisor.  That is isqrt(n_max) slices
     instead of one per n.
+
+    omega comes from a prime sieve: each prime p <= n_max / 64 adds 1 to its
+    multiples by one slice, and the larger primes, which have fewer than 64
+    multiples each, take one fancy-indexed pass per multiplier m, adding 1
+    at every m p <= n_max (the p are distinct, so the indices are too).
     """
     import numpy as np
 
@@ -438,9 +463,7 @@ def growth_scan(n_max: int, d: int = 2) -> list[GrowthRow]:
     if d < 1:
         raise ValueError(f"power must be >= 1, got {d}")
     tau_arr = _divisor_counts(n_max)
-    omega_arr = np.zeros(n_max + 1, dtype=np.int64)
-    for p in primes_up_to(n_max):
-        omega_arr[p::p] += 1
+    omega_arr = _omega_counts(n_max)
     base = 2 * d
     ns = np.arange(n_max + 1, dtype=np.float64)
     rows = []

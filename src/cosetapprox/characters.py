@@ -92,22 +92,27 @@ def pv_bound(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def character_matrix(g: UnitGroup, chars: np.ndarray, width: int | None = None) -> np.ndarray:
-    """Complex value table V[i, j] = chars[i](j) for j = 0..width-1, all n
-    columns when width is None."""
+def character_matrix(g: UnitGroup, chars: np.ndarray, columns=slice(None)) -> np.ndarray:
+    """Complex value table V[i, j] = chars[i](k_j) over the residues
+    k_j = np.arange(n)[columns]: all n of them by default, else the columns
+    any numpy index (a slice or an index array) selects."""
+    cols = np.arange(g.n)[columns]
     L = g.exponent()
-    V = np.exp((2j * np.pi / L) * np.arange(L))[_log_table(g, chars, slice(width))]
-    V[:, np.gcd(np.arange(V.shape[1]), g.n) != 1] = 0
+    V = np.exp((2j * np.pi / L) * np.arange(L))[_log_table(g, chars, cols)]
+    V[:, np.gcd(cols, g.n) != 1] = 0
     return V
 
 
 def character_prefix_sums(
-    g: UnitGroup, chars: np.ndarray, width: int | None = None
+    g: UnitGroup, chars: np.ndarray, columns=slice(None)
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(V, S): the value table V = character_matrix(g, chars, width) and its
-    prefix sums S[i, h] = chars[i](0) + ... + chars[i](h) over its columns
-    (chars[i](0) = 0)."""
-    V = character_matrix(g, chars, width)
+    """(V, S): the value table V = character_matrix(g, chars, columns) and its
+    running sums S[i, j] = V[i, 0] + ... + V[i, j] along the row.  On the
+    leading columns (a slice 0..w-1) these are the prefix sums
+    chars[i](0) + ... + chars[i](j), with chars[i](0) = 0; np.cumsum adds
+    left to right, so a column subset that leaves out only non-units, whose
+    values are exact zeros, has bit-identical sums at the columns it keeps."""
+    V = character_matrix(g, chars, columns)
     return V, np.cumsum(V, axis=1)
 
 
@@ -119,8 +124,9 @@ def pv_sweep_max(g: UnitGroup) -> tuple[float, float]:
     prefix length for the modulus.  For non-principal chi the full-period sum
     S(n - 1) vanishes and chi(n - k) = chi(-1) chi(k), so the mirror identity
     S(n - 1 - h) = -chi(-1) S(h) holds; with S(n - 1) = S(n) = 0 the maximum
-    over 1 <= h <= n is reached at some h <= (n - 1) / 2, and the table has
-    only the half-width columns 0..floor((n - 1) / 2).
+    over 1 <= h <= n is reached at some h <= (n - 1) / 2.  A non-unit h adds
+    an exact 0, so S(h) equals the sum at the last unit at or below h (1 is a
+    unit), and the table has only the unit columns 1 <= h <= (n - 1) / 2.
     The conjugate character has the conjugate sums, so the table keeps only
     rows e ranked at or before their conjugate (-e) mod orders, the rank of
     a row being its index e . s in all_characters (s_i the product of the
@@ -133,8 +139,9 @@ def pv_sweep_max(g: UnitGroup) -> tuple[float, float]:
     chars = chars[chars @ strides <= (-chars % orders) @ strides]
     if len(chars) <= 1:
         return 0.0, pv_bound(g.n)
-    _, S = character_prefix_sums(g, chars, (g.n - 1) // 2 + 1)
-    return float(np.max(np.abs(S[1:, 1:]))), pv_bound(g.n)
+    half = np.arange(1, (g.n - 1) // 2 + 1)
+    _, S = character_prefix_sums(g, chars, half[np.gcd(half, g.n) == 1])
+    return float(np.max(np.abs(S[1:]))), pv_bound(g.n)
 
 
 def orthogonality_deviation(g: UnitGroup) -> tuple[float, float]:

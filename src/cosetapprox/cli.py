@@ -84,11 +84,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_gens(spec: str) -> tuple[int, ...]:
+def _parse_ints(flag: str, spec: str) -> tuple[int, ...]:
+    """A comma-separated integer list (empty items skipped); a bad item is a
+    usage error that names the flag."""
     try:
         return tuple(int(t) for t in spec.split(",") if t.strip())
     except ValueError:
-        raise ValueError(f"bad generator list {spec!r}; expected comma-separated integers")
+        raise ValueError(f"bad {flag} list {spec!r}; expected comma-separated integers")
 
 
 def _read_only(flag: str, given: bool, read: bool, where: str) -> None:
@@ -105,7 +107,7 @@ def _at_least(flag: str, value: int, low: int, why: str) -> None:
 def _mode_inputs(args, power_read: bool = False) -> tuple[int, tuple[int, ...]]:
     """--d (default 2) and --generators; the subgroup reads --d only in
     --mode dth-powers and --generators (at least one) only in --mode generators."""
-    gens = _parse_gens(args.generators)
+    gens = _parse_ints("--generators", args.generators)
     _read_only("--generators", bool(gens), args.mode == "generators",
                f"in --mode generators, not {args.mode!r}")
     if args.mode == "generators" and not gens:
@@ -215,7 +217,7 @@ def _cmd_equidist(args) -> int:
     _read_only("--mu-grid", args.mu_grid is not None, not overlap, "without --overlap-q")
     _read_only("--epsilon", args.epsilon is not None, overlap, "with --overlap-q")
     if overlap:
-        qs = [int(t) for t in args.overlap_q.split(",") if t.strip()]
+        qs = _parse_ints("--overlap-q", args.overlap_q)
         A = [(Fraction(1, 10), Fraction(1, 5)), (Fraction(1, 2), Fraction(3, 5)),
              (Fraction(4, 5), Fraction(9, 10))]
         systems = []

@@ -54,31 +54,39 @@ def phi_mu(n: int, mu) -> int:
     return count
 
 
-def phi_mu_sieve(n: int, mu) -> tuple[int, Fraction]:
-    """Inclusion-exclusion count over the squarefree divisors of n.
+def phi_mu_sieve(n: int, mus) -> list[tuple[int, Fraction]]:
+    """Inclusion-exclusion count over the squarefree divisors of n, for each
+    mu in mus, in order.
 
-    Returns (count, R) where R = count - mu*phi(n) is the exact remainder;
-    the identity guarantees count = phi_mu(n, mu) and |R| <= tau(n).  With
+    Returns one (count, R) per mu, where R = count - mu*phi(n) is the exact
+    remainder; the identity guarantees count = phi_mu(n, mu) and |R| <= tau(n).
+    The signed divisors, phi(n) and tau(n) are built once per call.  With
     mu = num/den each term floor(mu*n/k) is the integer floor division
     num*n // (den*k), so the sum needs no rationals.  The bound is tested on
     the integer den*R = count*den - num*phi(n) as |den*R| <= tau(n)*den, so
-    only the returned R is a Fraction.
+    only the returned R is a Fraction.  The first mu that is not a positive
+    exact rational, or whose remainder breaks the bound, raises.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    mu = as_fraction(mu)
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
     f = factor(n)
     divisors = [(1, 1)]  # (squarefree k | n, Moebius sign of k)
     for p, _ in f:
         divisors += [(k * p, -sign) for k, sign in divisors]
-    top, den = mu.numerator * n, mu.denominator
-    count = sum(sign * (top // (den * k)) for k, sign in divisors)
-    scaled = count * den - mu.numerator * euler_phi(f)  # den * R
-    if abs(scaled) > tau(f) * den:
-        raise ArithmeticError(f"sieve remainder {Fraction(scaled, den)} exceeds tau({n})")
-    return count, Fraction(scaled, den)
+    phi, t = euler_phi(f), tau(f)
+    out = []
+    for mu in mus:
+        mu = as_fraction(mu)
+        num, den = mu.numerator, mu.denominator
+        if num <= 0:  # den > 0, so this is mu <= 0
+            raise ValueError(f"mu must be positive, got {mu}")
+        top = num * n
+        count = sum(sign * (top // (den * k)) for k, sign in divisors)
+        scaled = count * den - num * phi  # den * R
+        if abs(scaled) > t * den:
+            raise ArithmeticError(f"sieve remainder {Fraction(scaled, den)} exceeds tau({n})")
+        out.append((count, Fraction(scaled, den)))
+    return out
 
 
 def psi_count(X, c: Coset) -> int:
@@ -111,12 +119,13 @@ def psi_character_value(mu, c: Coset) -> complex:
     g = G.group
     n = g.n
     chars = quotient_characters(G)
-    V, prefix = character_prefix_sums(g, chars)
     m = math.floor(mu * n)
     full, rem = divmod(m, n)
+    alpha = pow(c.representative, -1, n)
+    # the table stops at the last column read: the prefix at rem, the value at alpha
+    V, prefix = character_prefix_sums(g, chars, slice(max(rem, alpha) + 1))
     sums = prefix[:, rem].copy()
     sums[0] += full * g.phi  # principal character: full periods count the units
-    alpha = pow(c.representative, -1, n)
     total = complex(np.sum(V[:, alpha] * sums))
     return total / len(chars)
 

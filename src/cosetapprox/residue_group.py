@@ -96,15 +96,20 @@ class UnitGroup:
 
         Built by enumerating the products of generator powers mod n; those
         int64 products stay below n^2, safe for moduli up to about 10^6.
+        The product at flat index j has the mixed-radix digits of j as its
+        exponents, the last factor's most significant, which np.indices
+        lists in the same order.
         """
+        n = self.n
+        orders = [order for _, order in self.cyclic_factors]
         values = np.ones(1, dtype=np.int64)
-        exps = np.zeros((0, 1), dtype=np.int64)
         for g, order in self.cyclic_factors:
-            powers = np.array([pow(g, e, self.n) for e in range(order)], dtype=np.int64)
-            values = (powers[:, None] * values % self.n).ravel()
-            exps = np.vstack([np.tile(exps, order), np.repeat(np.arange(order), exps.shape[1])])
-        table = np.zeros((len(self.cyclic_factors), self.n), dtype=np.int64)
-        table[:, values] = exps
+            powers = [1]
+            for _ in range(order - 1):
+                powers.append(powers[-1] * g % n)
+            values = (np.array(powers, dtype=np.int64)[:, None] * values % n).ravel()
+        table = np.zeros((len(orders), n), dtype=np.int64)
+        table[:, values] = np.indices(orders[::-1]).reshape(len(orders), len(values))[::-1]
         return table
 
     def dlog(self, x: int) -> tuple[int, ...]:
@@ -193,14 +198,11 @@ def dth_power_subgroup(g: UnitGroup, d: int) -> Subgroup:
 
 
 def subgroup_from_generators(g: UnitGroup, gens) -> Subgroup:
-    """Smallest subgroup containing the given residues (all must be units)."""
-    n = g.n
-    norm = []
-    for x in gens:
-        if math.gcd(x, n) != 1:
-            raise ValueError(f"generator {x} is not coprime to {n}")
-        norm.append(x % n)
-    return Subgroup(group=g, elements=tuple(sorted(closure(norm, n))), generators=tuple(norm))
+    """Smallest subgroup containing the given residues (all must be units,
+    else closure raises ValueError)."""
+    gens = list(gens)
+    elements = tuple(sorted(closure(gens, g.n)))
+    return Subgroup(group=g, elements=elements, generators=tuple(x % g.n for x in gens))
 
 
 def subgroup(g: UnitGroup, mode: str, d: int, generators) -> Subgroup:
@@ -217,19 +219,31 @@ def subgroup(g: UnitGroup, mode: str, d: int, generators) -> Subgroup:
 
 
 def closure(gens, n: int) -> set[int]:
-    """Residues mod n generated by gens under multiplication (the subgroup
-    they generate when all are units); needs no unit-group structure."""
-    gens = [x % n for x in gens]
-    seen = {1 % n}
-    frontier = [1 % n]
-    while frontier:
-        cur = frontier.pop()
-        for x in gens:
-            nxt = cur * x % n
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+    """The subgroup of (Z/nZ)^* generated by the units gens; needs no
+    unit-group structure.  Raises ValueError on a generator that is not a
+    unit mod n.
+
+    Extends by cosets: with H the subgroup generated so far (at first {1}),
+    the next generator x gives <H, x> = H u xH u ... u x^(k-1) H, where k is
+    the least k >= 1 with x^k in H.  The cosets x^j H for j < k are disjoint
+    from H and from each other, so each element is made by one product and
+    only the powers of x are looked up in H.
+    """
+    elems = [1 % n]
+    members = set(elems)
+    for x in gens:
+        if math.gcd(x, n) != 1:
+            raise ValueError(f"generator {x} is not coprime to {n}")
+        x %= n
+        powers = []  # x^j for 1 <= j < k
+        y = x
+        while y not in members:
+            powers.append(y)
+            y = y * x % n
+        added = [p * h % n for p in powers for h in elems]
+        elems += added
+        members.update(added)
+    return members
 
 
 def coset(a: int, G: Subgroup) -> Coset:

@@ -125,16 +125,17 @@ def check_sieve_identity(n_max: int = 2000, grid: int = 40) -> tuple[bool, str]:
 
     The scan is one cumulative coprime count per n over [1, grid n / 20],
     read at floor(mu n) for each mu = j / 20; it is phi_mu's gcd scan done
-    once per n instead of once per mu, independent of phi_mu_sieve."""
+    once per n instead of once per mu, independent of phi_mu_sieve, which is
+    also called once per n."""
+    mus = [Fraction(j, 20) for j in range(1, grid + 1)]
+    js = np.arange(1, grid + 1)
     bad = 0
     for n in range(2, n_max + 1):
         # coprime[m] = #{1 <= k <= m : gcd(k, n) = 1}
         coprime = np.cumsum(np.gcd(np.arange(grid * n // 20 + 1), n) == 1)
-        for j in range(1, grid + 1):
-            # phi_mu_sieve raises ArithmeticError itself when |R| > tau(n)
-            count, _ = phi_mu_sieve(n, Fraction(j, 20))
-            if count != coprime[j * n // 20]:
-                bad += 1
+        # phi_mu_sieve raises ArithmeticError itself when |R| > tau(n)
+        counts = [count for count, _ in phi_mu_sieve(n, mus)]
+        bad += sum(c != w for c, w in zip(counts, coprime[js * n // 20].tolist()))
     return bad == 0, f"n <= {n_max}, {grid} mu values, {bad} violations"
 
 
@@ -303,11 +304,17 @@ def check_coset_partition(n_max: int = 40) -> tuple[bool, str]:
 
 def check_quotient_characters(n_max: int = 30) -> tuple[bool, str]:
     """Annihilator characters: count equals index(G), closed under products,
-    and exactly the characters constant on every coset."""
+    and exactly the characters constant on every coset.
+
+    The cosets a G are built once per (n, d), and each character's values
+    once per unit and n, read by every coset that holds the unit."""
     bad = 0
     for n in range(2, n_max + 1):
         g = unit_group(n)
+        units = g.units()
         orders = np.array([o for _, o in g.cyclic_factors], dtype=np.int64)
+        chars = all_characters(g).tolist()
+        values = [{x: evaluate(g, chi, x) for x in units} for chi in chars]
         for d in (2, 3, 4):
             G = dth_power_subgroup(g, d)
             qc = quotient_characters(G)
@@ -317,11 +324,11 @@ def check_quotient_characters(n_max: int = 30) -> tuple[bool, str]:
             exps = set(map(tuple, qc.tolist()))
             if any(tuple(((e1 + e2) % orders).tolist()) not in exps for e1 in qc for e2 in qc):
                 bad += 1
-            for chi in all_characters(g).tolist():
+            cosets = [(a, coset(a, G).elements) for a in units]
+            for chi, value in zip(chars, values):
                 constant = all(
-                    max(abs(evaluate(g, chi, x) - evaluate(g, chi, a)) for x in coset(a, G).elements)
-                    < 1e-12
-                    for a in g.units()
+                    max(abs(value[x] - value[a]) for x in elements) < 1e-12
+                    for a, elements in cosets
                 )
                 if constant != (tuple(chi) in exps):
                     bad += 1

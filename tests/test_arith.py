@@ -1,5 +1,7 @@
 """Arithmetic functions against enumeration oracles and multiplicative laws."""
 
+import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -16,6 +18,7 @@ from cosetapprox.arith import (
     Factorization,
     GrowthRow,
     _divisor_counts,
+    _omega_counts,
     brute_r_d,
     brute_u_d,
     euler_phi,
@@ -332,6 +335,57 @@ class TestGrowthScan:
         assert _divisor_counts(n_max).tolist() == want
         for d in (1, 2, 3):
             assert growth_scan(n_max, d=d) == slow_growth_rows(n_max, d)
+
+    @staticmethod
+    def omega_mismatches(counts, n_max):
+        """The n <= n_max where counts[n] is not omega(factor(n))."""
+        want = [0] + [omega(factor(n)) for n in range(1, n_max + 1)]
+        assert len(counts) == n_max + 1
+        return [n for n, (got, w) in enumerate(zip(counts.tolist(), want)) if got != w]
+
+    # n_max // 64 = 127 is prime at 8128 and sits one below the prime 127
+    # at 8127, and likewise for 131 at 8384 and 8383; 2^13 is the full range
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 63, 64, 127, 128, 8127, 8128, 8191, 8192, 8383, 8384])
+    def test_omega_sieve_matches_factor(self, n_max):
+        assert self.omega_mismatches(_omega_counts(n_max), n_max) == []
+
+    # growth_scan(2**17) rows as (block_lo, block_hi, eps, base, tau_max,
+    # tau_argmax, pow_max, pow_argmax) tuples, pinned before the omega sieve
+    # took its slice-and-fancy-index form
+    ROWS_2_17 = "df69f17c4d625277d9d11d6ed4e46e7f1f4ca9b8a655e07c9417db16d71b3486"
+
+    @staticmethod
+    def rows_digest(n_max):
+        rows = [dataclasses.astuple(r) for r in growth_scan(n_max)]
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+    def test_rows_pinned_at_two_to_the_seventeen(self):
+        assert self.rows_digest(2**17) == self.ROWS_2_17
+
+    def test_omega_mutants_are_caught(self, monkeypatch):
+        # skipping the largest prime p <= n_max breaks omega at n = p alone;
+        # a prime is never a block maximum of (2d)^omega(n) / n^eps (every
+        # block (N, 2N] holds a multiple of 6), so the factor oracle catches
+        # it and the rows cannot; skipping 29, a prime factor of the last
+        # pow_argmax 66990 = 2 3 5 7 11 29, changes the pinned rows
+        real = _omega_counts
+
+        def skipping(p):
+            def mutant(n_max):
+                counts = real(n_max)
+                counts[p::p] -= 1
+                return counts
+
+            return mutant
+
+        n_max = 2**13
+        top = primes_up_to(n_max)[-1]
+        assert self.omega_mismatches(skipping(top)(n_max), n_max) == [top]
+        assert 66990 in {r.pow_argmax for r in growth_scan(2**17)}
+        monkeypatch.setattr(arith, "_omega_counts", skipping(29))
+        assert self.rows_digest(2**17) != self.ROWS_2_17
+        monkeypatch.setattr(arith, "_omega_counts", skipping(primes_up_to(2**17)[-1]))
+        assert self.rows_digest(2**17) == self.ROWS_2_17
 
     @pytest.mark.parametrize("d", [0, -2])
     def test_rejects_power_below_one(self, d):

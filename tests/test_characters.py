@@ -280,15 +280,18 @@ class TestRows:
 
     def test_rank_fold_keeps_the_tuple_rule_rows(self, monkeypatch):
         # pv_sweep_max's one vector comparison against the tuple comparison
-        # of each row with its conjugate; its maximum exactly against the
-        # half-width columns of the tuple-selected rows' full table, and
-        # within rounding of that table's full-width maximum
+        # of each row with its conjugate; its table only at the unit columns
+        # 1 <= h <= (n - 1) / 2; its maximum exactly against the half-width
+        # columns of the tuple-selected rows' full table, and within rounding
+        # of that table's full-width maximum
         summed = []
+        selected = []
         real = characters.character_prefix_sums
 
-        def recording(g, chars, width=None):
+        def recording(g, chars, columns=slice(None)):
             summed.append(chars)
-            return real(g, chars, width)
+            selected.append(columns)
+            return real(g, chars, columns)
 
         monkeypatch.setattr(characters, "character_prefix_sums", recording)
         most_factors = 0
@@ -301,8 +304,11 @@ class TestRows:
                 if tuple(e) <= tuple(-x % o for x, o in zip(e, orders))
             ]
             summed.clear()
+            selected.clear()
             mx, bound = pv_sweep_max(g)
             assert len(summed) == 1 and summed[0].tolist() == kept, n
+            units = [h for h in range(1, (n - 1) // 2 + 1) if math.gcd(h, n) == 1]
+            assert np.arange(n)[selected[0]].tolist() == units, n
             _, S = real(g, np.array(kept, dtype=np.int64))
             assert mx == float(np.max(np.abs(S[1:, 1 : (n - 1) // 2 + 1]))), n
             assert abs(mx - float(np.max(np.abs(S[1:, 1:])))) <= 1e-12 * pv_bound(n), n
@@ -318,11 +324,23 @@ class TestRows:
             V, S = characters.character_prefix_sums(g, chars)
             assert np.allclose(np.abs(S), np.abs(S[:, ::-1]), rtol=0, atol=1e-12), n
             width = (n - 1) // 2 + 1
-            half_V, half_S = characters.character_prefix_sums(g, chars, width)
+            half_V, half_S = characters.character_prefix_sums(g, chars, slice(width))
             assert half_V.shape == half_S.shape == (len(chars), width)
             assert np.array_equal(half_V, V[:, :width]) and np.array_equal(half_S, S[:, :width])
             if n <= 4:
                 assert width == 2
+
+    def test_unit_columns_give_the_same_sums_bit_for_bit(self):
+        # a non-unit column adds an exact 0, so the running sums over the
+        # unit columns alone equal the prefix sums of the full table there,
+        # bit for bit (pv_sweep_max's maximum is pinned in the test above)
+        for n in range(2, 301):
+            g = unit_group(n)
+            chars = all_characters(g)
+            V, S = characters.character_prefix_sums(g, chars)
+            units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+            unit_V, unit_S = characters.character_prefix_sums(g, chars, units)
+            assert np.array_equal(unit_V, V[:, units]) and np.array_equal(unit_S, S[:, units]), n
 
     def test_two_has_one_empty_row(self):
         g = unit_group(2)

@@ -265,6 +265,20 @@ class TestEquidist:
         assert code == 0
         assert [r[1] for r in parse_csv(out)[1]] == ["2", "2"]
 
+    @pytest.mark.parametrize(
+        "flag, spec, argv",
+        [
+            ("--overlap-q", "5,x", ["--overlap-q", "5,x"]),
+            ("--overlap-q", "19,5.3", ["--overlap-q", "19,5.3"]),
+            ("--generators", "3,x", ["--overlap-q", "5,7", "--mode", "generators", "--generators", "3,x"]),
+        ],
+    )
+    def test_bad_integer_list_exits_2_and_names_the_flag(self, capsys, flag, spec, argv):
+        # --overlap-q is parsed by the same strict helper as --generators
+        code, out, err = run_cli(capsys, "equidist", *argv)
+        assert code == 2
+        assert f"bad {flag} list {spec!r}; expected comma-separated integers" in err and out == ""
+
     @pytest.mark.parametrize("qs", ["7,7", "9,3"])
     def test_overlap_sweep_rejects_unordered_q(self, capsys, qs):
         code, out, err = run_cli(capsys, "equidist", "--overlap-q", qs, "--d", "1", "--mode", "full")

@@ -5,10 +5,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cosetapprox import equidist
 from cosetapprox.arith import euler_phi, factor, tau
+from cosetapprox.characters import character_prefix_sums, quotient_characters
 from cosetapprox.equidist import (
     interval_system,
     overlap_bound_check,
@@ -67,26 +69,58 @@ class TestPhiMu:
 
 class TestSieve:
     def test_examples(self):
-        assert phi_mu_sieve(10, F(1, 2)) == (2, F(0))
-        count, rem = phi_mu_sieve(30, F(1, 4))
+        assert phi_mu_sieve(10, [F(1, 2)]) == [(2, F(0))]
+        [(count, rem)] = phi_mu_sieve(30, [F(1, 4)])
         assert count == phi_mu(30, F(1, 4))
         assert abs(rem) <= tau(factor(30)) == 8
 
     def test_integer_mu_has_zero_remainder(self):
         for n in (6, 10, 49, 90):
-            for mu in (1, 2, 5):
-                count, rem = phi_mu_sieve(n, mu)
+            for mu, (count, rem) in zip((1, 2, 5), phi_mu_sieve(n, (1, 2, 5))):
                 assert rem == 0
                 assert count == mu * euler_phi(factor(n))
 
     def test_grid(self):
+        mus = [F(j, 10) for j in range(1, 21)]
         for n in range(2, 250):
             t = tau(factor(n))
-            for j in range(1, 21):
-                mu = F(j, 10)
-                count, rem = phi_mu_sieve(n, mu)
+            rows = phi_mu_sieve(n, mus)
+            assert len(rows) == len(mus)
+            for mu, (count, rem) in zip(mus, rows):
                 assert count == phi_mu(n, mu)
                 assert abs(rem) <= t
+
+    def test_one_call_per_modulus_in_order(self):
+        # a shuffled list with repeats, an integer and an empty list: one
+        # (count, R) per mu, in the order given, each equal to a call of
+        # its own and to the gcd scan
+        rng = random.Random(0x5EE)
+        for n in (2, 12, 97, 360, 1001):
+            mus = [F(rng.randint(1, 60), rng.randint(1, 20)) for _ in range(12)]
+            mus += [mus[3], 2, F(1, 3)]
+            rng.shuffle(mus)
+            rows = phi_mu_sieve(n, mus)
+            assert rows == [phi_mu_sieve(n, [mu])[0] for mu in mus]
+            assert [count for count, _ in rows] == [phi_mu(n, mu) for mu in mus]
+            phi = euler_phi(factor(n))
+            assert all(rem == count - mu * phi for mu, (count, rem) in zip(mus, rows))
+            assert phi_mu_sieve(n, []) == []
+
+    def test_raises_at_the_first_bad_mu(self):
+        # as the scalar call did: ValueError for mu <= 0, TypeError for a
+        # float or bool, whichever comes first in the sequence
+        with pytest.raises(ValueError, match="^mu must be positive, got 0$"):
+            phi_mu_sieve(10, [F(1, 2), 0, 0.5])
+        with pytest.raises(TypeError, match="got float"):
+            phi_mu_sieve(10, [F(1, 2), 0.5, 0])
+        with pytest.raises(TypeError, match="got bool"):
+            phi_mu_sieve(10, [True])
+        with pytest.raises(ValueError, match="^mu must be positive, got -1/3$"):
+            phi_mu_sieve(10, (x for x in [F(1, 2), F(-1, 3)]))
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            phi_mu_sieve(1, [F(1, 2)])
+        with pytest.raises(TypeError):
+            phi_mu_sieve(10, F(1, 2))  # a bare mu is not a sequence
 
     @staticmethod
     def fraction_sieve(n, mu):
@@ -110,16 +144,15 @@ class TestSieve:
         mus += [F(rng.randint(1, 5 * big), big) for _ in range(6)]
         for n in (2, 6, 30, 64, 210, 997, 2310, 30030):
             t = tau(factor(n))
-            for mu in mus:
-                count, rem = phi_mu_sieve(n, mu)
+            for mu, (count, rem) in zip(mus, phi_mu_sieve(n, mus)):
                 assert (count, rem) == self.fraction_sieve(n, mu), (n, mu)
                 assert count == phi_mu(n, mu), (n, mu)
                 assert abs(rem) <= t
 
     def test_eight_primes(self):
         n = 9699690  # 2*3*5*7*11*13*17*19: 256 signed divisors
-        for mu in (F(1, 10**9 + 7), F(10**9, 10**9 + 7), F(3, 2)):
-            count, rem = phi_mu_sieve(n, mu)
+        mus = (F(1, 10**9 + 7), F(10**9, 10**9 + 7), F(3, 2))
+        for mu, (count, rem) in zip(mus, phi_mu_sieve(n, mus)):
             assert (count, rem) == self.fraction_sieve(n, mu)
             assert mu > 1 or count == phi_mu(n, mu)  # the scan is slow past n
             assert abs(rem) <= tau(factor(n)) == 256
@@ -130,12 +163,13 @@ class TestSieve:
     )
     def test_integer_bound_at_its_edge(self, monkeypatch, n, mu, count, remainder):
         # |R| = tau passes; tau one below |R| (or the next integer below a
-        # fractional |R|) raises, and the message gives R exactly
+        # fractional |R|) raises, and the message gives R exactly; the bad mu
+        # raises before a later mu <= 0 is looked at
         monkeypatch.setattr(equidist, "tau", lambda f: abs(remainder))
-        assert phi_mu_sieve(n, mu) == (count, remainder)
+        assert phi_mu_sieve(n, [mu]) == [(count, remainder)]
         monkeypatch.setattr(equidist, "tau", lambda f: math.ceil(abs(remainder)) - 1)
         with pytest.raises(ArithmeticError, match=f"^sieve remainder {remainder} exceeds tau\\({n}\\)$"):
-            phi_mu_sieve(n, mu)
+            phi_mu_sieve(n, [mu, 0])
 
 
 class TestPsiCount:
@@ -213,6 +247,42 @@ class TestCharacterIdentity:
             val = psi_character_value(mu, c)
             assert abs(val - round(val.real)) < 1e-9
             assert character_count(mu, c) == psi_count(mu * n, c)
+
+
+def full_width_value(mu, c):
+    """psi_character_value over the full n-column table: the oracle of its
+    narrow table, which stops at the last column it reads."""
+    G = c.subgroup
+    g = G.group
+    chars = quotient_characters(G)
+    V, prefix = character_prefix_sums(g, chars)
+    full, rem = divmod(math.floor(mu * g.n), g.n)
+    sums = prefix[:, rem].copy()
+    sums[0] += full * g.phi
+    alpha = pow(c.representative, -1, g.n)
+    return complex(np.sum(V[:, alpha] * sums)) / len(chars)
+
+
+class TestNarrowTable:
+    def test_equals_the_full_width_value(self):
+        # rem < a^-1 and rem >= a^-1 within one period, mu > 1, and n = 2,
+        # where a^-1 = 1 and rem is 0 or 1: the same float, not just close
+        seen = set()
+        rng = random.Random(0x9A1)
+        cases = [(unit_group(2), 1, F(1, 2)), (unit_group(2), 1, F(3, 2)), (unit_group(2), 1, 2)]
+        for _ in range(150):
+            n = rng.randint(3, 200)
+            g = unit_group(n)
+            cases.append((g, rng.choice(g.units()), F(rng.randint(1, 60), 20)))
+        for g, a, mu in cases:
+            n = g.n
+            for G in (full_subgroup(g), dth_power_subgroup(g, 2), dth_power_subgroup(g, 3)):
+                c = coset(a, G)
+                rem = math.floor(mu * n) % n
+                seen.add((n == 2, rem < pow(a, -1, n), mu > 1))
+                assert psi_character_value(mu, c) == full_width_value(mu, c), (n, a, mu)
+        assert {(False, True, False), (False, False, False), (False, True, True), (False, False, True)} <= seen
+        assert {(True, False, False), (True, False, True)} <= seen
 
 
 class TestPsiEstimate:

@@ -1,6 +1,7 @@
 """Unit group structure, subgroups, cosets, and the exponent fast path."""
 
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -144,6 +145,46 @@ class TestSubgroups:
             assert subgroup_from_generators(unit_group(n), gens).elements == tuple(sorted(explicit))
         g = unit_group(48)
         assert closure([gen for gen, _ in g.cyclic_factors], 48) == set(g.units())
+
+    @staticmethod
+    def product_set(gens, n):
+        """Every product x_1^i_1 ... x_k^i_k mod n, exponents 0..n-1."""
+        explicit = {1 % n}
+        for x in gens:
+            explicit = {e * pow(x, i, n) % n for e in explicit for i in range(n)}
+        return explicit
+
+    def test_closure_against_the_product_set(self):
+        # random unit lists mod n <= 300 with 1-3 generators, repeats and 1,
+        # and the two generators of every 2^e <= 256; the closure is a
+        # subgroup of the units whose order divides phi(n)
+        rng = random.Random(0xC105)
+        cases = [((2**e - 1, 5), 2**e) for e in range(3, 9)]
+        cases += [((5, 2**e - 1, 5), 2**e) for e in range(3, 9)]
+        for _ in range(300):
+            n = rng.randint(2, 300)
+            units = unit_group(n).units()
+            gens = [rng.choice(units) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.3:
+                gens.append(rng.choice(gens))  # a repeat
+            if rng.random() < 0.3:
+                gens.insert(rng.randrange(len(gens) + 1), 1)
+            cases.append((tuple(gens), n))
+        for gens, n in cases:
+            explicit = self.product_set(gens, n)
+            got = closure(gens, n)
+            assert got == explicit, (gens, n)
+            assert unit_group(n).phi % len(got) == 0, (gens, n)
+        assert closure([], 7) == {1} and closure([1, 1], 7) == {1}
+        assert closure([3], 1) == {0}  # mod 1 the only residue is 0
+
+    @pytest.mark.parametrize("gens, n", [([2], 4), ([2, 6], 9), ([7, 11, 10], 15), ([0], 5)])
+    def test_closure_rejects_a_non_unit(self, gens, n):
+        # a non-unit generator used to give a monoid, e.g. {0, 1, 2} mod 4
+        with pytest.raises(ValueError, match=f"generator {gens[-1]} is not coprime to {n}"):
+            closure(gens, n)
+        with pytest.raises(ValueError, match="is not coprime to"):
+            subgroup_from_generators(unit_group(n), gens)
 
     def test_nested_power_subgroups(self):
         # d-th powers sit inside e-th powers whenever e divides d.

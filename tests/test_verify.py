@@ -7,8 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from cosetapprox import experiment, verify
-from cosetapprox.verify import check_formula_oracle, check_hits_brute, check_overlap_theta
+from cosetapprox import experiment, residue_group, verify
+from cosetapprox.verify import (
+    check_formula_oracle,
+    check_hits_brute,
+    check_overlap_theta,
+    check_quotient_characters,
+    check_sieve_identity,
+    check_subgroup_consistency,
+)
 
 
 def test_formula_oracle_at_n_1():
@@ -28,6 +35,44 @@ def test_overlap_clipping_oracle_catches_a_shifted_measure(monkeypatch):
     monkeypatch.setattr(verify, "overlap_measure", shifted)
     ok, _ = check_overlap_theta(60)
     assert not ok
+
+
+def test_sieve_check_catches_one_count_off_by_one(monkeypatch):
+    # one call per n now: a sieve that is one too high at mu = 7/20 for
+    # n = 30 alone is one violation
+    assert check_sieve_identity(60, 20) == (True, "n <= 60, 20 mu values, 0 violations")
+    exact = verify.phi_mu_sieve
+
+    def off_by_one(n, mus):
+        rows = exact(n, mus)
+        bump = [int(n == 30 and mu == Fraction(7, 20)) for mu in mus]
+        return [(count + b, rem) for b, (count, rem) in zip(bump, rows)]
+
+    monkeypatch.setattr(verify, "phi_mu_sieve", off_by_one)
+    assert check_sieve_identity(60, 20) == (False, "n <= 60, 20 mu values, 1 violations")
+
+
+def test_quotient_check_catches_a_dropped_row(monkeypatch):
+    assert check_quotient_characters(12) == (True, "n <= 12, 0 violations")
+    exact = verify.quotient_characters
+    monkeypatch.setattr(verify, "quotient_characters", lambda G: exact(G)[:-1])
+    ok, detail = check_quotient_characters(12)
+    assert not ok and detail != "n <= 12, 0 violations", detail
+
+
+def test_subgroup_check_catches_a_closure_missing_an_element(monkeypatch):
+    assert check_subgroup_consistency(40, 3) == (True, "n <= 40, d <= 3, 0 violations")
+    exact = residue_group.closure
+
+    def short(gens, n):
+        elements = exact(gens, n)
+        if len(elements) > 1:
+            elements.discard(max(elements))
+        return elements
+
+    monkeypatch.setattr(residue_group, "closure", short)
+    ok, detail = check_subgroup_consistency(40, 3)
+    assert not ok, detail
 
 
 def test_hit_oracle_catches_a_wrong_membership_test(monkeypatch):
