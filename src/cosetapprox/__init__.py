@@ -38,7 +38,6 @@ from .experiment import (
     ExperimentConfig,
     HitRecord,
     QSequence,
-    abel_condition_check,
     check_conditions,
     prepare,
 )

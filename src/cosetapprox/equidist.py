@@ -54,18 +54,18 @@ def phi_mu(n: int, mu) -> int:
     return count
 
 
-def phi_mu_sieve(n: int, mus) -> list[tuple[int, Fraction]]:
+def phi_mu_sieve(n: int, mus) -> list[int]:
     """Inclusion-exclusion count over the squarefree divisors of n, for each
     mu in mus, in order.
 
-    Returns one (count, R) per mu, where R = count - mu*phi(n) is the exact
-    remainder; the identity guarantees count = phi_mu(n, mu) and |R| <= tau(n).
-    The signed divisors, phi(n) and tau(n) are built once per call.  With
+    Returns one count per mu; the identity guarantees count = phi_mu(n, mu)
+    and |R| <= tau(n) for the exact remainder R = count - mu*phi(n).  The
+    signed divisors, phi(n) and tau(n) are built once per call.  With
     mu = num/den each term floor(mu*n/k) is the integer floor division
     num*n // (den*k), so the sum needs no rationals.  The bound is tested on
-    the integer den*R = count*den - num*phi(n) as |den*R| <= tau(n)*den, so
-    only the returned R is a Fraction.  The first mu that is not a positive
-    exact rational, or whose remainder breaks the bound, raises.
+    the integer den*R = count*den - num*phi(n) as |den*R| <= tau(n)*den.
+    The first mu that is not a positive exact rational, or whose remainder
+    breaks the bound, raises.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
@@ -85,7 +85,7 @@ def phi_mu_sieve(n: int, mus) -> list[tuple[int, Fraction]]:
         scaled = count * den - num * phi  # den * R
         if abs(scaled) > t * den:
             raise ArithmeticError(f"sieve remainder {Fraction(scaled, den)} exceeds tau({n})")
-        out.append((count, Fraction(scaled, den)))
+        out.append(count)
     return out
 
 
@@ -177,7 +177,9 @@ class IntervalSystem:
     p in (0, q^d) with p mod q in the coset; q is the coset's modulus.
 
     Centers are never materialized eagerly (there are |G| * q^(d-1) of them);
-    counting queries go through the periodic coset structure.
+    counting queries go through the periodic coset structure.  d must be an
+    int and alpha an exact rational (as_fraction's rule): a float or a bool
+    raises TypeError.
     """
 
     d: int
@@ -185,7 +187,9 @@ class IntervalSystem:
     coset: Coset
 
     def __post_init__(self) -> None:
-        if not (0 < self.alpha < Fraction(1, 2)):
+        if isinstance(self.d, bool) or not isinstance(self.d, int):
+            raise TypeError(f"power must be an int, got {self.d!r}")
+        if not (0 < as_fraction(self.alpha) < Fraction(1, 2)):
             raise ValueError(f"radius parameter must lie in (0, 1/2), got {self.alpha}")
         if self.d < 1:
             raise ValueError(f"power must be >= 1, got {self.d}")
@@ -326,7 +330,10 @@ def overlap_excess_sweep(A, systems, epsilon: float = 0.05) -> OverlapSweepRepor
     least-squares log-log regression over the nonzero excesses (a trend
     report, not a limit claim).  The systems must share one d and have
     strictly increasing q: the fit and the early/late halves assume both.
+    A non-finite epsilon raises ValueError.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if len(systems) < 2:
         raise ValueError("sweep needs at least two systems")
     if any(E.q >= F.q for E, F in zip(systems, systems[1:])):

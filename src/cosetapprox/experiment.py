@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .arith import as_fraction, euler_phi, factor_all, primes_up_to, r_d
 from .residue_group import SUBGROUP_MODES, closure, is_dth_power
 
 __all__ = [
-    "AbelReport",
     "AlphaSequence",
     "ConditionsReport",
     "Experiment",
@@ -37,7 +36,6 @@ __all__ = [
     "HitRecord",
     "MonteCarloResult",
     "QSequence",
-    "abel_condition_check",
     "check_conditions",
     "prepare",
 ]
@@ -555,20 +553,33 @@ def _two_odd(b: int) -> tuple[int, int]:
     return e, b >> e
 
 
-def _prefix_steps(dens, nums, cps: tuple[int, ...]):
-    """_prefix_ratio's pass as a generator: one step per next(), yielding
-    whether prefix n is a new argmin (True at n = 1), and returning
-    _prefix_ratio's result when the series end.  check_conditions moves one
-    forward lazily as its exact cursor; see _prefix_ratio for the proof."""
-    cps_set = set(cps)
+def _running_sums(dens, nums):
+    """The running sums A_n = dens_1 + ... + dens_n and W_n = nums_1 + ... +
+    nums_n of two series of positive (numerator, denominator) pairs, as the
+    integers (L, L A_n, L W_n) over one common denominator L, yielded after
+    each term n.  The series are consumed lazily.
+
+    check_conditions' exact cursor (_prefix_argmin) and the checkpoint rows
+    of ConditionsReport both read this fold of _series.  It costs
+    O(K * bits) of the common denominator.
+
+    A_n and W_n are kept as integers A and W over L = 2^E O with O odd, so
+    no Fraction is built in the loop.  At step n, let 2^ex ox and 2^ey oy be
+    the denominators of the two terms, with ox and oy odd, and o =
+    lcm(ox, oy), a number of the terms' size.  E rises to max(E, ex, ey) by
+    a shift.  One divmod(O, o) = (quo, rem) gives the rest.  If rem = 0, o
+    divides O and O / o = quo.  Otherwise O becomes lcm(O, o) = O m, with
+    g = gcd(rem, o) and m = o / g, and the new O / o = (quo o + rem) / g =
+    quo m + rem / g.  A and W are multiplied by m 2^shift, and the term
+    a / (2^ex ox) adds a 2^(E - ex) (o / ox) (O / o) to A; the other term
+    adds to W likewise.  So each step divides the big O once by a small
+    number, and the loop runs no big-by-big gcd, quotient or remainder.
+    """
     E, O = 0, 1
-    D = N = Dj = Nj = 0
-    r = 0.0
-    rows = []
-    floats = exact = 0
-    for n, (x, y) in enumerate(zip(dens, nums), start=1):
-        ex, ox = _two_odd(x.denominator)
-        ey, oy = _two_odd(y.denominator)
+    A = W = 0
+    for (x, dx), (y, dy) in zip(dens, nums):
+        ex, ox = _two_odd(dx)
+        ey, oy = _two_odd(dy)
         o = ox * oy // math.gcd(ox, oy)
         shift = max(ex, ey, E) - E
         E += shift
@@ -581,83 +592,10 @@ def _prefix_steps(dens, nums, cps: tuple[int, ...]):
             O *= m
         if m > 1 or shift:
             s = m << shift
-            D, N, Dj, Nj = D * s, N * s, Dj * s, Nj * s
-        D += ((x.numerator * (o // ox)) << (E - ex)) * quo
-        N += ((y.numerator * (o // oy)) << (E - ey)) * quo
-        if n in cps_set:
-            rows.append((O << E, D, N))
-        if n > 1:
-            dN, dD = N - Nj, D - Dj
-            t = dN / dD
-            if t == r:
-                exact += 1
-                if dN * Dj >= Nj * dD:
-                    yield False
-                    continue
-            else:
-                floats += 1
-                if t > r:
-                    yield False
-                    continue
-        Dj, Nj = D, N
-        r = N / D
-        yield True
-    return tuple(rows), Fraction(Nj, Dj), floats, exact
-
-
-def _prefix_ratio(dens, nums, cps: tuple[int, ...]):
-    """The exact prefix-ratio pass over the series dens_k > 0 and nums_k > 0.
-
-    With D_n = dens_1 + ... + dens_n and N_n likewise, returns the rows
-    (L, L D_n, L N_n) at the checkpoints cps, all integers; the exact
-    minimum of r_n = N_n / D_n over every prefix n, checkpoint or not; and
-    how many of its comparisons floats decided and how many fell back to
-    exact integers.  The series are consumed lazily.  Both callers pass
-    nums_k / dens_k = |G_k| / q_k, a density in (0, 1].
-
-    This pass is the oracle of check_conditions' screen (_prefix_argmin),
-    and, run forward lazily as _prefix_steps, its exact fallback; the
-    checkpoint rows of ConditionsReport and abel_condition_check run it to
-    the end.  It costs O(K * bits) of the common denominator.
-
-    Integers.  D_n and N_n are kept as integers D and N over one common
-    denominator L = 2^E O with O odd, so r_n = N / D and no Fraction is
-    built in the loop.  At step n, let 2^ex ox and 2^ey oy be the
-    denominators of dens_n and nums_n, with ox and oy odd, and o =
-    lcm(ox, oy), a number of the terms' size.  E rises to max(E, ex, ey)
-    by a shift.  One divmod(O, o) = (quo, rem) gives the rest.  If rem = 0,
-    o divides O and O / o = quo.  Otherwise O becomes lcm(O, o) = O m, with
-    g = gcd(rem, o) and m = o / g, and the new O / o = (quo o + rem) / g =
-    quo m + rem / g.  D, N and the argmin's integers are multiplied by
-    m 2^shift, which leaves every ratio as it was, and dens_n =
-    a / (2^ex ox) adds a 2^(E - ex) (o / ox) (O / o) to D; nums_n adds to N
-    likewise.  So each step divides the big O once by a small number, and
-    the loop runs no big-by-big gcd, quotient or remainder.
-
-    Fall test.  Let j be the argmin so far (the first on ties).  As
-    D_j < D_n,
-        r_n < r_j  iff  t < r_j,  where t = (N_n - N_j) / (D_n - D_j)
-    is the mediant of the terms j < k <= n.  Like r_j it is a weighted
-    average of densities in (0, 1], so its double cannot overflow.
-
-    Floats.  Floats only prune; the integers decide whatever they leave.
-    Python's int / int is the correctly rounded double of the exact
-    quotient, and rounding to nearest is monotone (across subnormals and
-    underflow to 0 too): t <= r_j gives t' <= r', and t >= r_j gives
-    t' >= r', for the doubles t' = fl(t) and r' = fl(r_j).  Hence
-        t' < r'  proves  t < r_j:  a new minimum,
-        t' > r'  proves  t > r_j:  no new minimum,
-    with an error margin of zero.  Only t' = r' is left undecided: an exact
-    tie, or a near-tie whose two values round to the same double.  There
-    the integers decide, by
-        (N_n - N_j) D_j < N_j (D_n - D_j).
-    """
-    steps = _prefix_steps(dens, nums, cps)
-    while True:
-        try:
-            next(steps)
-        except StopIteration as done:
-            return done.value
+            A, W = A * s, W * s
+        A += ((x * (o // ox)) << (E - ex)) * quo
+        W += ((y * (o // oy)) << (E - ey)) * quo
+        yield O << E, A, W
 
 
 _EMPTY = -(1 << 62)  # exponent of an empty float sum, whose mantissa is 0.0
@@ -692,25 +630,26 @@ def _screen_margin(K: int) -> float:
 
 
 def _prefix_argmin(K: int, terms, cursor) -> tuple[int, int, int]:
-    """(j, floats, exact): the first argmin j of r_n = N_n / D_n over every
+    """(j, floats, exact): the first argmin j of r_n = W_n / A_n over every
     prefix n <= K, and how many of the K - 1 fall tests the float screen
     decided and how many it left to the exact cursor.
 
-    terms yields, per index, the (m, x) pairs of _float_term of dens_k and
-    nums_k; cursor is _prefix_steps over the same series, not yet started.
+    terms yields, per index, the (m, x) pairs of _float_term of the two
+    terms of _series; cursor is _running_sums over the same series, not yet
+    started.
 
-    Screen.  Fall tests are _prefix_ratio's: with j the argmin so far,
-    r_n < r_j iff rho < 1, where
-        rho = (N_n - N_j) D_j / ((D_n - D_j) N_j).
-    The tails T_N = N_n - N_j and T_D = D_n - D_j are float sums of the
-    terms j < k <= n, and D_j, N_j float sums built by adding each tail in
-    when its last term becomes the argmin.  Every sum is a double mantissa
-    s with an int exponent E: adding m 2^x aligns the smaller one with an
-    exact ldexp (or one that underflows) and adds.  The larger operand has
-    a mantissa >= 1/2, so no sum falls below 1/2 and the relative precision
-    holds whatever the exponents, past the double range (c*2^-k radii).
-    Each term adds less than 1 to s (plus rounding), so s < K + 1 and no
-    product or quotient of mantissas below overflows or underflows.
+    Screen.  With j the argmin so far, the tails T_A = A_n - A_j and
+    T_W = W_n - W_j give r_n < r_j iff W_n A_j < W_j A_n iff rho < 1, where
+        rho = T_W A_j / (T_A W_j).
+    The tails are float sums of the terms j < k <= n, and A_j, W_j float
+    sums built by adding each tail in when its last term becomes the
+    argmin.  Every sum is a double mantissa s with an int exponent E: adding
+    m 2^x aligns the smaller one with an exact ldexp (or one that
+    underflows) and adds.  The larger operand has a mantissa >= 1/2, so no
+    sum falls below 1/2 and the relative precision holds whatever the
+    exponents, past the double range (c*2^-k radii).  Each term adds less
+    than 1 to s (plus rounding), so s < K + 1 and no product or quotient of
+    mantissas below overflows or underflows.
 
     Margin.  Let u = 2^-53.  Each term's (m, x) is within a factor 1 + u of
     the term.  Each addition multiplies the sum by at most 1 + u plus the
@@ -719,7 +658,7 @@ def _prefix_argmin(K: int, terms, cursor) -> tuple[int, int, int]:
     through at most 2K additions (its tail's and one merge per later
     argmin), so each of the four sums is within a factor (1 + 1.01u)^(2K+1)
     <= 1 + eps of its exact value, eps = 8 K u = K 2^-50, for K <= 2^36.
-    The computed rho' = ldexp(frexp((T_N' D_j') / (T_D' N_j'))) takes three
+    The computed rho' = ldexp(frexp((T_W' A_j') / (T_A' W_j'))) takes three
     more roundings (two products, one quotient; frexp is exact, and the
     exponent is clamped to [-64, 64], which keeps the side of 1 and any
     ldexp from rounding).  So with eps <= 2^-14,
@@ -730,36 +669,46 @@ def _prefix_argmin(K: int, terms, cursor) -> tuple[int, int, int]:
     Past K = 2^36 the margin is infinite and no step is screened.
 
     Fallback.  Every step within the margin, exact ties among them, goes to
-    the cursor, _prefix_steps run forward to step n; it decides all the
-    steps up to n exactly, so the first argmin on ties is kept.  The
-    cursor only moves forward: at worst (a tie at every step) it runs
-    once through, which is what _prefix_ratio costs.
+    the cursor, run forward to step n.  It keeps its row (L, L A_j, L W_j)
+    at the argmin j: taken as it passes j, or at step n itself when that
+    step sets j.  Step n is then the one integer comparison W_n A_j <
+    W_j A_n of two rows, whose L's multiply both sides alike.  It is
+    strict, so the first argmin on ties is kept.  The cursor only moves
+    forward: at worst (a tie at every step) it runs once through, which is
+    what reading the checkpoint rows costs.
     """
     lo, hi = 1 - _screen_margin(K), 1 + _screen_margin(K)
     terms = iter(terms)
-    (dj, djx), (nj, njx) = next(terms)
-    td = tn = 0.0
-    tdx = tnx = _EMPTY
+    (aj, ajx), (wj, wjx) = next(terms)
+    ta = tw = 0.0
+    tax = twx = _EMPTY
     j, taken, floats, exact = 1, 0, 0, 0
-    for n, (d, w) in enumerate(terms, start=2):
-        td, tdx = _float_add(td, tdx, *d)
-        tn, tnx = _float_add(tn, tnx, *w)
-        v, e = math.frexp((tn * dj) / (td * nj))
-        rho = math.ldexp(v, min(max(e + tnx + djx - tdx - njx, -64), 64))
+    for n, (a, w) in enumerate(terms, start=2):
+        ta, tax = _float_add(ta, tax, *a)
+        tw, twx = _float_add(tw, twx, *w)
+        v, e = math.frexp((tw * aj) / (ta * wj))
+        rho = math.ldexp(v, min(max(e + twx + ajx - tax - wjx, -64), 64))
         if rho < lo or rho > hi:
             floats += 1
             new = rho < lo
         else:
             exact += 1
             while taken < n:
-                new = next(cursor)
+                row = next(cursor)
                 taken += 1
+                if taken == j:
+                    at_j = row
+            _, a_n, w_n = row
+            _, a_j, w_j = at_j
+            new = w_n * a_j < w_j * a_n
+            if new:
+                at_j = row
         if new:
             j = n
-            dj, djx = _float_add(dj, djx, td, tdx)
-            nj, njx = _float_add(nj, njx, tn, tnx)
-            td = tn = 0.0
-            tdx = tnx = _EMPTY
+            aj, ajx = _float_add(aj, ajx, ta, tax)
+            wj, wjx = _float_add(wj, wjx, tw, twx)
+            ta = tw = 0.0
+            tax = twx = _EMPTY
     return j, floats, exact
 
 
@@ -802,11 +751,6 @@ def _fraction(term: tuple[int, int, int]) -> Fraction:
     return Fraction(n, o << e)
 
 
-def _weighted(exp: Experiment):
-    """The terms alpha_k |G_k| / q_k as Fractions, built lazily."""
-    return (a * Fraction(order, q) for q, a, order in zip(exp.qs, exp.alphas, exp.orders))
-
-
 @dataclass(frozen=True)
 class ConditionsReport:
     """Prefix sums behind the divergence and subgroup-size conditions.
@@ -815,8 +759,8 @@ class ConditionsReport:
     small); the running minimum and final value of the density ratio are
     exact over all prefixes regardless of the grid.  The checkpoint rows are
     lazy: the first read of rows, partial_sum_alpha, weighted_sum or c_ratio
-    runs _prefix_ratio over the experiment once, and the rows are kept as
-    integers and turned into Fractions only when read.
+    runs the _running_sums fold over the experiment once and keeps its rows
+    at the checkpoints, as integers turned into Fractions only when read.
     """
 
     epsilon: float
@@ -836,7 +780,9 @@ class ConditionsReport:
     def rows(self) -> tuple[tuple[int, int, int], ...]:
         """Per checkpoint n, the integers (L, L sum alpha_k, L sum alpha_k
         |G_k| / q_k) over k <= n."""
-        return _prefix_ratio(self._exp.alphas, _weighted(self._exp), self.checkpoints)[0]
+        cps = set(self.checkpoints)
+        sums = _running_sums(*_series(self._exp))
+        return tuple(row for n, row in enumerate(sums, start=1) if n in cps)
 
     @cached_property
     def partial_sum_alpha(self) -> tuple[Fraction, ...]:
@@ -875,9 +821,10 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
     integers decide: _prefix_argmin finds the first argmin j of the ratio
     with a float screen of relative margin K 2^-46, proved in its
     docstring, and sends every step within the margin (exact ties among
-    them) to _prefix_ratio's pass, run forward as its exact cursor.  The final sums and the prefix at j are then summed
-    exactly once each, by _lcm_sum over the terms k <= j and k > j.  The
-    checkpoint rows are lazy (see ConditionsReport).
+    them) to its exact cursor, the _running_sums fold run forward.  The
+    final sums and the prefix at j are then summed exactly once each, by
+    _lcm_sum over the terms k <= j and k > j.  The checkpoint rows are lazy
+    (see ConditionsReport).
     """
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
@@ -895,9 +842,8 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
     last = sum(cond_c[-dec:]) / dec
     K = exp.config.K
     dens, nums = _series(exp)
-    cursor = _prefix_steps(exp.alphas, _weighted(exp), ())
     j, floats, exact = _prefix_argmin(
-        K, zip(map(_float_term, dens), map(_float_term, nums)), cursor
+        K, zip(map(_float_term, dens), map(_float_term, nums)), _running_sums(*_series(exp))
     )
     a_j, w_j = map(_lcm_sum, _series(exp, 0, j))
     a_rest, w_rest = map(_lcm_sum, _series(exp, j))
@@ -916,37 +862,6 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
         float_decisions=floats,
         exact_fallbacks=exact,
         _exp=exp,
-    )
-
-
-@dataclass(frozen=True)
-class AbelReport:
-    """Summation-by-parts check: an average density bound implies the
-    weighted condition with the same constant when the radii are
-    non-increasing."""
-
-    density_partial: tuple[Fraction, ...]  # S_n = sum of |G_k|/q_k at checkpoints
-    c_star: Fraction  # min over all prefixes of S_n / n
-    implication_holds: bool
-
-
-def abel_condition_check(exp: Experiment, conditions: ConditionsReport) -> AbelReport:
-    """Verify on the computed prefixes that S_n > c n forces the weighted
-    condition with the same c.  Rejects configs whose radii increase.
-
-    The weighted side comes from conditions = check_conditions(exp): every
-    partial radius sum is positive, so sum alpha_k |G_k|/q_k >= c_star
-    sum alpha_k holds at every prefix exactly when the all-prefix ratio
-    minimum is >= c_star.
-    """
-    if any(b > a for a, b in zip(exp.alphas, exp.alphas[1:])):
-        raise ValueError("Abel check requires a non-increasing alpha sequence")
-    densities = (Fraction(order, q) for q, order in zip(exp.qs, exp.orders))
-    rows, c_star, _, _ = _prefix_ratio(repeat(1), densities, conditions.checkpoints)
-    return AbelReport(
-        density_partial=tuple(Fraction(s, L) for L, _, s in rows),
-        c_star=c_star,
-        implication_holds=conditions.c_ratio_min >= c_star,
     )
 
 

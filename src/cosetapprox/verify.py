@@ -134,8 +134,7 @@ def check_sieve_identity(n_max: int = 2000, grid: int = 40) -> tuple[bool, str]:
         # coprime[m] = #{1 <= k <= m : gcd(k, n) = 1}
         coprime = np.cumsum(np.gcd(np.arange(grid * n // 20 + 1), n) == 1)
         # phi_mu_sieve raises ArithmeticError itself when |R| > tau(n)
-        counts = [count for count, _ in phi_mu_sieve(n, mus)]
-        bad += sum(c != w for c, w in zip(counts, coprime[js * n // 20].tolist()))
+        bad += sum(c != w for c, w in zip(phi_mu_sieve(n, mus), coprime[js * n // 20].tolist()))
     return bad == 0, f"n <= {n_max}, {grid} mu values, {bad} violations"
 
 

@@ -12,6 +12,7 @@ from cosetapprox import equidist
 from cosetapprox.arith import euler_phi, factor, tau
 from cosetapprox.characters import character_prefix_sums, quotient_characters
 from cosetapprox.equidist import (
+    IntervalSystem,
     interval_system,
     overlap_bound_check,
     overlap_excess_sweep,
@@ -69,41 +70,38 @@ class TestPhiMu:
 
 class TestSieve:
     def test_examples(self):
-        assert phi_mu_sieve(10, [F(1, 2)]) == [(2, F(0))]
-        [(count, rem)] = phi_mu_sieve(30, [F(1, 4)])
+        assert phi_mu_sieve(10, [F(1, 2)]) == [2]
+        [count] = phi_mu_sieve(30, [F(1, 4)])
         assert count == phi_mu(30, F(1, 4))
-        assert abs(rem) <= tau(factor(30)) == 8
+        assert abs(count - F(1, 4) * 8) <= tau(factor(30)) == 8
 
     def test_integer_mu_has_zero_remainder(self):
         for n in (6, 10, 49, 90):
-            for mu, (count, rem) in zip((1, 2, 5), phi_mu_sieve(n, (1, 2, 5))):
-                assert rem == 0
+            for mu, count in zip((1, 2, 5), phi_mu_sieve(n, (1, 2, 5))):
                 assert count == mu * euler_phi(factor(n))
 
     def test_grid(self):
         mus = [F(j, 10) for j in range(1, 21)]
         for n in range(2, 250):
-            t = tau(factor(n))
-            rows = phi_mu_sieve(n, mus)
-            assert len(rows) == len(mus)
-            for mu, (count, rem) in zip(mus, rows):
+            t, phi = tau(factor(n)), euler_phi(factor(n))
+            counts = phi_mu_sieve(n, mus)
+            assert len(counts) == len(mus)
+            for mu, count in zip(mus, counts):
                 assert count == phi_mu(n, mu)
-                assert abs(rem) <= t
+                assert abs(count - mu * phi) <= t
 
     def test_one_call_per_modulus_in_order(self):
         # a shuffled list with repeats, an integer and an empty list: one
-        # (count, R) per mu, in the order given, each equal to a call of
-        # its own and to the gcd scan
+        # count per mu, in the order given, each equal to a call of its own
+        # and to the gcd scan
         rng = random.Random(0x5EE)
         for n in (2, 12, 97, 360, 1001):
             mus = [F(rng.randint(1, 60), rng.randint(1, 20)) for _ in range(12)]
             mus += [mus[3], 2, F(1, 3)]
             rng.shuffle(mus)
-            rows = phi_mu_sieve(n, mus)
-            assert rows == [phi_mu_sieve(n, [mu])[0] for mu in mus]
-            assert [count for count, _ in rows] == [phi_mu(n, mu) for mu in mus]
-            phi = euler_phi(factor(n))
-            assert all(rem == count - mu * phi for mu, (count, rem) in zip(mus, rows))
+            counts = phi_mu_sieve(n, mus)
+            assert counts == [phi_mu_sieve(n, [mu])[0] for mu in mus]
+            assert counts == [phi_mu(n, mu) for mu in mus]
             assert phi_mu_sieve(n, []) == []
 
     def test_raises_at_the_first_bad_mu(self):
@@ -144,7 +142,9 @@ class TestSieve:
         mus += [F(rng.randint(1, 5 * big), big) for _ in range(6)]
         for n in (2, 6, 30, 64, 210, 997, 2310, 30030):
             t = tau(factor(n))
-            for mu, (count, rem) in zip(mus, phi_mu_sieve(n, mus)):
+            phi = euler_phi(factor(n))
+            for mu, count in zip(mus, phi_mu_sieve(n, mus)):
+                rem = count - mu * phi
                 assert (count, rem) == self.fraction_sieve(n, mu), (n, mu)
                 assert count == phi_mu(n, mu), (n, mu)
                 assert abs(rem) <= t
@@ -152,7 +152,9 @@ class TestSieve:
     def test_eight_primes(self):
         n = 9699690  # 2*3*5*7*11*13*17*19: 256 signed divisors
         mus = (F(1, 10**9 + 7), F(10**9, 10**9 + 7), F(3, 2))
-        for mu, (count, rem) in zip(mus, phi_mu_sieve(n, mus)):
+        phi = euler_phi(factor(n))
+        for mu, count in zip(mus, phi_mu_sieve(n, mus)):
+            rem = count - mu * phi
             assert (count, rem) == self.fraction_sieve(n, mu)
             assert mu > 1 or count == phi_mu(n, mu)  # the scan is slow past n
             assert abs(rem) <= tau(factor(n)) == 256
@@ -165,8 +167,9 @@ class TestSieve:
         # |R| = tau passes; tau one below |R| (or the next integer below a
         # fractional |R|) raises, and the message gives R exactly; the bad mu
         # raises before a later mu <= 0 is looked at
+        assert count - mu * euler_phi(factor(n)) == remainder
         monkeypatch.setattr(equidist, "tau", lambda f: abs(remainder))
-        assert phi_mu_sieve(n, [mu]) == [(count, remainder)]
+        assert phi_mu_sieve(n, [mu]) == [count]
         monkeypatch.setattr(equidist, "tau", lambda f: math.ceil(abs(remainder)) - 1)
         with pytest.raises(ArithmeticError, match=f"^sieve remainder {remainder} exceeds tau\\({n}\\)$"):
             phi_mu_sieve(n, [mu, 0])
@@ -383,6 +386,20 @@ class TestIntervalSystem:
         with pytest.raises(ValueError):
             interval_system(1, F(3, 5), 1, full_subgroup(g))
 
+    @pytest.mark.parametrize("d", [2.5, 1.0, True, np.int64(1)])
+    def test_rejects_a_power_that_is_not_an_int(self, d):
+        # 2.5 over q = 7 had given modulus 129.64... and 1.0 a float 7.0
+        G = full_subgroup(unit_group(7))
+        with pytest.raises(TypeError, match="power must be an int"):
+            interval_system(d, F(1, 4), 1, G)
+
+    @pytest.mark.parametrize("alpha", [0.25, True])
+    def test_rejects_a_radius_that_is_not_exact(self, alpha):
+        # built directly, past interval_system's own as_fraction
+        c = coset(1, full_subgroup(unit_group(7)))
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            IntervalSystem(d=1, alpha=alpha, coset=c)
+
 
 class TestOverlap:
     def test_whole_interval(self):
@@ -507,3 +524,9 @@ class TestOverlap:
         ):
             with pytest.raises(ValueError, match=message):
                 overlap_excess_sweep(A, [system(q, d) for q, d in qds])
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
+    def test_excess_sweep_rejects_a_non_finite_epsilon(self, epsilon):
+        systems = [interval_system(1, F(1, 5), 1, full_subgroup(unit_group(q))) for q in (7, 11)]
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            overlap_excess_sweep([(F(1, 10), F(1, 5))], systems, epsilon=epsilon)

@@ -1,7 +1,6 @@
 """Experiment configs, hit finding against brute scans, conditions, and the
 deterministic Monte Carlo harness."""
 
-import itertools
 import json
 import math
 import pickle
@@ -22,7 +21,6 @@ from cosetapprox.experiment import (
     ExperimentConfig,
     QSequence,
     _sample_point,
-    abel_condition_check,
     check_conditions,
     exact_str,
     prepare,
@@ -677,120 +675,9 @@ class TestConditions:
         assert len(rep.partial_sum_alpha) == 30
 
 
-def _abel(exp):
-    return abel_condition_check(exp, check_conditions(exp))
-
-
-class TestAbel:
-    def test_rejects_increasing_alpha(self):
-        cfg = small_cfg(
-            alpha_sequence=AlphaSequence("explicit", values=(F(1, 8), F(1, 4), F(1, 3))),
-            K=3,
-        )
-        with pytest.raises(ValueError):
-            _abel(prepare(cfg))
-
-    def test_constant_density_case(self):
-        # all q prime: |G|/q = (q-1)/q bounded below, both sides immediate
-        cfg = small_cfg(q_sequence=QSequence("primes"), K=100)
-        rep = _abel(prepare(cfg))
-        assert rep.implication_holds
-        assert rep.c_star == F(1, 2)  # prefix n = 1: q = 2, density 1/2
-
-    def test_d2_prime_config(self):
-        ps = tuple(p for p in primes_up_to(400) if p > 2)
-        cfg = small_cfg(
-            q_sequence=QSequence("explicit", values=ps),
-            d=2,
-            subgroup_mode="dth-powers",
-            K=len(ps),
-        )
-        rep = _abel(prepare(cfg))
-        assert rep.implication_holds
-        assert rep.c_star == F(1, 3)  # prefix n = 1: density (3-1)/6
-
-    def test_constant_alpha_reduces_to_density_bound(self):
-        cfg = small_cfg(
-            alpha_sequence=AlphaSequence("explicit", values=(F(1, 5),) * 50),
-            K=50,
-        )
-        exp = prepare(cfg)
-        cond = check_conditions(exp)
-        rep = abel_condition_check(exp, cond)
-        assert rep.implication_holds
-        # with constant alpha the weighted condition is the density bound itself
-        assert cond.weighted_sum[-1] == F(1, 5) * rep.density_partial[-1]
-
-
-def _abel_reference(exp, c_star):
-    """The all-prefix walk: weighted sums and radius sums at the checkpoints,
-    and whether the weighted bound with c_star holds at every prefix."""
-    cps = set(experiment._checkpoints(exp.config.K))
-    a_sum = w_sum = F(0)
-    lhs, alpha_sums, holds = [], [], True
-    for n, (q, alpha, order) in enumerate(zip(exp.qs, exp.alphas, exp.orders), start=1):
-        a_sum += alpha
-        w_sum += alpha * F(order, q)
-        holds = holds and w_sum >= c_star * a_sum
-        if n in cps:
-            lhs.append(w_sum)
-            alpha_sums.append(a_sum)
-    return tuple(lhs), tuple(alpha_sums), holds
-
-
-@pytest.mark.parametrize(
-    "kw",
-    [
-        dict(q_sequence=QSequence("primes"), K=100),
-        dict(alpha_sequence=AlphaSequence("c*2^-k", c=F(1, 4)), K=64),
-        dict(alpha_sequence=AlphaSequence("c/(k log k)", c=F(1, 3)), K=1100),
-        dict(
-            q_sequence=QSequence("explicit", values=tuple(p for p in primes_up_to(300) if p > 2)),
-            d=2,
-            subgroup_mode="dth-powers",
-            K=61,
-        ),
-        dict(
-            q_sequence=QSequence("explicit", values=tuple(p for p in primes_up_to(400) if p > 3)),
-            a=3,
-            subgroup_mode="generators",
-            generators=(2,),
-            K=76,
-        ),
-    ],
-)
-def test_abel_matches_all_prefix_reference(kw):
-    exp = prepare(small_cfg(**kw))
-    cond = check_conditions(exp)
-    rep = abel_condition_check(exp, cond)
-    lhs, alpha_sums, holds = _abel_reference(exp, rep.c_star)
-    assert len(rep.density_partial) == len(experiment._checkpoints(exp.config.K))
-    assert cond.weighted_sum == lhs
-    assert cond.partial_sum_alpha == alpha_sums
-    assert rep.implication_holds == holds
-
-
-def test_abel_reads_the_callers_report(monkeypatch):
-    # The Abel check takes the weighted side from the report it is handed and
-    # runs no second conditions pass of its own.
-    exp = prepare(small_cfg(alpha_sequence=AlphaSequence("c/(k log k)", c=F(1, 3)), K=1100))
-    cond = check_conditions(exp)
-
-    def no_second_pass(*args, **kwargs):
-        raise AssertionError("abel_condition_check ran check_conditions")
-
-    monkeypatch.setattr(experiment, "check_conditions", no_second_pass)
-    rep = abel_condition_check(exp, cond)
-    s_rows = itertools.accumulate(F(o, q) for q, o in zip(exp.qs, exp.orders))
-    c_star = min(s / n for n, s in enumerate(s_rows, start=1))
-    assert rep.c_star == c_star
-    assert rep.implication_holds == _abel_reference(exp, c_star)[2]
-
-
-# Sparse checkpoint grids (K > 1024) whose prefix minima fall between
-# checkpoints: the ratio minimum of the first config is at n = 810, where the
-# even moduli give way to primes, and its density minimum at n = 651; the
-# density minimum of the integers is at n = 820.
+# Sparse checkpoint grids (K > 1024): the ratio minimum of the first config
+# falls between checkpoints, at n = 810, where the even moduli give way to
+# primes.
 _EVENS_THEN_PRIMES = tuple(range(2, 1621, 2)) + tuple(
     p for p in primes_up_to(4000) if p > 1620
 )[:290]
@@ -805,25 +692,21 @@ _EVENS_THEN_PRIMES = tuple(range(2, 1621, 2)) + tuple(
                 alpha_sequence=AlphaSequence("c/k", c=F(1, 4)),
                 K=1100,
             ),
-            ("ratio", "density"),
+            ("ratio",),
         ),
-        (dict(K=1100), ("density",)),
+        (dict(K=1100), ()),
     ],
 )
 def test_prefix_minima_match_all_prefix_reference(kw, off_grid):
     exp = prepare(small_cfg(**kw))
     cond = check_conditions(exp)
-    abel = abel_condition_check(exp, cond)
-    a_sum = w_sum = s_sum = F(0)
-    series = {"ratio": [], "density": []}
-    for n, (q, alpha, order) in enumerate(zip(exp.qs, exp.alphas, exp.orders), start=1):
+    a_sum = w_sum = F(0)
+    series = {"ratio": []}
+    for q, alpha, order in zip(exp.qs, exp.alphas, exp.orders):
         a_sum += alpha
         w_sum += alpha * F(order, q)
-        s_sum += F(order, q)
         series["ratio"].append(w_sum / a_sum)
-        series["density"].append(s_sum / n)
     assert cond.c_ratio_min == min(series["ratio"])
-    assert abel.c_star == min(series["density"])
     for name in off_grid:
         values = series[name]
         argmin = values.index(min(values)) + 1
@@ -850,12 +733,16 @@ def _prefix_ratio_reference(dens, nums, cps):
     return d_rows, n_rows, ratio_rows, ratio_min
 
 
+def _weighted_terms(exp):
+    """The terms alpha_k |G_k| / q_k as Fractions."""
+    return [a * F(o, q) for q, a, o in zip(exp.qs, exp.alphas, exp.orders)]
+
+
 def _assert_conditions_match_reference(exp):
-    """check_conditions, and abel_condition_check when the radii allow it,
-    against the Fraction walk; returns the conditions report."""
-    weighted = [a * F(o, q) for q, a, o in zip(exp.qs, exp.alphas, exp.orders)]
+    """check_conditions against the Fraction walk; returns the report."""
     cps = experiment._checkpoints(exp.config.K)
-    d_rows, n_rows, ratio_rows, ratio_min = _prefix_ratio_reference(exp.alphas, weighted, cps)
+    walk = _prefix_ratio_reference(exp.alphas, _weighted_terms(exp), cps)
+    d_rows, n_rows, ratio_rows, ratio_min = walk
     rep = check_conditions(exp)
     assert not {"rows", "partial_sum_alpha", "weighted_sum", "c_ratio"} & set(vars(rep))
     assert rep.checkpoints == cps
@@ -868,12 +755,6 @@ def _assert_conditions_match_reference(exp):
     assert rep.c_ratio == ratio_rows
     assert all(type(x) is F for x in rep.c_ratio + rep.weighted_sum + rep.partial_sum_alpha)
     assert rep.float_decisions + rep.exact_fallbacks == exp.config.K - 1
-    if all(b <= a for a, b in zip(exp.alphas, exp.alphas[1:])):
-        densities = [F(o, q) for q, o in zip(exp.qs, exp.orders)]
-        _, s_rows, _, c_star = _prefix_ratio_reference([1] * exp.config.K, densities, cps)
-        abel = abel_condition_check(exp, rep)
-        assert abel.c_star == c_star
-        assert abel.density_partial == s_rows
     return rep
 
 
@@ -921,7 +802,7 @@ def test_convergent_control_argmin_past_double_underflow(fixtures_dir):
     data = json.loads((fixtures_dir / "convergent_control.json").read_text())
     exp = prepare(ExperimentConfig.from_dict({**data, "K": 3000}))
     rep = _assert_conditions_match_reference(exp)
-    _, ratio_min, _, _ = experiment._prefix_ratio(exp.alphas, experiment._weighted(exp), ())
+    ratio_min = _prefix_ratio_reference(exp.alphas, _weighted_terms(exp), (exp.config.K,))[3]
     assert rep.c_ratio_min == ratio_min == rep.c_ratio_final
     assert rep.float_decisions == 2999 and rep.exact_fallbacks == 0
 
@@ -935,7 +816,7 @@ def test_radii_spanning_past_the_double_range(order):
     cfg = small_cfg(alpha_sequence=AlphaSequence("explicit", values=alphas), K=K)
     exp = prepare(cfg)
     rep = _assert_conditions_match_reference(exp)
-    assert rep.c_ratio_min == experiment._prefix_ratio(exp.alphas, experiment._weighted(exp), ())[1]
+    assert rep.c_ratio_min == _prefix_ratio_reference(exp.alphas, _weighted_terms(exp), (K,))[3]
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["falls", "stays"])
@@ -961,6 +842,34 @@ def test_near_tie_at_the_screen_margin(sign, scale, decided):
     assert (rep.float_decisions, rep.exact_fallbacks) == want
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["stays", "falls"])
+def test_fallback_reads_the_argmin_the_screen_set(sign):
+    # Densities 1/2, 1/2, 1/3, 6/7, 4/15, 30/31, 4/15 (q = 2, 4, 6, 7, 30, 31,
+    # 60).  Step 2 is an exact tie (a fallback); the screen sets the argmin at
+    # m = 3 and turns step 4 down.  alpha_4 / alpha_5 = 28/65 makes the
+    # mediant of terms 4 and 5 equal r_3 = 4/9 but for a 2^-60 nudge to
+    # alpha_5: r_5 lies just above r_3 (sign 1) or just below it (sign -1).
+    # So step 5 is a fallback that must compare with the cursor's row at
+    # m = 3, not at 1 or 4.  The screen turns step 6 down, and alpha_6 /
+    # alpha_7 = 124/365 makes the mediant of terms 6 and 7 exactly 4/9: step 7
+    # is a fallback whose r_7 lies between r_5 and r_3, so with sign -1 it
+    # must compare with the row that the fallback at step 5 kept.
+    alphas = (F(1, 4), F(1, 4), F(1, 4), F(7, 100), F(13, 80) - sign * F(1, 2**60),
+              F(31, 250), F(73, 200))
+    cfg = small_cfg(
+        q_sequence=QSequence("explicit", values=(2, 4, 6, 7, 30, 31, 60)),
+        alpha_sequence=AlphaSequence("explicit", values=alphas),
+        K=7,
+    )
+    exp = prepare(cfg)
+    rep = _assert_conditions_match_reference(exp)
+    assert rep.c_ratio_min == _prefix_ratio_reference(exp.alphas, _weighted_terms(exp), (7,))[3]
+    assert 0 < sign * (rep.c_ratio[4] - F(4, 9)) < F(1, 2**50)
+    assert (rep.c_ratio[6] - rep.c_ratio[4]) * (F(4, 9) - rep.c_ratio[6]) > 0  # r_7 between
+    assert rep.c_ratio_min == (F(4, 9) if sign == 1 else rep.c_ratio[4])
+    assert (rep.float_decisions, rep.exact_fallbacks) == (3, 3)
+
+
 def test_single_term():
     rep = _assert_conditions_match_reference(prepare(small_cfg(K=1)))
     assert rep.c_ratio_min == rep.c_ratio_final == 1
@@ -975,8 +884,9 @@ def test_rows_stay_lazy_until_read(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("the exact pass ran before a row was read")
+        yield
 
-    monkeypatch.setattr(experiment, "_prefix_ratio", refuse)
+    monkeypatch.setattr(experiment, "_running_sums", refuse)
     rep = check_conditions(exp)
     assert rep.exact_fallbacks == 0 and "rows" not in vars(rep)
     assert rep.c_ratio_min == want.c_ratio_min
@@ -1074,7 +984,6 @@ class TestSieveFactoring:
         assert (got.rows, got.cond_c_first_decile_mean, got.cond_c_last_decile_mean) == (
             want.rows, want.cond_c_first_decile_mean, want.cond_c_last_decile_mean
         )
-        abel_condition_check(exp, got)
 
     def test_sieve_path_leaves_the_factor_cache_alone(self):
         factor.cache_clear()
