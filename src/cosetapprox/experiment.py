@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import islice
+from itertools import islice, pairwise
 
 import numpy as np
 
@@ -480,9 +480,10 @@ def _in_dth_power_coset(f, ai: int, d: int, p: int) -> bool:
 
 
 def prepare(cfg: ExperimentConfig) -> Experiment:
-    """Materialize the sequences, validate the coset data, build membership
-    tests (exponent fast path for d-th powers, explicit sets for generator
-    mode, gcd only for the full group).  The tests are module-level
+    """Materialize the sequences, validate the coset data (closure rejects a
+    generator that is not a unit mod q_k), build membership tests (exponent
+    fast path for d-th powers, explicit sets for generator mode, gcd only
+    for the full group).  The tests are module-level
     functions, partials and frozenset methods, so the Experiment pickles.
 
     Every q_k is factored by one arith.factor_all call: a smallest-prime-
@@ -494,9 +495,6 @@ def prepare(cfg: ExperimentConfig) -> Experiment:
     for q in qs:
         if math.gcd(cfg.a, q) != 1:
             raise ValueError(f"coset representative a={cfg.a} shares a factor with q={q}")
-        for g in cfg.generators:
-            if math.gcd(g, q) != 1:
-                raise ValueError(f"generator {g} shares a factor with q={q}")
     facts = factor_all(qs)
     phis = tuple(map(euler_phi, facts))
     members = []
@@ -553,51 +551,6 @@ def _two_odd(b: int) -> tuple[int, int]:
     return e, b >> e
 
 
-def _running_sums(dens, nums):
-    """The running sums A_n = dens_1 + ... + dens_n and W_n = nums_1 + ... +
-    nums_n of two series of positive (numerator, denominator) pairs, as the
-    integers (L, L A_n, L W_n) over one common denominator L, yielded after
-    each term n.  The series are consumed lazily.
-
-    check_conditions' exact cursor (_prefix_argmin) and the checkpoint rows
-    of ConditionsReport both read this fold of _series.  It costs
-    O(K * bits) of the common denominator.
-
-    A_n and W_n are kept as integers A and W over L = 2^E O with O odd, so
-    no Fraction is built in the loop.  At step n, let 2^ex ox and 2^ey oy be
-    the denominators of the two terms, with ox and oy odd, and o =
-    lcm(ox, oy), a number of the terms' size.  E rises to max(E, ex, ey) by
-    a shift.  One divmod(O, o) = (quo, rem) gives the rest.  If rem = 0, o
-    divides O and O / o = quo.  Otherwise O becomes lcm(O, o) = O m, with
-    g = gcd(rem, o) and m = o / g, and the new O / o = (quo o + rem) / g =
-    quo m + rem / g.  A and W are multiplied by m 2^shift, and the term
-    a / (2^ex ox) adds a 2^(E - ex) (o / ox) (O / o) to A; the other term
-    adds to W likewise.  So each step divides the big O once by a small
-    number, and the loop runs no big-by-big gcd, quotient or remainder.
-    """
-    E, O = 0, 1
-    A = W = 0
-    for (x, dx), (y, dy) in zip(dens, nums):
-        ex, ox = _two_odd(dx)
-        ey, oy = _two_odd(dy)
-        o = ox * oy // math.gcd(ox, oy)
-        shift = max(ex, ey, E) - E
-        E += shift
-        quo, rem = divmod(O, o)
-        m = 1
-        if rem:
-            g = math.gcd(rem, o)
-            m = o // g
-            quo = quo * m + rem // g
-            O *= m
-        if m > 1 or shift:
-            s = m << shift
-            A, W = A * s, W * s
-        A += ((x * (o // ox)) << (E - ex)) * quo
-        W += ((y * (o // oy)) << (E - ey)) * quo
-        yield O << E, A, W
-
-
 _EMPTY = -(1 << 62)  # exponent of an empty float sum, whose mantissa is 0.0
 _LEAF = 32  # terms per leaf of _lcm_sum's tree
 
@@ -629,14 +582,11 @@ def _screen_margin(K: int) -> float:
     return K * 2.0**-46 if K <= 1 << 36 else math.inf
 
 
-def _prefix_argmin(K: int, terms, cursor) -> tuple[int, int, int]:
+def _prefix_argmin(exp: Experiment) -> tuple[int, int, int]:
     """(j, floats, exact): the first argmin j of r_n = W_n / A_n over every
-    prefix n <= K, and how many of the K - 1 fall tests the float screen
-    decided and how many it left to the exact cursor.
-
-    terms yields, per index, the (m, x) pairs of _float_term of the two
-    terms of _series; cursor is _running_sums over the same series, not yet
-    started.
+    prefix n <= K, with A_n and W_n the sums of the two series of _series,
+    and how many of the K - 1 fall tests the float screen decided and how
+    many it left to the exact cursor.
 
     Screen.  With j the argmin so far, the tails T_A = A_n - A_j and
     T_W = W_n - W_j give r_n < r_j iff W_n A_j < W_j A_n iff rho < 1, where
@@ -669,20 +619,24 @@ def _prefix_argmin(K: int, terms, cursor) -> tuple[int, int, int]:
     Past K = 2^36 the margin is infinite and no step is screened.
 
     Fallback.  Every step within the margin, exact ties among them, goes to
-    the cursor, run forward to step n.  It keeps its row (L, L A_j, L W_j)
-    at the argmin j: taken as it passes j, or at step n itself when that
-    step sets j.  Step n is then the one integer comparison W_n A_j <
-    W_j A_n of two rows, whose L's multiply both sides alike.  It is
+    the cursor: the exact sums (A, W) over k <= at, moved forward by
+    _advance.  If the screen has moved j past the cursor since the last
+    fallback, the cursor first advances to j and keeps W_j / A_j as an
+    unreduced pair; it then advances to n, and step n is the one integer
+    comparison W_n A_j < W_j A_n, over the terms' own denominators.  It is
     strict, so the first argmin on ties is kept.  The cursor only moves
-    forward: at worst (a tie at every step) it runs once through, which is
-    what reading the checkpoint rows costs.
+    forward: at worst (a tie at every step) it runs once through, one term
+    per _advance.
     """
+    K = exp.config.K
     lo, hi = 1 - _screen_margin(K), 1 + _screen_margin(K)
-    terms = iter(terms)
+    dens, nums = _series(exp)
+    terms = zip(map(_float_term, dens), map(_float_term, nums))
     (aj, ajx), (wj, wjx) = next(terms)
     ta = tw = 0.0
     tax = twx = _EMPTY
-    j, taken, floats, exact = 1, 0, 0, 0
+    j, floats, exact = 1, 0, 0
+    row, at = _ZERO_ROW, 0
     for n, (a, w) in enumerate(terms, start=2):
         ta, tax = _float_add(ta, tax, *a)
         tw, twx = _float_add(tw, twx, *w)
@@ -693,16 +647,14 @@ def _prefix_argmin(K: int, terms, cursor) -> tuple[int, int, int]:
             new = rho < lo
         else:
             exact += 1
-            while taken < n:
-                row = next(cursor)
-                taken += 1
-                if taken == j:
-                    at_j = row
-            _, a_n, w_n = row
-            _, a_j, w_j = at_j
-            new = w_n * a_j < w_j * a_n
+            if j > at:
+                row = _advance(exp, row, at, j)
+                at, (pj, qj) = j, _ratio(row)
+            row = _advance(exp, row, at, n)
+            at, (pn, qn) = n, _ratio(row)
+            new = pn * qj < pj * qn
             if new:
-                at_j = row
+                pj, qj = pn, qn
         if new:
             j = n
             aj, ajx = _float_add(aj, ajx, ta, tax)
@@ -745,6 +697,23 @@ def _lcm_sum(pairs) -> tuple[int, int, int]:
     return nodes[0] if nodes else (0, 0, 1)
 
 
+_ZERO_ROW = ((0, 0, 1), (0, 0, 1))  # the sums of both series over no terms
+
+
+def _advance(exp: Experiment, row, lo: int, hi: int):
+    """row, the exact sums (A, W) of the two series of _series over k <= lo
+    as terms (n, e, o), advanced to the sums over k <= hi: each run
+    lo < k <= hi is summed by _lcm_sum's tree and added in by _lcm_add."""
+    return tuple(map(_lcm_add, row, map(_lcm_sum, _series(exp, lo, hi))))
+
+
+def _ratio(row) -> tuple[int, int]:
+    """W / A for a row (A, W) of _advance, as an unreduced (numerator,
+    denominator) pair of positive integers."""
+    (a, ea, oa), (w, ew, ow) = row
+    return w * (oa << ea), a * (ow << ew)
+
+
 def _fraction(term: tuple[int, int, int]) -> Fraction:
     """The term (n, e, o) = n / (2^e o) as a reduced Fraction."""
     n, e, o = term
@@ -759,8 +728,8 @@ class ConditionsReport:
     small); the running minimum and final value of the density ratio are
     exact over all prefixes regardless of the grid.  The checkpoint rows are
     lazy: the first read of rows, partial_sum_alpha, weighted_sum or c_ratio
-    runs the _running_sums fold over the experiment once and keeps its rows
-    at the checkpoints, as integers turned into Fractions only when read.
+    calls _advance once per checkpoint, from each checkpoint to the next,
+    and keeps the exact terms, turned into Fractions only when read.
     """
 
     epsilon: float
@@ -777,22 +746,24 @@ class ConditionsReport:
     _exp: Experiment = field(repr=False, compare=False)  # read by the lazy rows
 
     @cached_property
-    def rows(self) -> tuple[tuple[int, int, int], ...]:
-        """Per checkpoint n, the integers (L, L sum alpha_k, L sum alpha_k
-        |G_k| / q_k) over k <= n."""
-        cps = set(self.checkpoints)
-        sums = _running_sums(*_series(self._exp))
-        return tuple(row for n, row in enumerate(sums, start=1) if n in cps)
+    def rows(self) -> tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]:
+        """Per checkpoint n, the pair (sum alpha_k, sum alpha_k |G_k| / q_k)
+        over k <= n, each an unreduced term (n, e, o) = n / (2^e o) of
+        _lcm_add."""
+        rows = [_ZERO_ROW]
+        for lo, hi in pairwise((0, *self.checkpoints)):
+            rows.append(_advance(self._exp, rows[-1], lo, hi))
+        return tuple(rows[1:])
 
     @cached_property
     def partial_sum_alpha(self) -> tuple[Fraction, ...]:
         """sum alpha_k over k <= n, at each checkpoint n."""
-        return tuple(Fraction(a, L) for L, a, _ in self.rows)
+        return tuple(_fraction(a) for a, _ in self.rows)
 
     @cached_property
     def weighted_sum(self) -> tuple[Fraction, ...]:
         """sum alpha_k |G_k| / q_k over k <= n, at each checkpoint n."""
-        return tuple(Fraction(w, L) for L, _, w in self.rows)
+        return tuple(_fraction(w) for _, w in self.rows)
 
     @cached_property
     def c_ratio(self) -> tuple[Fraction, ...]:
@@ -821,10 +792,9 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
     integers decide: _prefix_argmin finds the first argmin j of the ratio
     with a float screen of relative margin K 2^-46, proved in its
     docstring, and sends every step within the margin (exact ties among
-    them) to its exact cursor, the _running_sums fold run forward.  The
-    final sums and the prefix at j are then summed exactly once each, by
-    _lcm_sum over the terms k <= j and k > j.  The checkpoint rows are lazy
-    (see ConditionsReport).
+    them) to its exact cursor.  The prefix at j and the final sums are then
+    summed exactly once each, by _advance to j and on from j to K.  The
+    checkpoint rows are lazy (see ConditionsReport).
     """
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
@@ -841,20 +811,16 @@ def check_conditions(exp: Experiment, epsilon: float = 0.05) -> ConditionsReport
     first = sum(cond_c[:dec]) / dec
     last = sum(cond_c[-dec:]) / dec
     K = exp.config.K
-    dens, nums = _series(exp)
-    j, floats, exact = _prefix_argmin(
-        K, zip(map(_float_term, dens), map(_float_term, nums)), _running_sums(*_series(exp))
-    )
-    a_j, w_j = map(_lcm_sum, _series(exp, 0, j))
-    a_rest, w_rest = map(_lcm_sum, _series(exp, j))
-    a_sum, w_sum = _fraction(_lcm_add(a_j, a_rest)), _fraction(_lcm_add(w_j, w_rest))
+    j, floats, exact = _prefix_argmin(exp)
+    at_j = _advance(exp, _ZERO_ROW, 0, j)
+    a_sum, w_sum = map(_fraction, _advance(exp, at_j, j, K))
     ratio = w_sum / a_sum
     return ConditionsReport(
         epsilon=epsilon,
         checkpoints=_checkpoints(K),
         partial_sum_alpha_final=a_sum,
         weighted_sum_final=w_sum,
-        c_ratio_min=ratio if j == K else _fraction(w_j) / _fraction(a_j),
+        c_ratio_min=ratio if j == K else Fraction(*_ratio(at_j)),
         c_ratio_final=ratio,
         cond_c_first_decile_mean=first,
         cond_c_last_decile_mean=last,

@@ -82,7 +82,7 @@ class CheckResult:
     seconds: float
 
 
-def check_formula_oracle(n_max: int = 5000, d_max: int = 6) -> tuple[bool, str]:
+def check_formula_oracle(n_max: int, d_max: int) -> tuple[bool, str]:
     """u_d and r_d closed forms against exhaustive residue enumeration."""
     mismatches = 0
     checked = 0
@@ -107,7 +107,7 @@ def check_formula_oracle(n_max: int = 5000, d_max: int = 6) -> tuple[bool, str]:
     return mismatches == 0, f"{checked} (n, d) pairs, {mismatches} mismatches"
 
 
-def check_subgroup_consistency(n_max: int = 2000, d_max: int = 6) -> tuple[bool, str]:
+def check_subgroup_consistency(n_max: int, d_max: int) -> tuple[bool, str]:
     """|d-th power subgroup| = r_d(n) and its index = u_d(n), exactly."""
     bad = 0
     for n in range(2, n_max + 1):
@@ -120,7 +120,7 @@ def check_subgroup_consistency(n_max: int = 2000, d_max: int = 6) -> tuple[bool,
     return bad == 0, f"n <= {n_max}, d <= {d_max}, {bad} violations"
 
 
-def check_sieve_identity(n_max: int = 2000, grid: int = 40) -> tuple[bool, str]:
+def check_sieve_identity(n_max: int, grid: int) -> tuple[bool, str]:
     """Inclusion-exclusion count equals the gcd scan and |R| <= tau(n).
 
     The scan is one cumulative coprime count per n over [1, grid n / 20],
@@ -138,7 +138,7 @@ def check_sieve_identity(n_max: int = 2000, grid: int = 40) -> tuple[bool, str]:
     return bad == 0, f"n <= {n_max}, {grid} mu values, {bad} violations"
 
 
-def check_character_axioms(n_max: int = 500) -> tuple[bool, str]:
+def check_character_axioms(n_max: int) -> tuple[bool, str]:
     """Exactly phi(n) distinct characters; both orthogonality sums vanish
     (below 1e-9)."""
     worst = 0.0
@@ -156,7 +156,7 @@ def check_character_axioms(n_max: int = 500) -> tuple[bool, str]:
     return bad == 0, f"n <= {n_max}, {bad} violations, worst deviation {worst:.2e}"
 
 
-def check_polya_vinogradov(n_max: int = 1000) -> tuple[bool, str]:
+def check_polya_vinogradov(n_max: int) -> tuple[bool, str]:
     """|sum of chi(k), k <= h| <= 2 sqrt(n) log n for all non-principal chi."""
     violations = 0
     worst_slack = math.inf
@@ -229,7 +229,7 @@ def check_equidistribution_bound(tuples) -> tuple[bool, str]:
     return bad == 0, f"{len(tuples)} tuples, {bad} violations, worst normalized error {worst:.3f}"
 
 
-def check_overlap_theta(cases: int = 1000) -> tuple[bool, str]:
+def check_overlap_theta(cases: int) -> tuple[bool, str]:
     """Randomized interval systems: recovered theta stays in [-2, 2] and the
     exact measure matches a per-center clipping oracle on small systems."""
     rng = random.Random(0x0E5)
@@ -274,7 +274,7 @@ def check_overlap_theta(cases: int = 1000) -> tuple[bool, str]:
     return bad == 0, f"{cases} cases ({oracle_checked} against the clipping oracle), {bad} bad"
 
 
-def check_coset_partition(n_max: int = 40) -> tuple[bool, str]:
+def check_coset_partition(n_max: int) -> tuple[bool, str]:
     """Distinct cosets partition the units into index(G) classes of size |G|,
     and membership commutes with translation by the representative."""
     bad = 0
@@ -301,7 +301,7 @@ def check_coset_partition(n_max: int = 40) -> tuple[bool, str]:
     return bad == 0, f"n <= {n_max}, {bad} violations"
 
 
-def check_quotient_characters(n_max: int = 30) -> tuple[bool, str]:
+def check_quotient_characters(n_max: int) -> tuple[bool, str]:
     """Annihilator characters: count equals index(G), closed under products,
     and exactly the characters constant on every coset.
 
@@ -334,7 +334,7 @@ def check_quotient_characters(n_max: int = 30) -> tuple[bool, str]:
     return bad == 0, f"n <= {n_max}, {bad} violations"
 
 
-def check_growth_trend(n_max: int = 2**18) -> tuple[bool, str]:
+def check_growth_trend(n_max: int) -> tuple[bool, str]:
     """Block maxima of tau(n)/sqrt(n) and 4^omega(n)/sqrt(n) decline past
     their documented turnover thresholds (eps = 0.25 has no desk-scale
     threshold and is reported only)."""
@@ -352,7 +352,7 @@ def check_growth_trend(n_max: int = 2**18) -> tuple[bool, str]:
     return bad == 0, f"doubling blocks to {n_max}, {bad} broken trends"
 
 
-def check_unit_group_structure(n_max: int = 64) -> tuple[bool, str]:
+def check_unit_group_structure(n_max: int) -> tuple[bool, str]:
     """Cyclic decomposition: orders multiply to phi(n) and dlog is a bijection."""
     bad = 0
     for n in range(2, n_max + 1):
@@ -442,7 +442,7 @@ def _coset_member(cfg: ExperimentConfig, q: int):
     return coset(cfg.a, G).__contains__
 
 
-def check_hits_brute(samples: int = 25) -> tuple[bool, str]:
+def check_hits_brute(samples: int) -> tuple[bool, str]:
     """find_hits against a full scan of every numerator p in [0, q^d], with
     coset membership read from explicit cosets.
 
@@ -486,7 +486,7 @@ def check_mc_determinism() -> tuple[bool, str]:
     return ok, f"threads (1, 1, 2): {'identical' if ok else 'DIFFER'}"
 
 
-def check_mc_dichotomy(K: int = 2000, samples: int = 150) -> tuple[bool, str]:
+def check_mc_dichotomy(K: int, samples: int) -> tuple[bool, str]:
     """Reduced Monte Carlo dichotomy: the convergent control obeys its union
     bound plus a 3 sigma margin, and a divergent config accumulates hits."""
     control = _config(("c*2^-k", Fraction(1, 4)), K=K, samples=samples, seed=123, min_hits=3)

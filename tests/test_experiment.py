@@ -231,7 +231,7 @@ class TestMaterialization:
             generators=(5,),
             K=3,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="generator 5 is not coprime to 5"):
             prepare(cfg)
 
 
@@ -770,9 +770,12 @@ def test_exact_ties_take_the_integer_fallback(alpha):
     K = 200
     qs = tuple(2**k for k in range(1, K + 1))
     cfg = small_cfg(q_sequence=QSequence("explicit", values=qs), alpha_sequence=alpha, K=K)
-    rep = _assert_conditions_match_reference(prepare(cfg))
+    exp = prepare(cfg)
+    rep = _assert_conditions_match_reference(exp)
     assert rep.c_ratio_min == F(1, 2)
     assert rep.exact_fallbacks == K - 1 and rep.float_decisions == 0
+    # the strict comparison keeps the first argmin of the tied ratios
+    assert experiment._prefix_argmin(exp) == (1, 0, K - 1)
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["ratio-stays", "ratio-falls"])
@@ -788,10 +791,12 @@ def test_near_ties_take_the_integer_fallback(sign):
     alphas = (F(1, 4), F(1, 5) + sign * F(1, 2**58)) + tuple(F(1, 4 * k) for k in range(3, K + 1))
     cfg = small_cfg(q_sequence=QSequence("explicit", values=qs),
                     alpha_sequence=AlphaSequence("explicit", values=alphas), K=K)
-    rep = _assert_conditions_match_reference(prepare(cfg))
+    exp = prepare(cfg)
+    rep = _assert_conditions_match_reference(exp)
     assert 0 < abs(rep.c_ratio[1] - F(2, 3)) < F(1, 2**59)
     assert rep.c_ratio_min == (rep.c_ratio[1] if sign == 1 else rep.c_ratio[-1])
     assert rep.exact_fallbacks == K - 2 and rep.float_decisions == 1
+    assert experiment._prefix_argmin(exp) == (2 if sign == 1 else K, 1, K - 2)
 
 
 def test_convergent_control_argmin_past_double_underflow(fixtures_dir):
@@ -836,10 +841,12 @@ def test_near_tie_at_the_screen_margin(sign, scale, decided):
         alpha_sequence=AlphaSequence("explicit", values=alphas),
         K=K,
     )
-    rep = _assert_conditions_match_reference(prepare(cfg))
+    exp = prepare(cfg)
+    rep = _assert_conditions_match_reference(exp)
     assert rep.c_ratio_min == (rep.c_ratio[2] if sign == 1 else F(1, 2))
     want = (1, 1) if decided == "exact" else (2, 0)
     assert (rep.float_decisions, rep.exact_fallbacks) == want
+    assert experiment._prefix_argmin(exp) == (3 if sign == 1 else 1, *want)
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["stays", "falls"])
@@ -868,6 +875,7 @@ def test_fallback_reads_the_argmin_the_screen_set(sign):
     assert (rep.c_ratio[6] - rep.c_ratio[4]) * (F(4, 9) - rep.c_ratio[6]) > 0  # r_7 between
     assert rep.c_ratio_min == (F(4, 9) if sign == 1 else rep.c_ratio[4])
     assert (rep.float_decisions, rep.exact_fallbacks) == (3, 3)
+    assert experiment._prefix_argmin(exp) == (3 if sign == 1 else 5, 3, 3)
 
 
 def test_single_term():
@@ -877,22 +885,20 @@ def test_single_term():
 
 
 def test_rows_stay_lazy_until_read(monkeypatch):
-    # check_conditions never runs the whole exact pass; reading a row does.
+    # Without a fallback, check_conditions makes two exact sums: to the
+    # argmin and on to K.  The first read of a row makes one per checkpoint.
     exp = prepare(small_cfg(alpha_sequence=AlphaSequence("c/(k log k)", c=F(1, 3)), K=1100))
     want = check_conditions(exp)
     rows = want.rows
-
-    def refuse(*args):
-        raise AssertionError("the exact pass ran before a row was read")
-        yield
-
-    monkeypatch.setattr(experiment, "_running_sums", refuse)
+    calls = []
+    real = experiment._advance
+    monkeypatch.setattr(experiment, "_advance", lambda *args: calls.append(args[2:]) or real(*args))
     rep = check_conditions(exp)
     assert rep.exact_fallbacks == 0 and "rows" not in vars(rep)
+    assert len(calls) == 2
     assert rep.c_ratio_min == want.c_ratio_min
-    with pytest.raises(AssertionError, match="before a row"):
-        rep.partial_sum_alpha
-    monkeypatch.undo()
+    rep.partial_sum_alpha
+    assert calls[2:] == list(zip((0, *rep.checkpoints), rep.checkpoints))
     assert rep.rows == rows and "rows" in vars(rep)
 
 
