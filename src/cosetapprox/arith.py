@@ -242,7 +242,9 @@ def factor_all(ns) -> list[Factorization]:
     smallest-prime-factor sieve up to max(ns) is built, each n is peeled by
     reading only the entries it needs, and the sieve is dropped on return:
     factor's cache is neither read nor filled.  Otherwise this is factor per
-    n.  The Factorizations validate themselves either way.
+    n.  Every prime the sieve reads is proved prime by the sieve itself, so
+    its Factorizations skip the validation of the constructor, which would
+    run is_prime on each prime again; factor's validate themselves.
     """
     ns = list(ns)
     top = max(ns, default=0)
@@ -264,8 +266,18 @@ def factor_all(ns) -> list[Factorization]:
             p = spf.item(m) or m
             fs[p] = fs.get(p, 0) + 1
             m //= p
-        out.append(Factorization(n, tuple(fs.items())))
+        out.append(_sieved(n, tuple(fs.items())))
     return out
+
+
+def _sieved(n: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
+    """Factorization(n, factors) without __post_init__'s checks, for factors
+    read off a smallest-prime-factor sieve: those primes are proved prime,
+    come out in increasing order and multiply to n by construction."""
+    f = object.__new__(Factorization)
+    object.__setattr__(f, "n", n)
+    object.__setattr__(f, "factors", factors)
+    return f
 
 
 def euler_phi(f: Factorization) -> int:

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import islice, pairwise
@@ -44,8 +45,31 @@ def exact_str(x: Fraction) -> str:
     """str(x) for rationals of any size.  Decimal renders an int exactly and
     is not bound by the interpreter's int-to-str digit limit, so long partial
     sums stay exact without touching that process-wide setting."""
-    num = str(Decimal(x.numerator))
-    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+    pow2: dict[int, Decimal] = {}
+    num = str(_decimal(abs(x.numerator), pow2))
+    if x.numerator < 0:
+        num = "-" + num
+    return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator, pow2)}"
+
+
+# Exact integer arithmetic in decimal: no rounding can happen, and any would
+# raise Inexact.
+_EXACT_DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+_DIRECT_BITS = 2048  # Decimal(n) is quadratic in the size of n, but fast up to here
+
+
+def _decimal(n: int, pow2: dict[int, Decimal]) -> Decimal:
+    """Decimal(n) for n >= 0 in subquadratic time: n = hi 2^h + lo with h
+    half the bit width, each half converted in turn and joined by one exact
+    multiply-add, whose large products decimal computes by a number-theoretic
+    transform.  pow2 caches the Decimal 2^h of each split width h."""
+    if n.bit_length() <= _DIRECT_BITS:
+        return Decimal(n)
+    h = n.bit_length() >> 1
+    if h not in pow2:
+        pow2[h] = _EXACT_DECIMAL.power(2, h)
+    hi, lo = _decimal(n >> h, pow2), _decimal(n & ((1 << h) - 1), pow2)
+    return _EXACT_DECIMAL.fma(hi, pow2[h], lo)
 
 
 Q_KINDS = ("explicit", "integers", "primes", "primes-coprime-to-a")
@@ -290,28 +314,38 @@ def _materialize_q(cfg: ExperimentConfig) -> tuple[int, ...]:
     return vals
 
 
-def _materialize_alpha(cfg: ExperimentConfig) -> tuple[Fraction, ...]:
+def _materialize_alpha(cfg: ExperimentConfig) -> tuple[tuple[int, int], ...]:
+    """The radii alpha_k, k = 1..K, as reduced (numerator, denominator)
+    pairs of ints: each rule reduces c = cn/cd (already in lowest terms)
+    against its own factor of the denominator with one small-int step."""
     seq = cfg.alpha_sequence
+    K = cfg.K
     if seq.kind == "explicit":
-        if len(seq.values) < cfg.K:
-            raise ValueError(f"explicit alpha list has {len(seq.values)} entries, K={cfg.K}")
-        vals = tuple(map(Fraction, seq.values[: cfg.K]))  # an int radius as a Fraction
+        if len(seq.values) < K:
+            raise ValueError(f"explicit alpha list has {len(seq.values)} entries, K={K}")
+        vals = [v.as_integer_ratio() for v in seq.values[:K]]
     else:
-        c = Fraction(seq.c)
+        cn, cd = seq.c.as_integer_ratio()
+        vals = []
         if seq.kind == "c/k":
-            vals = tuple(c / k for k in range(1, cfg.K + 1))
+            for k in range(1, K + 1):
+                g = math.gcd(cn, k)
+                vals.append((cn // g, cd * (k // g)))
         elif seq.kind == "c*2^-k":
-            vals = tuple(c / (1 << k) for k in range(1, cfg.K + 1))
-        else:  # c/(k log k)
-            vals = tuple(
-                c / (k * Fraction(max(_LOG_SCALE, round(math.log(k) * _LOG_SCALE)), _LOG_SCALE))
-                for k in range(1, cfg.K + 1)
-            )
-    half = Fraction(1, 2)
-    for k, a in enumerate(vals, start=1):
-        if not (0 < a < half):
-            raise ValueError(f"alpha_{k} = {a} outside (0, 1/2)")
-    return vals
+            v = (cn & -cn).bit_length() - 1  # the 2-adic valuation of cn
+            for k in range(1, K + 1):
+                s = min(v, k)
+                vals.append((cn >> s, cd << (k - s)))
+        else:  # c/(k log k), the log rounded to a multiple of 1/_LOG_SCALE
+            n = cn * _LOG_SCALE
+            for k in range(1, K + 1):
+                d = cd * k * max(_LOG_SCALE, round(math.log(k) * _LOG_SCALE))
+                g = math.gcd(n, d)
+                vals.append((n // g, d // g))
+    for k, (n, d) in enumerate(vals, start=1):
+        if not (0 < n and 2 * n < d):
+            raise ValueError(f"alpha_{k} = {Fraction(n, d)} outside (0, 1/2)")
+    return tuple(vals)
 
 
 @dataclass(eq=False)
@@ -320,7 +354,7 @@ class Experiment:
 
     config: ExperimentConfig
     qs: tuple[int, ...]
-    alphas: tuple[Fraction, ...]
+    radii: tuple[tuple[int, int], ...]  # alpha_k as reduced (numerator, denominator)
     moduli: tuple[int, ...] = field(repr=False)  # q_k ** d
     orders: tuple[int, ...] = field(repr=False)  # |G_k|
     phis: tuple[int, ...] = field(repr=False)  # phi(q_k)
@@ -328,7 +362,7 @@ class Experiment:
     # Hit screen arrays, one entry per index (see find_hits).
     _q_word: np.ndarray = field(repr=False)  # Q_k mod 2^64 as uint64
     _q_low: np.ndarray = field(repr=False)  # _q_word * 2^-128 as float64
-    _tau: np.ndarray = field(repr=False)  # float(alpha_k) (1 + 2^-50) + 2^-48
+    _tau: np.ndarray = field(repr=False)  # (an / ad) (1 + 2^-50) + 2^-48, alpha_k = an/ad
     _unscreened: np.ndarray = field(repr=False)  # Q_k >= 2^53: float distance void
 
     def find_hits(self, x) -> list[HitRecord]:
@@ -364,8 +398,9 @@ class Experiment:
         Both subtractions are exact (Sterbenz: t < 2, and 1 - f is used only
         when f >= 1/2), so d = ||t||.  As ||.|| is 1-Lipschitz,
             |d - ||x Q||| <= 2^-54 + 2^-63 + 2^-53 + 2^-75 < 2^-52.
-        The threshold is tau = fl(fl(a (1 + 2^-50)) + 2^-48) with a =
-        float(alpha), the correctly rounded quotient of two integers.  With
+        The threshold is tau = fl(fl(a (1 + 2^-50)) + 2^-48) with a = an / ad
+        for the radius pair alpha = an/ad, the correctly rounded quotient of
+        two integers (Python's int true division rounds correctly).  With
         eta = 2^-1075 for underflow (the c*2^-k radii round to a subnormal
         or to 0 once k passes about 1074), a >= alpha (1 - u) - eta.
         Rounding is monotone and 1 + 2^-50 > 1, so fl(a (1 + 2^-50)) >= a.
@@ -383,8 +418,7 @@ class Experiment:
         xn, xd = x.numerator, x.denominator
         hits = []
         for i in self._screen(xn, xd).tolist():
-            q, Q, alpha, member = self.qs[i], self.moduli[i], self.alphas[i], self._members[i]
-            an, ad = alpha.numerator, alpha.denominator
+            q, Q, (an, ad), member = self.qs[i], self.moduli[i], self.radii[i], self._members[i]
             m, delta = divmod(xn * Q, xd)
             rhs = an * xd
             for p, dist in ((m, delta), (m + 1, xd - delta), (m - 1, xd + delta)):
@@ -491,7 +525,7 @@ def prepare(cfg: ExperimentConfig) -> Experiment:
     it, else factor per q_k.  phi(q_k) is kept beside |G_k| for
     check_conditions."""
     qs = _materialize_q(cfg)
-    alphas = _materialize_alpha(cfg)
+    radii = _materialize_alpha(cfg)
     for q in qs:
         if math.gcd(cfg.a, q) != 1:
             raise ValueError(f"coset representative a={cfg.a} shares a factor with q={q}")
@@ -515,14 +549,14 @@ def prepare(cfg: ExperimentConfig) -> Experiment:
     return Experiment(
         config=cfg,
         qs=qs,
-        alphas=alphas,
+        radii=radii,
         moduli=moduli,
         orders=tuple(orders),
         phis=phis,
         _members=members,
         _q_word=q_word,
         _q_low=q_word.astype(np.float64) * 2.0**-128,
-        _tau=np.array([float(a) for a in alphas]) * (1 + 2.0**-50) + 2.0**-48,
+        _tau=np.array([n / d for n, d in radii]) * (1 + 2.0**-50) + 2.0**-48,
         _unscreened=np.array([Q >= _SCREEN_Q_LIMIT for Q in moduli]),
     )
 
@@ -545,36 +579,59 @@ def _checkpoints(K: int) -> tuple[int, ...]:
     return tuple(sorted(c for c in cps if 1 <= c <= K))
 
 
-def _two_odd(b: int) -> tuple[int, int]:
-    """(e, o) with b = 2^e o and o odd."""
+def _two_odd(n: int, b: int) -> tuple[int, int, int]:
+    """The term n / b as (n, e, o) = n / (2^e o), with b = 2^e o and o odd."""
     e = (b & -b).bit_length() - 1
-    return e, b >> e
+    return n, e, b >> e
 
 
 _EMPTY = -(1 << 62)  # exponent of an empty float sum, whose mantissa is 0.0
 _LEAF = 32  # terms per leaf of _lcm_sum's tree
+_BLOCK = 64  # terms per numpy division of _float_terms; larger blocks raise peak memory
+_EXACT_DOUBLE = 1 << 53  # every int below this is exact in a double
 
 
 def _series(exp: Experiment, lo: int = 0, hi: int | None = None):
     """The terms alpha_k and alpha_k |G_k| / q_k, lo < k <= hi, as two
-    iterators of (numerator, denominator) pairs, the second unreduced."""
-    alphas = exp.alphas[lo:hi]
-    dens = ((a.numerator, a.denominator) for a in alphas)
+    iterators of terms (n, e, o) = n / (2^e o), o odd, split by _two_odd;
+    the second is unreduced."""
+    radii = exp.radii[lo:hi]
+    dens = (_two_odd(n, d) for n, d in radii)
     nums = (
-        (a.numerator * order, a.denominator * q)
-        for q, a, order in zip(exp.qs[lo:hi], alphas, exp.orders[lo:hi])
+        _two_odd(n * order, d * q)
+        for q, (n, d), order in zip(exp.qs[lo:hi], radii, exp.orders[lo:hi])
     )
     return dens, nums
 
 
-def _float_term(term: tuple[int, int]) -> tuple[float, int]:
-    """(m, x) with m 2^x the correctly rounded double of n / d for term =
-    (n, d), 1/2 <= m < 1 and x an int of any size: the division is scaled
-    to land in [1/2, 2), so neither underflow nor overflow can occur."""
-    n, d = term
-    s = d.bit_length() - n.bit_length()
-    m, x = math.frexp((n << s) / d if s >= 0 else n / (d << -s))
-    return m, x - s
+def _float_term(term: tuple[int, int, int]) -> tuple[float, int]:
+    """(m, x) with m 2^x the correctly rounded double of the term (n, e, o)
+    = n / (2^e o), 1/2 <= m < 1 and x an int of any size: n / o is scaled
+    to land in [1/2, 2), so neither underflow nor overflow can occur, and
+    2^-e only moves the exponent."""
+    n, e, o = term
+    s = o.bit_length() - n.bit_length()
+    m, x = math.frexp((n << s) / o if s >= 0 else n / (o << -s))
+    return m, x - s - e
+
+
+def _float_terms(terms):
+    """_float_term of each term, in order, _BLOCK terms at a time.
+
+    A block whose every n and o is below 2^53 is divided by numpy: both
+    operands are then exact doubles, n / o lies in [2^-53, 2^53], so the
+    IEEE quotient is correctly rounded and normal, and its frexp, with e
+    taken off the exponent, is _float_term's (m, x) bit for bit.  Any other
+    block goes through _float_term term by term.  The exponents stay Python
+    ints, so e may be of any size."""
+    terms = iter(terms)
+    while block := list(islice(terms, _BLOCK)):
+        ns, es, os_ = zip(*block)
+        if max(ns) < _EXACT_DOUBLE and max(os_) < _EXACT_DOUBLE:
+            m, x = np.frexp(np.array(ns, dtype=np.float64) / np.array(os_, dtype=np.float64))
+            yield from zip(m.tolist(), map(operator.sub, x.tolist(), es))
+        else:
+            yield from map(_float_term, block)
 
 
 def _screen_margin(K: int) -> float:
@@ -631,7 +688,7 @@ def _prefix_argmin(exp: Experiment) -> tuple[int, int, int]:
     K = exp.config.K
     lo, hi = 1 - _screen_margin(K), 1 + _screen_margin(K)
     dens, nums = _series(exp)
-    terms = zip(map(_float_term, dens), map(_float_term, nums))
+    terms = zip(_float_terms(dens), _float_terms(nums))
     (aj, ajx), (wj, wjx) = next(terms)
     ta = tw = 0.0
     tax = twx = _EMPTY
@@ -679,15 +736,15 @@ def _lcm_add(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int
     return ((n1 * (o2 // g)) << (E - e1)) + ((n2 * (o1 // g)) << (E - e2)), E, o1 * (o2 // g)
 
 
-def _lcm_sum(pairs) -> tuple[int, int, int]:
-    """The exact sum of the (numerator, denominator) pairs as (n, e, o) =
-    n / (2^e o), o odd (0 / 1 when there are none).  Each leaf of _LEAF
-    terms is summed over the lcm of its small odd parts, then a balanced
-    tree of _lcm_add joins the leaves, so each big lcm is formed O(log K)
-    times, not K times.  Powers of two only shift, and never meet a gcd."""
-    pairs = iter(pairs)
+def _lcm_sum(terms) -> tuple[int, int, int]:
+    """The exact sum of the terms (n, e, o) = n / (2^e o), o odd, as such a
+    term (0 / 1 when there are none).  Each leaf of _LEAF terms is summed
+    over the lcm of its small odd parts, then a balanced tree of _lcm_add
+    joins the leaves, so each big lcm is formed O(log K) times, not K
+    times.  Powers of two only shift, and never meet a gcd."""
+    terms = iter(terms)
     nodes = []
-    while leaf := [(n, *_two_odd(d)) for n, d in islice(pairs, _LEAF)]:
+    while leaf := list(islice(terms, _LEAF)):
         E = max(e for _, e, _ in leaf)
         O = math.lcm(*(o for _, _, o in leaf))
         nodes.append((sum((n * (O // o)) << (E - e) for n, e, o in leaf), E, O))

@@ -432,6 +432,17 @@ def _hit_test_configs() -> list[ExperimentConfig]:
     ]
 
 
+# alpha_k per radius rule, from the constant c and k with Fraction arithmetic:
+# the documented rules restated, so the hit oracle does not read prepare's
+# radius columns.  c/(k log k) rounds the log to a multiple of 2^-16 and
+# clamps it at 1.
+_RADIUS_RULES = {
+    "c/k": lambda c, k: c / k,
+    "c*2^-k": lambda c, k: c / (1 << k),
+    "c/(k log k)": lambda c, k: c / (k * max(1, Fraction(round(math.log(k) * 2**16), 2**16))),
+}
+
+
 def _coset_member(cfg: ExperimentConfig, q: int):
     """Membership in the coset a*G mod q, decided by the explicit element set
     of a residue_group coset rather than by find_hits' own predicates; mod 1
@@ -444,7 +455,8 @@ def _coset_member(cfg: ExperimentConfig, q: int):
 
 def check_hits_brute(samples: int) -> tuple[bool, str]:
     """find_hits against a full scan of every numerator p in [0, q^d], with
-    coset membership read from explicit cosets.
+    coset membership read from explicit cosets and each alpha_k re-derived
+    from the config's rule.
 
     |x - p/Q| < alpha/Q is decided in integers, cleared of both denominators:
     |x.num Q - p x.den| alpha.den < alpha.num x.den."""
@@ -455,6 +467,8 @@ def check_hits_brute(samples: int) -> tuple[bool, str]:
     for cfg in _hit_test_configs():
         exp = prepare(cfg)
         members = [_coset_member(cfg, q) for q in exp.qs]
+        rule, c = _RADIUS_RULES[cfg.alpha_sequence.kind], cfg.alpha_sequence.c
+        alphas = [rule(c, k) for k in range(1, cfg.K + 1)]
         for i in range(samples):
             x = _sample_point(seed + i, i, 64) if rng.random() < 0.7 else Fraction(
                 rng.randint(1, 999), 1000
@@ -462,7 +476,7 @@ def check_hits_brute(samples: int) -> tuple[bool, str]:
             got = {(h.k, h.p) for h in exp.find_hits(x)}
             want = set()
             for idx, (q, Q, alpha, member) in enumerate(
-                zip(exp.qs, exp.moduli, exp.alphas, members)
+                zip(exp.qs, exp.moduli, alphas, members)
             ):
                 top, den = x.numerator * Q, x.denominator
                 scale, limit = alpha.denominator, alpha.numerator * den

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -106,6 +107,22 @@ class TestFactorAll:
         calls = self.spy(monkeypatch)
         assert [factor_all(ns) for ns in lists] == expected
         assert calls == []
+
+    def test_sieve_path_proves_no_prime_again(self, monkeypatch):
+        # the sieve has proved every prime it reads, so its Factorizations
+        # are built without is_prime; they still equal, hash and pickle as
+        # factor's do
+        ns = list(range(1, 3001))
+        expected = [factor(n) for n in ns]
+
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) on the sieve path")
+
+        monkeypatch.setattr(arith, "is_prime", refuse)
+        got = factor_all(ns)
+        assert got == expected
+        assert list(map(hash, got)) == list(map(hash, expected))
+        assert pickle.loads(pickle.dumps(got)) == expected
 
     def test_leaves_the_factor_cache_alone(self):
         factor.cache_clear()

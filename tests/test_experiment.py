@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetapprox import arith, experiment
+from cosetapprox import arith, experiment, verify
 from cosetapprox.arith import euler_phi, factor, primes_up_to, r_d
 from cosetapprox.experiment import (
     SUBGROUP_MODES,
@@ -46,6 +47,11 @@ def small_cfg(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def fraction_radii(exp):
+    """The radius columns of exp as Fractions."""
+    return tuple(F(n, d) for n, d in exp.radii)
 
 
 class TestConfig:
@@ -183,12 +189,21 @@ class TestMaterialization:
 
     def test_alpha_rules_exact(self):
         exp = prepare(small_cfg(K=4))
-        assert exp.alphas == (F(1, 3), F(1, 6), F(1, 9), F(1, 12))
+        assert fraction_radii(exp) == (F(1, 3), F(1, 6), F(1, 9), F(1, 12))
         exp = prepare(small_cfg(alpha_sequence=AlphaSequence("c*2^-k", c=F(1, 4)), K=3))
-        assert exp.alphas == (F(1, 8), F(1, 16), F(1, 32))
+        assert fraction_radii(exp) == (F(1, 8), F(1, 16), F(1, 32))
         exp = prepare(small_cfg(alpha_sequence=AlphaSequence("c/(k log k)", c=F(1, 3)), K=3))
-        assert all(0 < a < F(1, 2) for a in exp.alphas)
-        assert exp.alphas[0] == F(1, 3)  # log clamp keeps k = 1 defined
+        assert all(0 < a < F(1, 2) for a in fraction_radii(exp))
+        assert fraction_radii(exp)[0] == F(1, 3)  # log clamp keeps k = 1 defined
+
+    @pytest.mark.parametrize("value, k", [(F(1, 2), 2), (0, 1), (F(-1, 5), 3), (F(7, 3), 1)])
+    def test_explicit_radius_out_of_range(self, value, k):
+        values = [F(1, 4), F(1, 5), F(1, 6)]
+        values[k - 1] = value
+        cfg = small_cfg(alpha_sequence=AlphaSequence("explicit", values=tuple(values)), K=3)
+        with pytest.raises(ValueError) as err:
+            prepare(cfg)
+        assert str(err.value) == f"alpha_{k} = {F(value)} outside (0, 1/2)"
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
@@ -233,6 +248,46 @@ class TestMaterialization:
         )
         with pytest.raises(ValueError, match="generator 5 is not coprime to 5"):
             prepare(cfg)
+
+
+class TestRadiusColumns:
+    """Experiment.radii: alpha_k as reduced (numerator, denominator) ints."""
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            AlphaSequence("c/k", c=F(1, 3)),
+            AlphaSequence("c/k", c=F(2, 5)),
+            AlphaSequence("c/k", c=F(6, 13)),
+            AlphaSequence("c*2^-k", c=F(1, 4)),
+            AlphaSequence("c*2^-k", c=F(2, 5)),
+            AlphaSequence("c*2^-k", c=F(6, 7)),
+            AlphaSequence("c*2^-k", c=F(12, 25)),
+            AlphaSequence("c*2^-k", c=F(4, 5)),
+            AlphaSequence("c/(k log k)", c=F(1, 3)),
+            AlphaSequence("c/(k log k)", c=F(2, 5)),
+            AlphaSequence("c/(k log k)", c=F(12, 25)),
+            AlphaSequence("explicit", values=(F(1, 3), F(2, 6), F(6, 14), F(1, 2**70), F(5, 11))),
+        ],
+        ids=lambda seq: f"{seq.kind}-{seq.c}",
+    )
+    def test_radii_equal_fraction_reference_and_are_reduced(self, seq):
+        # the constants share factors with k (2/5, 6/13, 12/25) or with 2^k
+        # (2/5, 6/7, 12/25, 4/5), so each rule has to reduce
+        K = 5 if seq.kind == "explicit" else 60
+        exp = prepare(small_cfg(alpha_sequence=seq, K=K))
+        assert len(exp.radii) == K
+        for k, (n, d) in enumerate(exp.radii, start=1):
+            assert type(n) is int and type(d) is int
+            assert d > 0 and math.gcd(n, d) == 1
+            if seq.kind == "explicit":
+                assert F(n, d) == seq.values[k - 1]
+            else:  # the Fraction rules of the hit_finding oracle
+                assert F(n, d) == verify._RADIUS_RULES[seq.kind](seq.c, k)
+
+    def test_even_constant_shifts_into_the_power_of_two(self):
+        exp = prepare(small_cfg(alpha_sequence=AlphaSequence("c*2^-k", c=F(12, 25)), K=4))
+        assert exp.radii == ((6, 25), (3, 25), (3, 50), (3, 100))
 
 
 class TestFindHits:
@@ -302,7 +357,7 @@ class TestFindHits:
             for h in exp.find_hits(x):
                 found += 1
                 k = h.k - 1
-                q, alpha = exp.qs[k], exp.alphas[k]
+                q, alpha = exp.qs[k], fraction_radii(exp)[k]
                 assert abs(x - F(h.p, q**2)) == h.error < alpha / q**2
                 assert math.gcd(h.p, q) == 1
                 G = dth_power_subgroup(unit_group(q), 2)
@@ -320,7 +375,8 @@ def reference_hits(exp, x):
     """The exact three-candidate test over every index, with no screen."""
     xn, xd = x.numerator, x.denominator
     hits = []
-    for i, (q, Q, alpha, member) in enumerate(zip(exp.qs, exp.moduli, exp.alphas, exp._members)):
+    rows = zip(exp.qs, exp.moduli, fraction_radii(exp), exp._members)
+    for i, (q, Q, alpha, member) in enumerate(rows):
         m, delta = divmod(xn * Q, xd)
         for p, dist in ((m, delta), (m + 1, xd - delta), (m - 1, xd + delta)):
             if F(dist, xd) < alpha and math.gcd(p, q) == 1 and member(p % q):
@@ -350,7 +406,7 @@ def boundary_points(exp, bits):
     grid = F(1, 1 << bits)
     tiny = F(1, 1 << 128)
     pts = set()
-    for q, Q, alpha, member in zip(exp.qs, exp.moduli, exp.alphas, exp._members):
+    for q, Q, alpha, member in zip(exp.qs, exp.moduli, fraction_radii(exp), exp._members):
         for start in (1, Q // 2, Q - 1):
             p = next(
                 (p for p in range(max(start, 1), Q) if math.gcd(p, q) == 1 and member(p % q)), None
@@ -416,14 +472,14 @@ class TestHitScreen:
         # mod 1 every p is a unit and in the coset: k = 1 hits iff ||x|| < alpha_1
         exp = prepare(BOUNDARY_CONFIGS[name] if name else small_cfg(K=6))
         assert exp.qs[0] == 1 and exp.orders[0] == 1
-        alpha = exp.alphas[0]
+        alpha = fraction_radii(exp)[0]
         for i in range(40):
             x = _sample_point(23, i, 64)
             assert any(h.k == 1 for h in exp.find_hits(x)) == (min(x, 1 - x) < alpha)
 
     def test_exact_centre_survives_underflowing_radius(self):
         exp = prepare(BOUNDARY_CONFIGS["underflow"])
-        assert float(exp.alphas[1]) == 0.0
+        assert float(fraction_radii(exp)[1]) == 0.0
         assert [h.k for h in exp.find_hits(F(1, 4))] == [2]  # distance 0 < alpha = 2^-1100
 
     @pytest.mark.parametrize("name", sorted(BOUNDARY_CONFIGS))
@@ -433,7 +489,7 @@ class TestHitScreen:
         slack = F(1, 1 << 47)
         for x in boundary_points(exp, 64):
             kept = set(exp._screen(x.numerator, x.denominator).tolist())
-            for i, (Q, alpha) in enumerate(zip(exp.moduli, exp.alphas)):
+            for i, (Q, alpha) in enumerate(zip(exp.moduli, fraction_radii(exp))):
                 r = x * Q - math.floor(x * Q)
                 dist = min(r, 1 - r)
                 if dist < alpha or exp._unscreened[i]:
@@ -476,7 +532,7 @@ def hit_problems(draw):
         x = draw(st.fractions(min_value=0, max_value=1, max_denominator=1 << 200))
     else:
         k = draw(st.integers(0, len(qs) - 1))
-        Q, alpha = exp.moduli[k], exp.alphas[k]
+        Q, alpha = exp.moduli[k], fraction_radii(exp)[k]
         p = draw(st.integers(0, Q))
         shift = draw(st.sampled_from((-1, 0, 1))) * F(1, 1 << draw(st.integers(1, 260)))
         x = F(p, Q) + draw(st.sampled_from((-1, 1))) * alpha / Q + shift
@@ -604,8 +660,8 @@ class TestMonteCarlo:
         )
         exp = prepare(cfg)
         copy = pickle.loads(pickle.dumps(exp))
-        assert (copy.qs, copy.alphas, copy.orders, copy.phis) == (
-            exp.qs, exp.alphas, exp.orders, exp.phis
+        assert (copy.qs, fraction_radii(copy), copy.orders, copy.phis) == (
+            exp.qs, fraction_radii(exp), exp.orders, exp.phis
         )
         found = 0
         for i in range(40):
@@ -634,7 +690,8 @@ class TestMonteCarlo:
         )
         exp = prepare(cfg)
         ub = check_conditions(exp).union_bound
-        assert ub == sum(2 * a * F(o, q) for a, o, q in zip(exp.alphas, exp.orders, exp.qs))
+        terms = zip(fraction_radii(exp), exp.orders, exp.qs)
+        assert ub == sum(2 * a * F(o, q) for a, o, q in terms)
         res = exp.monte_carlo()
         sigma = math.sqrt(float(ub) * (1 - float(ub)) / cfg.samples)
         assert float(res.fraction(1, cfg.K)) <= float(ub) + 3 * sigma
@@ -702,7 +759,7 @@ def test_prefix_minima_match_all_prefix_reference(kw, off_grid):
     cond = check_conditions(exp)
     a_sum = w_sum = F(0)
     series = {"ratio": []}
-    for q, alpha, order in zip(exp.qs, exp.alphas, exp.orders):
+    for q, alpha, order in zip(exp.qs, fraction_radii(exp), exp.orders):
         a_sum += alpha
         w_sum += alpha * F(order, q)
         series["ratio"].append(w_sum / a_sum)
@@ -735,13 +792,18 @@ def _prefix_ratio_reference(dens, nums, cps):
 
 def _weighted_terms(exp):
     """The terms alpha_k |G_k| / q_k as Fractions."""
-    return [a * F(o, q) for q, a, o in zip(exp.qs, exp.alphas, exp.orders)]
+    return [a * F(o, q) for q, a, o in zip(exp.qs, fraction_radii(exp), exp.orders)]
+
+
+def _ratio_min_reference(exp):
+    """The minimum of the prefix ratios of exp, by the Fraction walk."""
+    return _prefix_ratio_reference(fraction_radii(exp), _weighted_terms(exp), (exp.config.K,))[3]
 
 
 def _assert_conditions_match_reference(exp):
     """check_conditions against the Fraction walk; returns the report."""
     cps = experiment._checkpoints(exp.config.K)
-    walk = _prefix_ratio_reference(exp.alphas, _weighted_terms(exp), cps)
+    walk = _prefix_ratio_reference(fraction_radii(exp), _weighted_terms(exp), cps)
     d_rows, n_rows, ratio_rows, ratio_min = walk
     rep = check_conditions(exp)
     assert not {"rows", "partial_sum_alpha", "weighted_sum", "c_ratio"} & set(vars(rep))
@@ -807,9 +869,76 @@ def test_convergent_control_argmin_past_double_underflow(fixtures_dir):
     data = json.loads((fixtures_dir / "convergent_control.json").read_text())
     exp = prepare(ExperimentConfig.from_dict({**data, "K": 3000}))
     rep = _assert_conditions_match_reference(exp)
-    ratio_min = _prefix_ratio_reference(exp.alphas, _weighted_terms(exp), (exp.config.K,))[3]
+    ratio_min = _ratio_min_reference(exp)
     assert rep.c_ratio_min == ratio_min == rep.c_ratio_final
     assert rep.float_decisions == 2999 and rep.exact_fallbacks == 0
+
+
+def _per_term_blocks(monkeypatch, terms):
+    """_float_terms of terms, checked against _float_term term by term, and
+    the indices of the blocks that went through _float_term."""
+    want = list(map(experiment._float_term, terms))
+    seen = []
+    real = experiment._float_term
+    monkeypatch.setattr(experiment, "_float_term", lambda t: seen.append(t) or real(t))
+    assert list(experiment._float_terms(terms)) == want
+    block = experiment._BLOCK
+    where = {id(t): i for i, t in enumerate(terms)}
+    slow = sorted({where[id(t)] // block for t in seen})
+    assert len(seen) == sum(min(block, len(terms) - b * block) for b in slow)
+    return slow
+
+
+def test_float_terms_switch_paths_at_two_to_the_53(monkeypatch):
+    # One series of six blocks: n or o = 2^53 - 1 divide as exact doubles
+    # (blocks 0, 1); n = 2^53 and n or o = 2^53 + 1 do not (blocks 2-4).
+    # (2^53 + 1)/3 and 1/(2^53 + 1) would round differently from doubles.
+    # e reaches 5000, far past the double range.
+    block = experiment._BLOCK
+    top = 1 << 53
+    rng = random.Random(53)
+    terms = [(rng.randint(1, 10**6), rng.randint(0, 5000), 2 * rng.randint(0, 10**6) + 1)
+             for _ in range(6 * block)]
+    special = {0: (top - 1, 7, 3), 1: (5, 1100, top - 1), 2: (top, 0, 3),
+               3: (top + 1, 2, 3), 4: (1, 5000, top + 1)}
+    for b, term in special.items():
+        terms[b * block + 17] = term
+    assert _per_term_blocks(monkeypatch, terms) == [2, 3, 4]
+    m, x = experiment._float_term((top + 1, 0, 3))
+    assert m * 2.0**x == (top + 1) // 3  # exact, where float(2^53 + 1) / 3 is not
+    assert float(top + 1) / 3 != (top + 1) // 3
+
+
+def test_float_terms_of_a_series_past_the_double_range(monkeypatch):
+    # c 2^-k radii with K = 1200: every term leaves the double range from
+    # k = 1075 on, yet n and o stay small, so every block takes numpy's path
+    exp = prepare(small_cfg(alpha_sequence=AlphaSequence("c*2^-k", c=F(2, 5)), K=1200))
+    for series in experiment._series(exp):
+        terms = list(series)
+        assert _per_term_blocks(monkeypatch, terms) == []
+        assert min(experiment._float_term(t)[1] for t in terms) < -1074 - 100
+
+
+def test_series_across_two_to_the_53_match_fraction_walk(monkeypatch):
+    # Explicit radii whose reduced numerators and odd denominator parts are
+    # 2^53 - 1 (numpy's path) or 2^53 + 1 (the per-term path), in blocks of
+    # their own, through the whole prefix pass
+    block = experiment._BLOCK
+    top = 1 << 53
+    alphas = [F(1, 4 * k + 1) for k in range(1, 4 * block + 1)]
+    alphas[5] = F(top - 1, 3 << 55)
+    alphas[block + 5] = F(1, top - 1)
+    alphas[2 * block + 5] = F(top + 1, 5 << 56)
+    alphas[3 * block + 5] = F(1, top + 1)
+    cfg = small_cfg(alpha_sequence=AlphaSequence("explicit", values=tuple(alphas)),
+                    K=len(alphas))
+    exp = prepare(cfg)
+    dens, nums = experiment._series(exp)
+    assert _per_term_blocks(monkeypatch, list(dens)) == [2, 3]
+    # |G_k| multiplies the numerators of the second series past 2^53
+    assert {2, 3} <= set(_per_term_blocks(monkeypatch, list(nums)))
+    monkeypatch.undo()
+    _assert_conditions_match_reference(exp)
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["decreasing", "increasing"])
@@ -821,7 +950,7 @@ def test_radii_spanning_past_the_double_range(order):
     cfg = small_cfg(alpha_sequence=AlphaSequence("explicit", values=alphas), K=K)
     exp = prepare(cfg)
     rep = _assert_conditions_match_reference(exp)
-    assert rep.c_ratio_min == _prefix_ratio_reference(exp.alphas, _weighted_terms(exp), (K,))[3]
+    assert rep.c_ratio_min == _ratio_min_reference(exp)
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["falls", "stays"])
@@ -870,7 +999,7 @@ def test_fallback_reads_the_argmin_the_screen_set(sign):
     )
     exp = prepare(cfg)
     rep = _assert_conditions_match_reference(exp)
-    assert rep.c_ratio_min == _prefix_ratio_reference(exp.alphas, _weighted_terms(exp), (7,))[3]
+    assert rep.c_ratio_min == _ratio_min_reference(exp)
     assert 0 < sign * (rep.c_ratio[4] - F(4, 9)) < F(1, 2**50)
     assert (rep.c_ratio[6] - rep.c_ratio[4]) * (F(4, 9) - rep.c_ratio[6]) > 0  # r_7 between
     assert rep.c_ratio_min == (F(4, 9) if sign == 1 else rep.c_ratio[4])
@@ -1034,6 +1163,17 @@ class TestExactStrings:
         assert len(text) > 5071 + 4533
         assert exact_fraction(text) == x
         assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("bits", [2047, 2048, 2049, 4097, 20_000, 47_000])
+    def test_split_conversion_equals_decimal(self, bits):
+        # numbers past 2048 bits are converted half by half; the digits and
+        # the sign are Decimal's own, byte for byte
+        rng = random.Random(bits)
+        for n in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)):
+            assert exact_str(F(n)) == str(Decimal(n))
+            assert exact_str(F(-n)) == str(Decimal(-n))
+            x = F(-n, 3**700)
+            assert exact_str(x) == f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
     def test_small_values_equal_str(self):
         for x in (F(0), F(5), F(-5), F(3, 7), F(-22, 7), F(10**40 + 1, 3)):
