@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -587,8 +586,6 @@ def _two_odd(n: int, b: int) -> tuple[int, int, int]:
 
 _EMPTY = -(1 << 62)  # exponent of an empty float sum, whose mantissa is 0.0
 _LEAF = 32  # terms per leaf of _lcm_sum's tree
-_BLOCK = 64  # terms per numpy division of _float_terms; larger blocks raise peak memory
-_EXACT_DOUBLE = 1 << 53  # every int below this is exact in a double
 
 
 def _series(exp: Experiment, lo: int = 0, hi: int | None = None):
@@ -613,25 +610,6 @@ def _float_term(term: tuple[int, int, int]) -> tuple[float, int]:
     s = o.bit_length() - n.bit_length()
     m, x = math.frexp((n << s) / o if s >= 0 else n / (o << -s))
     return m, x - s - e
-
-
-def _float_terms(terms):
-    """_float_term of each term, in order, _BLOCK terms at a time.
-
-    A block whose every n and o is below 2^53 is divided by numpy: both
-    operands are then exact doubles, n / o lies in [2^-53, 2^53], so the
-    IEEE quotient is correctly rounded and normal, and its frexp, with e
-    taken off the exponent, is _float_term's (m, x) bit for bit.  Any other
-    block goes through _float_term term by term.  The exponents stay Python
-    ints, so e may be of any size."""
-    terms = iter(terms)
-    while block := list(islice(terms, _BLOCK)):
-        ns, es, os_ = zip(*block)
-        if max(ns) < _EXACT_DOUBLE and max(os_) < _EXACT_DOUBLE:
-            m, x = np.frexp(np.array(ns, dtype=np.float64) / np.array(os_, dtype=np.float64))
-            yield from zip(m.tolist(), map(operator.sub, x.tolist(), es))
-        else:
-            yield from map(_float_term, block)
 
 
 def _screen_margin(K: int) -> float:
@@ -688,7 +666,7 @@ def _prefix_argmin(exp: Experiment) -> tuple[int, int, int]:
     K = exp.config.K
     lo, hi = 1 - _screen_margin(K), 1 + _screen_margin(K)
     dens, nums = _series(exp)
-    terms = zip(_float_terms(dens), _float_terms(nums))
+    terms = zip(map(_float_term, dens), map(_float_term, nums))
     (aj, ajx), (wj, wjx) = next(terms)
     ta = tw = 0.0
     tax = twx = _EMPTY

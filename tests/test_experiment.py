@@ -874,71 +874,18 @@ def test_convergent_control_argmin_past_double_underflow(fixtures_dir):
     assert rep.float_decisions == 2999 and rep.exact_fallbacks == 0
 
 
-def _per_term_blocks(monkeypatch, terms):
-    """_float_terms of terms, checked against _float_term term by term, and
-    the indices of the blocks that went through _float_term."""
-    want = list(map(experiment._float_term, terms))
-    seen = []
-    real = experiment._float_term
-    monkeypatch.setattr(experiment, "_float_term", lambda t: seen.append(t) or real(t))
-    assert list(experiment._float_terms(terms)) == want
-    block = experiment._BLOCK
-    where = {id(t): i for i, t in enumerate(terms)}
-    slow = sorted({where[id(t)] // block for t in seen})
-    assert len(seen) == sum(min(block, len(terms) - b * block) for b in slow)
-    return slow
-
-
-def test_float_terms_switch_paths_at_two_to_the_53(monkeypatch):
-    # One series of six blocks: n or o = 2^53 - 1 divide as exact doubles
-    # (blocks 0, 1); n = 2^53 and n or o = 2^53 + 1 do not (blocks 2-4).
-    # (2^53 + 1)/3 and 1/(2^53 + 1) would round differently from doubles.
-    # e reaches 5000, far past the double range.
-    block = experiment._BLOCK
-    top = 1 << 53
-    rng = random.Random(53)
-    terms = [(rng.randint(1, 10**6), rng.randint(0, 5000), 2 * rng.randint(0, 10**6) + 1)
-             for _ in range(6 * block)]
-    special = {0: (top - 1, 7, 3), 1: (5, 1100, top - 1), 2: (top, 0, 3),
-               3: (top + 1, 2, 3), 4: (1, 5000, top + 1)}
-    for b, term in special.items():
-        terms[b * block + 17] = term
-    assert _per_term_blocks(monkeypatch, terms) == [2, 3, 4]
-    m, x = experiment._float_term((top + 1, 0, 3))
-    assert m * 2.0**x == (top + 1) // 3  # exact, where float(2^53 + 1) / 3 is not
-    assert float(top + 1) / 3 != (top + 1) // 3
-
-
-def test_float_terms_of_a_series_past_the_double_range(monkeypatch):
+def test_float_terms_of_a_series_past_the_double_range():
     # c 2^-k radii with K = 1200: every term leaves the double range from
-    # k = 1075 on, yet n and o stay small, so every block takes numpy's path
+    # k = 1075 on, yet _float_term gives each its correctly rounded mantissa
+    # with an exponent far below the double range
     exp = prepare(small_cfg(alpha_sequence=AlphaSequence("c*2^-k", c=F(2, 5)), K=1200))
     for series in experiment._series(exp):
         terms = list(series)
-        assert _per_term_blocks(monkeypatch, terms) == []
+        for n, e, o in terms:
+            m, x = experiment._float_term((n, e, o))
+            assert 0.5 <= m < 1
+            assert m == float(F(n, o) / F(2) ** (x + e))  # the term times 2^-x, rounded once
         assert min(experiment._float_term(t)[1] for t in terms) < -1074 - 100
-
-
-def test_series_across_two_to_the_53_match_fraction_walk(monkeypatch):
-    # Explicit radii whose reduced numerators and odd denominator parts are
-    # 2^53 - 1 (numpy's path) or 2^53 + 1 (the per-term path), in blocks of
-    # their own, through the whole prefix pass
-    block = experiment._BLOCK
-    top = 1 << 53
-    alphas = [F(1, 4 * k + 1) for k in range(1, 4 * block + 1)]
-    alphas[5] = F(top - 1, 3 << 55)
-    alphas[block + 5] = F(1, top - 1)
-    alphas[2 * block + 5] = F(top + 1, 5 << 56)
-    alphas[3 * block + 5] = F(1, top + 1)
-    cfg = small_cfg(alpha_sequence=AlphaSequence("explicit", values=tuple(alphas)),
-                    K=len(alphas))
-    exp = prepare(cfg)
-    dens, nums = experiment._series(exp)
-    assert _per_term_blocks(monkeypatch, list(dens)) == [2, 3]
-    # |G_k| multiplies the numerators of the second series past 2^53
-    assert {2, 3} <= set(_per_term_blocks(monkeypatch, list(nums)))
-    monkeypatch.undo()
-    _assert_conditions_match_reference(exp)
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["decreasing", "increasing"])
