@@ -36,6 +36,7 @@ __all__ = [
     "r_d",
     "s_d",
     "tau",
+    "totients",
     "trend_threshold",
     "u_d",
 ]
@@ -247,27 +248,63 @@ def factor_all(ns) -> list[Factorization]:
     run is_prime on each prime again; factor's validate themselves.
     """
     ns = list(ns)
+    spf = _spf_sieve(ns)
+    if spf is None:
+        return [factor(n) for n in ns]
+    out = []
+    for n in ns:
+        fs = []
+        m = n
+        while m > 1:
+            p = spf[m] or m
+            m //= p
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            fs.append((p, e))
+        out.append(_sieved(n, tuple(fs)))
+    return out
+
+
+def totients(ns) -> list[int]:
+    """euler_phi(factor(n)) for every n in ns, in order, by factor_all's
+    rule: peeled off one local smallest-prime-factor sieve when it pays,
+    else from factor per n.  No Factorization is built on the sieve path."""
+    ns = list(ns)
+    spf = _spf_sieve(ns)
+    if spf is None:
+        return [euler_phi(factor(n)) for n in ns]
+    out = []
+    for n in ns:
+        phi = m = n
+        while m > 1:
+            p = spf[m] or m
+            phi -= phi // p
+            m //= p
+            while m % p == 0:
+                m //= p
+        out.append(phi)
+    return out
+
+
+def _spf_sieve(ns: list[int]) -> memoryview | None:
+    """The smallest-prime-factor sieve up to max(ns) that factor_all and
+    totients peel, or None when it does not pay (see factor_all) or some n
+    is below 1.  Entry m is the least prime factor of a composite m and 0
+    for a prime (or m < 2); every such factor is <= sqrt(SIEVE_LIMIT) <
+    2^16.  The uint16 array is read through a memoryview, which indexes to
+    Python ints without a numpy scalar per read."""
     top = max(ns, default=0)
     if top > min(SIEVE_LIMIT, SIEVE_PER_VALUE * len(ns)) or min(ns, default=1) < 1:
-        return [factor(n) for n in ns]
+        return None
     import numpy as np
 
-    # spf[m] is the least prime factor of a composite m and 0 for a prime;
-    # every such factor is <= sqrt(SIEVE_LIMIT) < 2^16.
     spf = np.zeros(top + 1, dtype=np.uint16)
     for p in primes_up_to(math.isqrt(top)):
         multiples = spf[p * p :: p]
         multiples[multiples == 0] = p
-    out = []
-    for n in ns:
-        fs: dict[int, int] = {}
-        m = n
-        while m > 1:
-            p = spf.item(m) or m
-            fs[p] = fs.get(p, 0) + 1
-            m //= p
-        out.append(_sieved(n, tuple(fs.items())))
-    return out
+    return memoryview(spf)
 
 
 def _sieved(n: int, factors: tuple[tuple[int, int], ...]) -> Factorization:

@@ -25,7 +25,7 @@ from itertools import islice, pairwise
 
 import numpy as np
 
-from .arith import as_fraction, euler_phi, factor_all, primes_up_to, r_d
+from .arith import as_fraction, euler_phi, factor_all, primes_up_to, r_d, totients
 from .residue_group import SUBGROUP_MODES, closure, is_dth_power
 
 __all__ = [
@@ -313,37 +313,40 @@ def _materialize_q(cfg: ExperimentConfig) -> tuple[int, ...]:
     return vals
 
 
-def _materialize_alpha(cfg: ExperimentConfig) -> tuple[tuple[int, int], ...]:
-    """The radii alpha_k, k = 1..K, as reduced (numerator, denominator)
-    pairs of ints: each rule reduces c = cn/cd (already in lowest terms)
-    against its own factor of the denominator with one small-int step."""
+def _materialize_alpha(cfg: ExperimentConfig) -> tuple[tuple[int, int, int], ...]:
+    """The radii alpha_k, k = 1..K, as reduced terms (n, e, o) = n / (2^e o),
+    o odd, of _two_odd: each rule reduces c = cn/cd (already in lowest
+    terms) against its own factor of the denominator with one small-int
+    step, and c*2^-k keeps 2^-k in the exponent e, so every n and o stays
+    the size of c's."""
     seq = cfg.alpha_sequence
     K = cfg.K
     if seq.kind == "explicit":
         if len(seq.values) < K:
             raise ValueError(f"explicit alpha list has {len(seq.values)} entries, K={K}")
-        vals = [v.as_integer_ratio() for v in seq.values[:K]]
+        vals = [_two_odd(*v.as_integer_ratio()) for v in seq.values[:K]]
     else:
         cn, cd = seq.c.as_integer_ratio()
         vals = []
         if seq.kind == "c/k":
             for k in range(1, K + 1):
                 g = math.gcd(cn, k)
-                vals.append((cn // g, cd * (k // g)))
+                vals.append(_two_odd(cn // g, cd * (k // g)))
         elif seq.kind == "c*2^-k":
             v = (cn & -cn).bit_length() - 1  # the 2-adic valuation of cn
+            _, ce, co = _two_odd(cn, cd)
             for k in range(1, K + 1):
                 s = min(v, k)
-                vals.append((cn >> s, cd << (k - s)))
+                vals.append((cn >> s, ce + k - s, co))
         else:  # c/(k log k), the log rounded to a multiple of 1/_LOG_SCALE
             n = cn * _LOG_SCALE
             for k in range(1, K + 1):
                 d = cd * k * max(_LOG_SCALE, round(math.log(k) * _LOG_SCALE))
                 g = math.gcd(n, d)
-                vals.append((n // g, d // g))
-    for k, (n, d) in enumerate(vals, start=1):
-        if not (0 < n and 2 * n < d):
-            raise ValueError(f"alpha_{k} = {Fraction(n, d)} outside (0, 1/2)")
+                vals.append(_two_odd(n // g, d // g))
+    for k, (n, e, o) in enumerate(vals, start=1):
+        if not (0 < n and (2 * n) >> e < o):
+            raise ValueError(f"alpha_{k} = {Fraction(n, o << e)} outside (0, 1/2)")
     return tuple(vals)
 
 
@@ -353,7 +356,7 @@ class Experiment:
 
     config: ExperimentConfig
     qs: tuple[int, ...]
-    radii: tuple[tuple[int, int], ...]  # alpha_k as reduced (numerator, denominator)
+    radii: tuple[tuple[int, int, int], ...]  # alpha_k as reduced terms (n, e, o) of _two_odd
     moduli: tuple[int, ...] = field(repr=False)  # q_k ** d
     orders: tuple[int, ...] = field(repr=False)  # |G_k|
     phis: tuple[int, ...] = field(repr=False)  # phi(q_k)
@@ -361,7 +364,7 @@ class Experiment:
     # Hit screen arrays, one entry per index (see find_hits).
     _q_word: np.ndarray = field(repr=False)  # Q_k mod 2^64 as uint64
     _q_low: np.ndarray = field(repr=False)  # _q_word * 2^-128 as float64
-    _tau: np.ndarray = field(repr=False)  # (an / ad) (1 + 2^-50) + 2^-48, alpha_k = an/ad
+    _tau: np.ndarray = field(repr=False)  # a (1 + 2^-50) + 2^-48, a = n / (o << e)
     _unscreened: np.ndarray = field(repr=False)  # Q_k >= 2^53: float distance void
 
     def find_hits(self, x) -> list[HitRecord]:
@@ -397,11 +400,12 @@ class Experiment:
         Both subtractions are exact (Sterbenz: t < 2, and 1 - f is used only
         when f >= 1/2), so d = ||t||.  As ||.|| is 1-Lipschitz,
             |d - ||x Q||| <= 2^-54 + 2^-63 + 2^-53 + 2^-75 < 2^-52.
-        The threshold is tau = fl(fl(a (1 + 2^-50)) + 2^-48) with a = an / ad
-        for the radius pair alpha = an/ad, the correctly rounded quotient of
-        two integers (Python's int true division rounds correctly).  With
-        eta = 2^-1075 for underflow (the c*2^-k radii round to a subnormal
-        or to 0 once k passes about 1074), a >= alpha (1 - u) - eta.
+        The threshold is tau = fl(fl(a (1 + 2^-50)) + 2^-48) with a =
+        n / (o << e) for the radius term alpha = n / (2^e o), the correctly
+        rounded quotient of two integers (Python's int true division rounds
+        correctly).  With eta = 2^-1075 for underflow (the c*2^-k radii
+        round to a subnormal or to 0 once k passes about 1074),
+        a >= alpha (1 - u) - eta.
         Rounding is monotone and 1 + 2^-50 > 1, so fl(a (1 + 2^-50)) >= a.
         The last sum is at least 2^-48, a normal number, so
             tau >= (alpha (1 - u) - eta + 2^-48)(1 - u)
@@ -417,11 +421,11 @@ class Experiment:
         xn, xd = x.numerator, x.denominator
         hits = []
         for i in self._screen(xn, xd).tolist():
-            q, Q, (an, ad), member = self.qs[i], self.moduli[i], self.radii[i], self._members[i]
+            q, Q, (an, e, o), member = self.qs[i], self.moduli[i], self.radii[i], self._members[i]
             m, delta = divmod(xn * Q, xd)
             rhs = an * xd
             for p, dist in ((m, delta), (m + 1, xd - delta), (m - 1, xd + delta)):
-                if dist * ad < rhs and math.gcd(p, q) == 1 and member(p % q):
+                if (dist * o) << e < rhs and math.gcd(p, q) == 1 and member(p % q):
                     hits.append(HitRecord(k=i + 1, q=q, p=p, error=Fraction(dist, xd * Q)))
                     break
         return hits
@@ -519,30 +523,35 @@ def prepare(cfg: ExperimentConfig) -> Experiment:
     for the full group).  The tests are module-level
     functions, partials and frozenset methods, so the Experiment pickles.
 
-    Every q_k is factored by one arith.factor_all call: a smallest-prime-
-    factor sieve local to this call when max q_k is small enough to pay for
-    it, else factor per q_k.  phi(q_k) is kept beside |G_k| for
-    check_conditions."""
+    The q_k are factored only where a Factorization is read: dth-powers
+    membership and |G_k| = r_d(q_k, d) take one arith.factor_all call, and
+    phi(q_k) comes from the same Factorizations; the other modes read only
+    phi(q_k), from one arith.totients call.  Both use a smallest-prime-factor
+    sieve local to the call when max q_k is small enough to pay for it, else
+    factor per q_k.  phi(q_k) is kept beside |G_k| for check_conditions."""
     qs = _materialize_q(cfg)
     radii = _materialize_alpha(cfg)
     for q in qs:
         if math.gcd(cfg.a, q) != 1:
             raise ValueError(f"coset representative a={cfg.a} shares a factor with q={q}")
-    facts = factor_all(qs)
-    phis = tuple(map(euler_phi, facts))
-    members = []
-    orders = []
-    for q, f, phi in zip(qs, facts, phis):
+    if cfg.subgroup_mode == "dth-powers":
+        facts = factor_all(qs)
+        phis = tuple(map(euler_phi, facts))
+        members = [
+            partial(_in_dth_power_coset, f, pow(cfg.a, -1, q), cfg.d) for q, f in zip(qs, facts)
+        ]
+        orders = [r_d(f, cfg.d) for f in facts]
+    else:
+        phis = tuple(totients(qs))
         if cfg.subgroup_mode == "full":
-            members.append(_any_unit)
-            orders.append(phi)
-        elif cfg.subgroup_mode == "dth-powers":
-            members.append(partial(_in_dth_power_coset, f, pow(cfg.a, -1, q), cfg.d))
-            orders.append(r_d(f, cfg.d))
+            members = [_any_unit] * len(qs)
+            orders = phis
         else:
-            sub = closure(cfg.generators, q)
-            members.append(frozenset(cfg.a * x % q for x in sub).__contains__)
-            orders.append(len(sub))
+            members, orders = [], []
+            for q in qs:
+                sub = closure(cfg.generators, q)
+                members.append(frozenset(cfg.a * x % q for x in sub).__contains__)
+                orders.append(len(sub))
     moduli = tuple(q**cfg.d for q in qs)
     q_word = np.array([Q & _LOW_WORD for Q in moduli], dtype=np.uint64)
     return Experiment(
@@ -555,7 +564,7 @@ def prepare(cfg: ExperimentConfig) -> Experiment:
         _members=members,
         _q_word=q_word,
         _q_low=q_word.astype(np.float64) * 2.0**-128,
-        _tau=np.array([n / d for n, d in radii]) * (1 + 2.0**-50) + 2.0**-48,
+        _tau=np.array([n / (o << e) for n, e, o in radii]) * (1 + 2.0**-50) + 2.0**-48,
         _unscreened=np.array([Q >= _SCREEN_Q_LIMIT for Q in moduli]),
     )
 
@@ -590,23 +599,28 @@ _LEAF = 32  # terms per leaf of _lcm_sum's tree
 
 def _series(exp: Experiment, lo: int = 0, hi: int | None = None):
     """The terms alpha_k and alpha_k |G_k| / q_k, lo < k <= hi, as two
-    iterators of terms (n, e, o) = n / (2^e o), o odd, split by _two_odd;
-    the second is unreduced."""
+    iterables of terms (n, e, o) = n / (2^e o), o odd: the radii as they
+    are, and each radius times |G_k| / q_k split by _two_odd, unreduced."""
     radii = exp.radii[lo:hi]
-    dens = (_two_odd(n, d) for n, d in radii)
-    nums = (
-        _two_odd(n * order, d * q)
-        for q, (n, d), order in zip(exp.qs[lo:hi], radii, exp.orders[lo:hi])
-    )
-    return dens, nums
+    densities = map(_two_odd, exp.orders[lo:hi], exp.qs[lo:hi])
+    nums = ((n * g, e + ge, o * go) for (n, e, o), (g, ge, go) in zip(radii, densities))
+    return radii, nums
+
+
+_DIRECT_QUOTIENT = 1 << 1000  # n / o is a normal double when n, o < this
 
 
 def _float_term(term: tuple[int, int, int]) -> tuple[float, int]:
     """(m, x) with m 2^x the correctly rounded double of the term (n, e, o)
-    = n / (2^e o), 1/2 <= m < 1 and x an int of any size: n / o is scaled
-    to land in [1/2, 2), so neither underflow nor overflow can occur, and
-    2^-e only moves the exponent."""
+    = n / (2^e o), 1/2 <= m < 1 and x an int of any size.  When n and o are
+    below 2^1000, n / o lies in (2^-1000, 2^1000) and is rounded once, as a
+    normal double; otherwise n / o is scaled to land in [1/2, 2) first, so
+    neither underflow nor overflow can occur.  Either way 2^-e only moves
+    the exponent, and both paths give the same (m, x)."""
     n, e, o = term
+    if n < _DIRECT_QUOTIENT and o < _DIRECT_QUOTIENT:
+        m, x = math.frexp(n / o)
+        return m, x - e
     s = o.bit_length() - n.bit_length()
     m, x = math.frexp((n << s) / o if s >= 0 else n / (o << -s))
     return m, x - s - e

@@ -434,7 +434,7 @@ def _hit_test_configs() -> list[ExperimentConfig]:
 
 # alpha_k per radius rule, from the constant c and k with Fraction arithmetic:
 # the documented rules restated, so the hit oracle does not read prepare's
-# radius columns.  c/(k log k) rounds the log to a multiple of 2^-16 and
+# radius terms.  c/(k log k) rounds the log to a multiple of 2^-16 and
 # clamps it at 1.
 _RADIUS_RULES = {
     "c/k": lambda c, k: c / k,

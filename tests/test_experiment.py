@@ -50,8 +50,8 @@ def small_cfg(**kw):
 
 
 def fraction_radii(exp):
-    """The radius columns of exp as Fractions."""
-    return tuple(F(n, d) for n, d in exp.radii)
+    """The radius terms (n, e, o) = n / (2^e o) of exp as Fractions."""
+    return tuple(F(n, o << e) for n, e, o in exp.radii)
 
 
 class TestConfig:
@@ -251,7 +251,7 @@ class TestMaterialization:
 
 
 class TestRadiusColumns:
-    """Experiment.radii: alpha_k as reduced (numerator, denominator) ints."""
+    """Experiment.radii: alpha_k as reduced terms (n, e, o) = n / (2^e o), o odd."""
 
     @pytest.mark.parametrize(
         "seq",
@@ -277,17 +277,26 @@ class TestRadiusColumns:
         K = 5 if seq.kind == "explicit" else 60
         exp = prepare(small_cfg(alpha_sequence=seq, K=K))
         assert len(exp.radii) == K
-        for k, (n, d) in enumerate(exp.radii, start=1):
-            assert type(n) is int and type(d) is int
-            assert d > 0 and math.gcd(n, d) == 1
+        for k, (n, e, o) in enumerate(exp.radii, start=1):
+            assert type(n) is int and type(e) is int and type(o) is int
+            assert o > 0 and o % 2 == 1 and e >= 0 and math.gcd(n, o << e) == 1
             if seq.kind == "explicit":
-                assert F(n, d) == seq.values[k - 1]
+                assert F(n, o << e) == seq.values[k - 1]
             else:  # the Fraction rules of the hit_finding oracle
-                assert F(n, d) == verify._RADIUS_RULES[seq.kind](seq.c, k)
+                assert F(n, o << e) == verify._RADIUS_RULES[seq.kind](seq.c, k)
 
     def test_even_constant_shifts_into_the_power_of_two(self):
         exp = prepare(small_cfg(alpha_sequence=AlphaSequence("c*2^-k", c=F(12, 25)), K=4))
-        assert exp.radii == ((6, 25), (3, 25), (3, 50), (3, 100))
+        assert exp.radii == ((6, 0, 25), (3, 0, 25), (3, 1, 25), (3, 2, 25))
+
+    @pytest.mark.parametrize("c, shift", [(F(1, 4), 2), (F(3, 20), 2), (F(6, 7), -1)])
+    def test_halving_radii_stay_small(self, c, shift):
+        # c 2^-k keeps 2^-k in the exponent: n and o stay the size of c's
+        # for every k, so the K radii take O(K) bits, not O(K^2)
+        K = 5000
+        exp = prepare(small_cfg(alpha_sequence=AlphaSequence("c*2^-k", c=c), K=K))
+        for k, (n, e, o) in enumerate(exp.radii, start=1):
+            assert n < 8 and o < 8 and e == k + shift
 
 
 class TestFindHits:
@@ -888,6 +897,34 @@ def test_float_terms_of_a_series_past_the_double_range():
         assert min(experiment._float_term(t)[1] for t in terms) < -1074 - 100
 
 
+def _shifted_float_term(n, e, o):
+    """_float_term's scaled path alone: n / o brought into [1/2, 2) first."""
+    s = o.bit_length() - n.bit_length()
+    m, x = math.frexp((n << s) / o if s >= 0 else n / (o << -s))
+    return m, x - s - e
+
+
+# numerators and odd parts at and around the 2^1000 bound of _float_term's
+# direct quotient, past the double range (2^1024) and far below it
+FLOAT_TERM_SIDES = (
+    1, 3, 5**20, 2**999 + 1, 2**1000 - 1, 2**1000, 2**1000 + 1, 2**1023 + 1, 2**1024 + 3,
+    3**700, 7**2000,
+)
+
+
+@pytest.mark.parametrize("n", FLOAT_TERM_SIDES)
+def test_float_term_at_the_direct_quotient_bound(n):
+    # both paths of _float_term give the correctly rounded double of the
+    # term, whichever side of 2^1000 n and o lie on
+    for o in FLOAT_TERM_SIDES:
+        o |= 1
+        for e in (0, 3, 5000):
+            m, x = experiment._float_term((n, e, o))
+            assert (m, x) == _shifted_float_term(n, e, o)
+            assert 0.5 <= m < 1
+            assert m == float(F(n, o) / F(2) ** (x + e))
+
+
 @pytest.mark.parametrize("order", [1, -1], ids=["decreasing", "increasing"])
 def test_radii_spanning_past_the_double_range(order):
     # Explicit radii from 1/6 down to 2^-1501 / 3 (or back up): the float
@@ -1066,6 +1103,28 @@ class TestSieveFactoring:
         assert (got.rows, got.cond_c_first_decile_mean, got.cond_c_last_decile_mean) == (
             want.rows, want.cond_c_first_decile_mean, want.cond_c_last_decile_mean
         )
+
+    @pytest.mark.parametrize("case", sorted(SIEVE_CASES))
+    def test_totients_equal_phi_of_factor(self, factor_calls, case):
+        qs, K, sieved = SIEVE_CASES[case]
+        qs = experiment._materialize_q(small_cfg(q_sequence=qs, K=K))
+        got = arith.totients(qs)
+        assert factor_calls == ([] if sieved else list(qs))
+        assert got == [euler_phi(factor(q)) for q in qs]
+
+    @pytest.mark.parametrize("mode", ["full", "generators"])
+    def test_only_dth_powers_builds_factorizations(self, monkeypatch, mode):
+        # the other modes read phi(q_k) alone, from arith.totients
+        def refuse(ns):
+            raise AssertionError(f"factor_all in {mode} mode")
+
+        monkeypatch.setattr(experiment, "factor_all", refuse)
+        monkeypatch.setattr(arith, "factor_all", refuse)
+        qs = QSequence("primes-coprime-to-a")
+        cfg = small_cfg(q_sequence=qs, K=150, a=6, subgroup_mode=mode,
+                        generators=(2,) if mode == "generators" else ())
+        exp = prepare(cfg)
+        assert exp.phis == tuple(euler_phi(factor(q)) for q in exp.qs)
 
     def test_sieve_path_leaves_the_factor_cache_alone(self):
         factor.cache_clear()

@@ -1,5 +1,5 @@
-"""Differential oracle: factor, euler_phi, is_prime and is_dth_power against
-sympy.
+"""Differential oracle: factor, euler_phi, totients, is_prime and
+is_dth_power against sympy.
 
 Optional: skipped when sympy is not installed (the `test` extra installs
 it).  Covers every n < 1500, a seeded sample of n up to 10^18, and seeded n
@@ -15,7 +15,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.ntheory.residue_ntheory import is_nthpow_residue  # noqa: E402
 
-from cosetapprox.arith import _MR_TABLE, euler_phi, factor, is_prime  # noqa: E402
+from cosetapprox.arith import _MR_TABLE, euler_phi, factor, is_prime, totients  # noqa: E402
 from cosetapprox.residue_group import is_dth_power  # noqa: E402
 
 POWERS = (2, 3, 4, 6)
@@ -26,6 +26,13 @@ def test_factor_and_phi_below_1500():
         f = factor(n)
         assert dict(f.factors) == sympy.factorint(n), n
         assert euler_phi(f) == sympy.totient(n), n
+
+
+def test_totients_below_1500_and_up_to_1e18():
+    # the sieve path below 1500, factor per n for the large values
+    rng = random.Random(1500 * 10**18)
+    for ns in (range(1, 1500), [rng.randrange(2, 10**18) for _ in range(100)]):
+        assert totients(ns) == [sympy.totient(n) for n in ns]
 
 
 def test_dth_powers_below_1500():

@@ -91,8 +91,8 @@ def test_hit_oracle_is_strict_at_interval_endpoints(monkeypatch, which):
     cfg = verify._hit_test_configs()[which]
     exp = experiment.prepare(cfg)
     points = {}
-    for q, Q, (an, ad) in zip(exp.qs, exp.moduli, exp.radii):
-        alpha = Fraction(an, ad)
+    for q, Q, (n, e, o) in zip(exp.qs, exp.moduli, exp.radii):
+        alpha = Fraction(n, o << e)
         member = verify._coset_member(cfg, q)
         centers = [p for p in range(Q + 1) if math.gcd(p, q) == 1 and member(p)]
         for p in (centers[0], centers[-1]):
