@@ -607,20 +607,12 @@ def _series(exp: Experiment, lo: int = 0, hi: int | None = None):
     return radii, nums
 
 
-_DIRECT_QUOTIENT = 1 << 1000  # n / o is a normal double when n, o < this
-
-
 def _float_term(term: tuple[int, int, int]) -> tuple[float, int]:
     """(m, x) with m 2^x the correctly rounded double of the term (n, e, o)
-    = n / (2^e o), 1/2 <= m < 1 and x an int of any size.  When n and o are
-    below 2^1000, n / o lies in (2^-1000, 2^1000) and is rounded once, as a
-    normal double; otherwise n / o is scaled to land in [1/2, 2) first, so
-    neither underflow nor overflow can occur.  Either way 2^-e only moves
-    the exponent, and both paths give the same (m, x)."""
+    = n / (2^e o), 1/2 <= m < 1 and x an int of any size: n / o is scaled
+    to land in [1/2, 2), so neither underflow nor overflow can occur, and
+    2^-e only moves the exponent."""
     n, e, o = term
-    if n < _DIRECT_QUOTIENT and o < _DIRECT_QUOTIENT:
-        m, x = math.frexp(n / o)
-        return m, x - e
     s = o.bit_length() - n.bit_length()
     m, x = math.frexp((n << s) / o if s >= 0 else n / (o << -s))
     return m, x - s - e

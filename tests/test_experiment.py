@@ -897,15 +897,8 @@ def test_float_terms_of_a_series_past_the_double_range():
         assert min(experiment._float_term(t)[1] for t in terms) < -1074 - 100
 
 
-def _shifted_float_term(n, e, o):
-    """_float_term's scaled path alone: n / o brought into [1/2, 2) first."""
-    s = o.bit_length() - n.bit_length()
-    m, x = math.frexp((n << s) / o if s >= 0 else n / (o << -s))
-    return m, x - s - e
-
-
-# numerators and odd parts at and around the 2^1000 bound of _float_term's
-# direct quotient, past the double range (2^1024) and far below it
+# numerators and odd parts around 2^1000, past the double range (2^1024)
+# and far below it
 FLOAT_TERM_SIDES = (
     1, 3, 5**20, 2**999 + 1, 2**1000 - 1, 2**1000, 2**1000 + 1, 2**1023 + 1, 2**1024 + 3,
     3**700, 7**2000,
@@ -913,14 +906,13 @@ FLOAT_TERM_SIDES = (
 
 
 @pytest.mark.parametrize("n", FLOAT_TERM_SIDES)
-def test_float_term_at_the_direct_quotient_bound(n):
-    # both paths of _float_term give the correctly rounded double of the
-    # term, whichever side of 2^1000 n and o lie on
+def test_float_term_against_fractions(n):
+    # _float_term gives the correctly rounded double of the term, with its
+    # mantissa in [1/2, 1), whatever the sizes of n, o and e
     for o in FLOAT_TERM_SIDES:
         o |= 1
         for e in (0, 3, 5000):
             m, x = experiment._float_term((n, e, o))
-            assert (m, x) == _shifted_float_term(n, e, o)
             assert 0.5 <= m < 1
             assert m == float(F(n, o) / F(2) ** (x + e))
 
