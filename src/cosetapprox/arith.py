@@ -223,8 +223,6 @@ def factor(n: int) -> Factorization:
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

@@ -42,8 +42,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
@@ -189,8 +187,6 @@ def _cmd_chars(args) -> int:
     for n in range(3, args.n_max + 1):
         g = unit_group(n)
         chars = all_characters(g)
-        if len(chars) <= 1:
-            continue
         _, prefix = character_prefix_sums(g, chars)
         bound = pv_bound(n)
         for i in range(1, len(chars)):  # row 0 is the principal character

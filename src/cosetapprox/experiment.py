@@ -364,20 +364,20 @@ class Experiment:
     # Hit screen arrays, one entry per index (see find_hits).
     _q_word: np.ndarray = field(repr=False)  # Q_k mod 2^64 as uint64
     _q_low: np.ndarray = field(repr=False)  # _q_word * 2^-128 as float64
-    _tau: np.ndarray = field(repr=False)  # a (1 + 2^-50) + 2^-48, a = n / (o << e)
-    _unscreened: np.ndarray = field(repr=False)  # Q_k >= 2^53: float distance void
+    _tau: np.ndarray = field(repr=False)  # a (1 + 2^-50) + 2^-48, a = n / (o << e); 1 if Q_k >= 2^53
 
     def find_hits(self, x) -> list[HitRecord]:
         """All hit records for the exact rational x in (0, 1), k = 1..K.
 
         Floats only prune, with the margin proved below; integers decide.  A
         numpy screen keeps the indices k whose float distance from x Q_k
-        (Q = q^d) to the nearest integer is below tau_k, plus every index
-        with Q_k >= 2^53.  Each survivor goes through the exact test, the
-        only place a hit is decided: only the integers floor(x Q) - 1, 0, +1
-        are tried, because with alpha < 1/2 the target interval has length
-        < 1, so it contains at most one integer and that integer is within 1
-        of floor(x Q).
+        (Q = q^d) to the nearest integer is below tau_k.  tau_k = 1 marks
+        Q_k >= 2^53, where the float distance is void but t <= 2 is finite,
+        so d <= 1/2 keeps the index; every other tau_k is below 1/2 + 2^-47.
+        Each survivor goes through the exact test, the only place a hit is
+        decided: only the integers floor(x Q) - 1, 0, +1 are tried, because
+        with alpha < 1/2 the target interval has length < 1, so it contains
+        at most one integer and that integer is within 1 of floor(x Q).
 
         Margin.  Write ||y|| for the distance from y to the nearest integer
         and u = 2^-53 for the unit roundoff.  Let X = floor(x 2^128) =
@@ -437,7 +437,7 @@ class Experiment:
         t = (self._q_word * np.uint64(X >> 64)) * 2.0**-64 + float(X & _LOW_WORD) * self._q_low
         t -= np.floor(t)
         dist = np.minimum(t, 1.0 - t)
-        return np.flatnonzero((dist < self._tau) | self._unscreened)
+        return np.flatnonzero(dist < self._tau)
 
     def monte_carlo(self, threads: int = 1) -> "MonteCarloResult":
         """Sample dyadic rationals and tabulate hit-count fractions F(m, K').
@@ -554,6 +554,8 @@ def prepare(cfg: ExperimentConfig) -> Experiment:
                 orders.append(len(sub))
     moduli = tuple(q**cfg.d for q in qs)
     q_word = np.array([Q & _LOW_WORD for Q in moduli], dtype=np.uint64)
+    tau = np.array([n / (o << e) for n, e, o in radii]) * (1 + 2.0**-50) + 2.0**-48
+    tau[np.array([Q >= _SCREEN_Q_LIMIT for Q in moduli])] = 1.0
     return Experiment(
         config=cfg,
         qs=qs,
@@ -564,8 +566,7 @@ def prepare(cfg: ExperimentConfig) -> Experiment:
         _members=members,
         _q_word=q_word,
         _q_low=q_word.astype(np.float64) * 2.0**-128,
-        _tau=np.array([n / (o << e) for n, e, o in radii]) * (1 + 2.0**-50) + 2.0**-48,
-        _unscreened=np.array([Q >= _SCREEN_Q_LIMIT for Q in moduli]),
+        _tau=tau,
     )
 
 

@@ -11,20 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+from cosetapprox import verify
 from cosetapprox.cli import main as cli_main
 from cosetapprox.experiment import ExperimentConfig, check_conditions, prepare
-from cosetapprox.verify import (
-    check_character_axioms,
-    check_counting_identity,
-    check_equidistribution_bound,
-    check_formula_oracle,
-    check_overlap_theta,
-    check_polya_vinogradov,
-    check_sieve_identity,
-    check_subgroup_consistency,
-    sample_count_tuples,
-)
-
 from helpers import exact_fraction
 
 F = Fraction
@@ -32,12 +21,6 @@ F = Fraction
 
 def report(num, name, started):
     print(f"[criterion {num:2d}] {name}: PASS ({time.monotonic() - started:.1f}s)")
-
-
-@pytest.fixture(scope="module")
-def shared_tuples():
-    # criteria 6 and 7 run on the same random sample
-    return sample_count_tuples(200, 2000, seed=0xC0DE)
 
 
 @pytest.fixture(scope="module")
@@ -60,64 +43,67 @@ def mc_runs(fixtures_dir):
     return configs, results, conditions, pilot, time.monotonic() - t0
 
 
-def test_criterion_01_formula_oracle_equivalence():
+# criterion -> (verify check, PASS label, runtime budget in s, full-scale detail);
+# each runs at the full-scale arguments of verify._CHECKS
+CRITERIA = {
+    1: ("formula_oracle", "formula-oracle equivalence", 120, "30000 (n, d) pairs, 0 mismatches"),
+    2: ("subgroup_consistency", "subgroup order and index", math.inf,
+        "n <= 2000, d <= 6, 0 violations"),
+    3: ("sieve_identity", "sieve identity", math.inf, "n <= 2000, 40 mu values, 0 violations"),
+    4: ("character_axioms", "character count and orthogonality", math.inf,
+        "n <= 500, 0 violations, worst deviation 1.66e-13"),
+    5: ("polya_vinogradov", "Polya-Vinogradov sweep", 300,
+        "n <= 1000, 0 violations, min slack 2.806"),
+    6: ("counting_identity", "character-sum counting identity", math.inf,
+        "200 tuples, 0 violations, worst deviation 4.90e-14"),
+    7: ("equidistribution_bound", "explicit equidistribution bound", math.inf,
+        "200 tuples, 0 violations, worst normalized error 0.043"),
+    8: ("overlap_theta", "overlap formula theta", math.inf,
+        "1000 cases (803 against the clipping oracle), 0 bad"),
+}
+
+
+def run_criterion(num):
+    name, label, budget, detail = CRITERIA[num]
+    check, _, full_args = verify._CHECKS[name]
     t0 = time.monotonic()
-    ok, detail = check_formula_oracle(n_max=5000, d_max=6)
+    result = check(*full_args)
     elapsed = time.monotonic() - t0
-    assert ok, detail
-    assert elapsed < 120, f"runtime {elapsed:.0f}s exceeds 2 min"
-    report(1, f"formula-oracle equivalence ({detail})", t0)
+    assert result == (True, detail)
+    assert elapsed < budget, f"runtime {elapsed:.0f}s exceeds {budget}s"
+    report(num, f"{label} ({detail})", t0)
+
+
+def test_criterion_01_formula_oracle_equivalence():
+    run_criterion(1)
 
 
 def test_criterion_02_subgroup_consistency():
-    t0 = time.monotonic()
-    ok, detail = check_subgroup_consistency(n_max=2000, d_max=6)
-    assert ok, detail
-    report(2, f"subgroup order and index ({detail})", t0)
+    run_criterion(2)
 
 
 def test_criterion_03_sieve_identity():
-    t0 = time.monotonic()
-    ok, detail = check_sieve_identity(n_max=2000, grid=40)
-    assert ok, detail
-    report(3, f"sieve identity ({detail})", t0)
+    run_criterion(3)
 
 
 def test_criterion_04_character_axioms():
-    t0 = time.monotonic()
-    ok, detail = check_character_axioms(n_max=500)
-    assert ok, detail
-    report(4, f"character count and orthogonality ({detail})", t0)
+    run_criterion(4)
 
 
 def test_criterion_05_polya_vinogradov_sweep():
-    t0 = time.monotonic()
-    ok, detail = check_polya_vinogradov(n_max=1000)
-    elapsed = time.monotonic() - t0
-    assert ok, detail
-    assert elapsed < 300, f"runtime {elapsed:.0f}s exceeds 5 min"
-    report(5, f"Polya-Vinogradov sweep ({detail})", t0)
+    run_criterion(5)
 
 
-def test_criterion_06_counting_identity(shared_tuples):
-    t0 = time.monotonic()
-    ok, detail = check_counting_identity(shared_tuples)
-    assert ok, detail
-    report(6, f"character-sum counting identity ({detail})", t0)
+def test_criterion_06_counting_identity():
+    run_criterion(6)
 
 
-def test_criterion_07_equidistribution_bound(shared_tuples):
-    t0 = time.monotonic()
-    ok, detail = check_equidistribution_bound(shared_tuples)
-    assert ok, detail
-    report(7, f"explicit equidistribution bound ({detail})", t0)
+def test_criterion_07_equidistribution_bound():
+    run_criterion(7)
 
 
 def test_criterion_08_overlap_theta():
-    t0 = time.monotonic()
-    ok, detail = check_overlap_theta(cases=1000)
-    assert ok, detail
-    report(8, f"overlap formula theta ({detail})", t0)
+    run_criterion(8)
 
 
 def test_criterion_09_monte_carlo_dichotomy(mc_runs):

@@ -77,6 +77,27 @@ class TestFactor:
         for n in list(range(1, 300)) + [2**20, 2**20 + 1, 999983, 10**6 + 3]:
             assert factor(n).factors == trial_division(n)
 
+    @pytest.mark.parametrize(
+        "n, factors",
+        [
+            (10007**2, ((10007, 2),)),
+            (10007**2 * 10009, ((10007, 2), (10009, 1))),
+            ((10**6 + 3) ** 2, ((1000003, 2),)),
+            (10007**3, ((10007, 3),)),
+        ],
+    )
+    def test_prime_powers_above_the_trial_limit(self, monkeypatch, n, factors):
+        # past trial division a perfect-square cofactor is split by isqrt,
+        # never handed to rho (factor's cache is bypassed to see the calls)
+        rho = arith._rho_split
+
+        def no_squares(m):
+            assert math.isqrt(m) ** 2 != m, m
+            return rho(m)
+
+        monkeypatch.setattr(arith, "_rho_split", no_squares)
+        assert factor.__wrapped__(n).factors == factors
+
     def test_invalid_factorization_rejected(self):
         with pytest.raises(ValueError):
             Factorization(12, ((2, 1), (3, 1)))  # product is 6
@@ -84,6 +105,10 @@ class TestFactor:
             Factorization(12, ((3, 1), (2, 2)))  # order
         with pytest.raises(ValueError):
             Factorization(8, ((8, 1),))  # not prime
+        with pytest.raises(ValueError, match="^modulus must be >= 1, got 0$"):
+            Factorization(0, ())
+        with pytest.raises(ValueError, match="^exponent 0 < 1 for prime 3$"):
+            Factorization(4, ((2, 2), (3, 0)))
 
 
 # the fewest values for which a sieve up to SIEVE_LIMIT pays
@@ -208,6 +233,8 @@ class TestOracles:
     def test_oracle_cutoff_enforced(self):
         with pytest.raises(ValueError):
             brute_u_d(10**6 + 1, 2)
+        with pytest.raises(ValueError, match="^need n >= 1 and d >= 1, got n=0, d=1$"):
+            brute_u_d(0, 1)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_formulas_match_brute_force(self, d):
@@ -409,6 +436,10 @@ class TestGrowthScan:
         with pytest.raises(ValueError, match="power must be >= 1"):
             growth_scan(64, d=d)
 
+    def test_rejects_a_scan_below_32(self):
+        with pytest.raises(ValueError, match="^scan range too small$"):
+            growth_scan(31)
+
     def test_block_maxima_trend_at_half(self):
         rows = growth_scan(2**18, d=2)
         for stat in ("tau", "pow_omega"):
@@ -427,6 +458,8 @@ class TestGrowthScan:
         # threshold is None and only the table is produced.
         assert trend_threshold("tau", 0.25) is None
         assert trend_threshold("pow_omega", 0.25) is None
+        with pytest.raises(ValueError, match="^unknown statistic 'x'$"):
+            trend_threshold("x", 0.5)
         rows = [r for r in growth_scan(2**12) if r.eps == 0.25]
         assert rows and all(r.tau_max > 0 and r.pow_max > 0 for r in rows)
 

@@ -519,6 +519,24 @@ class TestExperiment:
         assert code == 2
         assert "config must be an object" in err and out == ""
 
+    def test_seed_flag_equals_the_seed_in_the_config(self, tmp_path, capsys, fixtures_dir):
+        cfg = json.loads((fixtures_dir / "khintchine_d1.json").read_text())
+        cfg.update(K=300, samples=20)
+        assert cfg["seed"] != 4
+        runs = []
+        for name, seed_args, seed in (("flag", ["--seed", "4"], cfg["seed"]), ("config", [], 4)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**cfg, "seed": seed}))
+            out, hits = tmp_path / f"{name}-summary.json", tmp_path / f"{name}-hits.csv"
+            code, _, err = run_cli(
+                capsys, "experiment", "--config", str(path), "--out", str(out),
+                "--hits-csv", str(hits), *seed_args,
+            )
+            assert code == 0, err
+            runs.append((out.read_bytes(), hits.read_bytes()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][0])["config"]["seed"] == 4
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
         cfg = self.make_config(tmp_path)

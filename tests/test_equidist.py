@@ -251,6 +251,12 @@ class TestCharacterIdentity:
             assert abs(val - round(val.real)) < 1e-9
             assert character_count(mu, c) == psi_count(mu * n, c)
 
+    @pytest.mark.parametrize("mu", [0, F(-1, 3)])
+    def test_rejects_a_non_positive_mu(self, mu):
+        c = coset(3, dth_power_subgroup(unit_group(7), 2))
+        with pytest.raises(ValueError, match=f"^mu must be positive, got {mu}$"):
+            psi_character_value(mu, c)
+
 
 def full_width_value(mu, c):
     """psi_character_value over the full n-column table: the oracle of its
@@ -386,6 +392,17 @@ class TestIntervalSystem:
         with pytest.raises(ValueError):
             interval_system(1, F(3, 5), 1, full_subgroup(g))
 
+    def test_rejects_a_power_below_one(self):
+        c = coset(1, full_subgroup(unit_group(7)))
+        with pytest.raises(ValueError, match="^power must be >= 1, got 0$"):
+            IntervalSystem(d=0, alpha=F(1, 4), coset=c)
+
+    def test_centers_stop_at_the_materialization_limit(self):
+        # q = 2003, d = 2: phi(q) q = 4010006 centers, past the 2 * 10^6 limit
+        E = interval_system(2, F(1, 5), 1, full_subgroup(unit_group(2003)))
+        with pytest.raises(ValueError, match="^4010006 centers exceed materialization limit$"):
+            E.centers()
+
     @pytest.mark.parametrize("d", [2.5, 1.0, True, np.int64(1)])
     def test_rejects_a_power_that_is_not_an_int(self, d):
         # 2.5 over q = 7 had given modulus 129.64... and 1.0 a float 7.0
@@ -415,6 +432,12 @@ class TestOverlap:
         measure, theta = overlap_measure(E, 0, F(1, 2))
         assert measure == F(2, 25)
         assert theta == 0
+
+    @pytest.mark.parametrize("s, t", [(F(1, 2), F(1, 2)), (F(3, 5), F(1, 5))])
+    def test_rejects_an_empty_window(self, s, t):
+        E = interval_system(1, F(1, 10), 1, full_subgroup(unit_group(5)))
+        with pytest.raises(ValueError, match=f"^need 0 <= s < t <= 1, got \\({s}, {t}\\)$"):
+            overlap_measure(E, s, t)
 
     def test_randomized_theta_and_clipping_oracle(self):
         rng = random.Random(77)
@@ -497,6 +520,8 @@ class TestOverlap:
             overlap_bound_check([], E)
         with pytest.raises(ValueError):
             overlap_bound_check([(F(0), F(1, 2)), (F(1, 4), F(3, 4))], E)
+        with pytest.raises(ValueError, match=r"^interval \(1/2, 3/2\) not inside \(0, 1\)$"):
+            overlap_bound_check([(F(1, 2), F(3, 2))], E)
 
     def test_excess_sweep_decays(self):
         A = [(F(1, 10), F(1, 5)), (F(1, 2), F(3, 5)), (F(4, 5), F(9, 10))]

@@ -73,6 +73,8 @@ class TestConfig:
             AlphaSequence("c/k")  # missing constant
         with pytest.raises(ValueError):
             AlphaSequence("c/k", c=F(-1, 3))
+        with pytest.raises(ValueError, match="alpha_sequence kind must be one of .*, got 'c/k\\^2'"):
+            AlphaSequence("c/k^2", c=F(1, 3))
 
     def test_from_dict_names_missing_field(self):
         with pytest.raises(ValueError, match="q_sequence"):
@@ -109,6 +111,16 @@ class TestConfig:
             ({"generators": 5, "K": None}, "config field 'generators' must be a list, got 5"),
             ({"precision_bits": 1.5, "seed": None}, "config field 'precision_bits' must be an integer, got 1.5"),
             ({"seed": None, "min_hits": 1.5}, "config field 'seed' is missing"),
+            ({"d": 0}, "d, a, K and samples must all be positive"),
+            ({"a": 0}, "d, a, K and samples must all be positive"),
+            ({"K": 0}, "d, a, K and samples must all be positive"),
+            ({"samples": 0}, "d, a, K and samples must all be positive"),
+            ({"subgroup_mode": "squares"}, "subgroup_mode must be one of ('full', 'dth-powers', 'generators')"),
+            ({"schema_version": 2}, "unsupported schema_version 2"),
+            ({"q_sequence": [3, 5]}, "config field 'q_sequence' must be an object with a 'kind'"),
+            ({"q_sequence": {"values": [3, 5]}}, "config field 'q_sequence' must be an object with a 'kind'"),
+            ({"alpha_sequence": "c/k"}, "config field 'alpha_sequence' must be an object with a 'kind'"),
+            ({"alpha_sequence": {"c": "1/3"}}, "config field 'alpha_sequence' must be an object with a 'kind'"),
         ],
     )
     def test_from_dict_messages(self, changes, message):
@@ -186,6 +198,21 @@ class TestMaterialization:
         cfg = small_cfg(q_sequence=QSequence("explicit", values=(3, 3, 5)), K=3)
         with pytest.raises(ValueError):
             prepare(cfg)
+
+    @pytest.mark.parametrize(
+        "sequence, message",
+        [
+            (dict(q_sequence=QSequence("explicit", values=(3, 5))), "explicit q list has 2 entries, K=3"),
+            (
+                dict(alpha_sequence=AlphaSequence("explicit", values=(F(1, 4), F(1, 5)))),
+                "explicit alpha list has 2 entries, K=3",
+            ),
+        ],
+        ids=["q", "alpha"],
+    )
+    def test_explicit_list_shorter_than_k(self, sequence, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            prepare(small_cfg(K=3, **sequence))
 
     def test_alpha_rules_exact(self):
         exp = prepare(small_cfg(K=4))
@@ -471,10 +498,15 @@ class TestHitScreen:
             x = _sample_point(7, i, bits)
             assert screened_hits(exp, x) == reference_hits(exp, x)
 
-    def test_large_moduli_take_the_unscreened_path(self):
+    def test_large_moduli_skip_the_float_screen(self):
+        # tau = 1 marks them: every screen distance is at most 1/2
         exp = prepare(BOUNDARY_CONFIGS["large-q"])
-        assert exp._unscreened.tolist() == [Q >= 1 << 53 for Q in exp.moduli]
-        assert exp._unscreened.tolist() == [False, False, True, True, True]
+        unscreened = (exp._tau >= 1).tolist()
+        assert unscreened == [Q >= 1 << 53 for Q in exp.moduli]
+        assert unscreened == [False, False, True, True, True]
+        for i in range(20):
+            x = _sample_point(5, i, 128)
+            assert {2, 3, 4} <= set(exp._screen(x.numerator, x.denominator).tolist())
 
     @pytest.mark.parametrize("name", ["one-dth-powers", "one-generators", None])
     def test_modulus_one_is_trivial(self, name):
@@ -501,7 +533,7 @@ class TestHitScreen:
             for i, (Q, alpha) in enumerate(zip(exp.moduli, fraction_radii(exp))):
                 r = x * Q - math.floor(x * Q)
                 dist = min(r, 1 - r)
-                if dist < alpha or exp._unscreened[i]:
+                if dist < alpha or Q >= 1 << 53:
                     assert i in kept, (x, i)
                 elif dist >= alpha + slack:
                     assert i not in kept, (x, i)

@@ -96,6 +96,8 @@ class TestSubgroups:
     def test_first_powers_are_everything(self):
         g = unit_group(7)
         assert dth_power_subgroup(g, 1).elements == (1, 2, 3, 4, 5, 6)
+        with pytest.raises(ValueError, match="^power must be >= 1, got 0$"):
+            dth_power_subgroup(g, 0)
 
     def test_squares_mod_12_trivial(self):
         g = unit_group(12)

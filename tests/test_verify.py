@@ -113,17 +113,21 @@ def test_hit_oracle_is_strict_at_interval_endpoints(monkeypatch, which):
     assert set(drawn) == set(points)
 
 
+_, _QUICK_TUPLES, _FULL_TUPLES = verify._CHECKS["counting_identity"]
+
+
 @pytest.mark.parametrize(
     "count, n_max, digest",
     [
-        (40, 300, "0b7e63f3a31d8ddba8f70cbd0239e138a8eee72f421477f6eaccdca1c77da81b"),
+        (*_QUICK_TUPLES, "0b7e63f3a31d8ddba8f70cbd0239e138a8eee72f421477f6eaccdca1c77da81b"),
         (60, 1000, "3ff46cc8853edc9d77dde3292b6541ba93a7e40a297315ce080d24bd9ec64839"),
-        (200, 2000, "6cdd2fd8b43ef682a956fe87a005290ecddd6cf4792e8b0397b1b8986d2a12c6"),
+        (*_FULL_TUPLES, "6cdd2fd8b43ef682a956fe87a005290ecddd6cf4792e8b0397b1b8986d2a12c6"),
     ],
 )
 def test_sampled_tuples_are_pinned(count, n_max, digest):
     # the (count, n_max) pairs of the quick, bench and full scales, under the
-    # suite's seed: any change to the draw order changes every tuple after it
+    # suite's seed: any change to the draw order changes every tuple after it;
+    # the bench pair is the mid-scale row of bench/run.py
     records = [
         (n, G.elements, G.generators, a, str(mu))
         for n, G, a, mu in verify.sample_count_tuples(count, n_max, 0xC0DE)
