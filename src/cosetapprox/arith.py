@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 
+import numpy as np
+
 __all__ = [
     "ORACLE_CUTOFF",
     "SIEVE_LIMIT",
@@ -296,8 +298,6 @@ def _spf_sieve(ns: list[int]) -> memoryview | None:
     top = max(ns, default=0)
     if top > min(SIEVE_LIMIT, SIEVE_PER_VALUE * len(ns)) or min(ns, default=1) < 1:
         return None
-    import numpy as np
-
     spf = np.zeros(top + 1, dtype=np.uint16)
     for p in primes_up_to(math.isqrt(top)):
         multiples = spf[p * p :: p]
@@ -454,11 +454,9 @@ def trend_threshold(stat: str, eps: float) -> int | None:
 
 
 def _divisor_counts(n_max: int):
-    """tau(n) for n = 0..n_max as an int64 array (0 at n = 0), by the
+    """tau(n) for n = 0..n_max as an int32 array (0 at n = 0), by the
     divisor-pair sieve described in growth_scan."""
-    import numpy as np
-
-    tau_arr = np.zeros(n_max + 1, dtype=np.int64)
+    tau_arr = np.zeros(n_max + 1, dtype=np.int32)
     for i in range(1, math.isqrt(n_max) + 1):
         tau_arr[i * i :: i] += 2
         tau_arr[i * i] -= 1
@@ -466,11 +464,9 @@ def _divisor_counts(n_max: int):
 
 
 def _omega_counts(n_max: int):
-    """omega(n) for n = 0..n_max as an int64 array (0 at n = 0 and 1), by the
+    """omega(n) for n = 0..n_max as an int8 array (0 at n = 0 and 1), by the
     prime sieve described in growth_scan."""
-    import numpy as np
-
-    omega_arr = np.zeros(n_max + 1, dtype=np.int64)
+    omega_arr = np.zeros(n_max + 1, dtype=np.int8)
     primes = np.array(primes_up_to(n_max), dtype=np.int64)
     cut = n_max // 64
     for p in primes[primes <= cut].tolist():
@@ -502,9 +498,12 @@ def growth_scan(n_max: int, d: int = 2) -> list[GrowthRow]:
     multiples by one slice, and the larger primes, which have fewer than 64
     multiples each, take one fancy-indexed pass per multiplier m, adding 1
     at every m p <= n_max (the p are distinct, so the indices are too).
-    """
-    import numpy as np
 
+    The ratios are computed one block at a time from the int32 tau and int8
+    omega counts, each cast to float64 first (NumPy 1.x would take
+    2.0 ** int8 in float16); every ratio is elementwise, so the floats are
+    those of whole-range arrays, bit for bit.
+    """
     if n_max < 32:
         raise ValueError("scan range too small")
     if d < 1:
@@ -512,29 +511,14 @@ def growth_scan(n_max: int, d: int = 2) -> list[GrowthRow]:
     tau_arr = _divisor_counts(n_max)
     omega_arr = _omega_counts(n_max)
     base = 2 * d
-    ns = np.arange(n_max + 1, dtype=np.float64)
     rows = []
     for eps in (0.5, 0.25):
-        scale = ns[1:] ** eps
-        tau_ratio = tau_arr[1:] / scale
-        pow_ratio = (float(base) ** omega_arr[1:]) / scale
-        hi = 16
-        while hi <= n_max:
-            lo = hi // 2
-            sl = slice(lo, hi)  # ratios are indexed from n = 1
-            ti = int(np.argmax(tau_ratio[sl]))
-            pi = int(np.argmax(pow_ratio[sl]))
-            rows.append(
-                GrowthRow(
-                    block_lo=lo,
-                    block_hi=hi,
-                    eps=eps,
-                    base=base,
-                    tau_max=float(tau_ratio[sl][ti]),
-                    tau_argmax=lo + 1 + ti,
-                    pow_max=float(pow_ratio[sl][pi]),
-                    pow_argmax=lo + 1 + pi,
-                )
-            )
-            hi *= 2
+        for k in range(4, n_max.bit_length()):  # blocks (lo, hi] up to hi <= n_max
+            lo, hi = 1 << (k - 1), 1 << k
+            scale = np.arange(lo + 1, hi + 1, dtype=np.float64) ** eps
+            tau_ratio = tau_arr[lo + 1 : hi + 1].astype(np.float64) / scale
+            pow_ratio = float(base) ** omega_arr[lo + 1 : hi + 1].astype(np.float64) / scale
+            ti, pi = int(np.argmax(tau_ratio)), int(np.argmax(pow_ratio))
+            maxima = (float(tau_ratio[ti]), lo + 1 + ti, float(pow_ratio[pi]), lo + 1 + pi)
+            rows.append(GrowthRow(lo, hi, eps, base, *maxima))
     return rows

@@ -91,6 +91,8 @@ def pv_bound(n: int) -> float:
 # cell against evaluate() and the prefix sums against the tests' char_sum.
 # ---------------------------------------------------------------------------
 
+_CELLS = 1 << 16  # the most cells of a streamed row block: 1 MB of complex128
+
 
 def character_matrix(g: UnitGroup, chars: np.ndarray, columns=slice(None)) -> np.ndarray:
     """Complex value table V[i, j] = chars[i](k_j) over the residues
@@ -116,6 +118,15 @@ def character_prefix_sums(
     return V, np.cumsum(V, axis=1)
 
 
+def _row_blocks(g: UnitGroup, chars: np.ndarray, columns=slice(None)):
+    """(rows, character_matrix(g, chars[rows], columns)) over consecutive row
+    slices of at most _CELLS cells each (one row at least)."""
+    step = max(1, _CELLS // np.arange(g.n)[columns].size)
+    for lo in range(0, len(chars), step):
+        rows = slice(lo, lo + step)
+        yield rows, character_matrix(g, chars[rows], columns)
+
+
 def pv_sweep_max(g: UnitGroup) -> tuple[float, float]:
     """(max over non-principal chi mod n = g.n and 1 <= h <= n of |char sum|,
     pv_bound(n)).
@@ -131,7 +142,8 @@ def pv_sweep_max(g: UnitGroup) -> tuple[float, float]:
     rows e ranked at or before their conjugate (-e) mod orders, the rank of
     a row being its index e . s in all_characters (s_i the product of the
     orders after i): one of each conjugate pair and every real character,
-    the principal one still first.
+    the principal one still first.  The table is streamed in row blocks;
+    sums run along whole rows, so the maximum is the whole table's exactly.
     """
     orders = _orders(g)
     strides = g.phi // np.cumprod(orders)
@@ -140,18 +152,28 @@ def pv_sweep_max(g: UnitGroup) -> tuple[float, float]:
     if len(chars) <= 1:
         return 0.0, pv_bound(g.n)
     half = np.arange(1, (g.n - 1) // 2 + 1)
-    _, S = character_prefix_sums(g, chars, half[np.gcd(half, g.n) == 1])
-    return float(np.max(np.abs(S[1:]))), pv_bound(g.n)
+    mx = 0.0
+    for rows, V in _row_blocks(g, chars, half[np.gcd(half, g.n) == 1]):
+        S = np.abs(np.cumsum(V, axis=1))
+        if rows.start == 0:
+            S[0] = 0  # the principal row; |S| >= 1 at h = 1 in every other
+        mx = max(mx, float(np.max(S)))
+    return mx, pv_bound(g.n)
 
 
 def orthogonality_deviation(g: UnitGroup) -> tuple[float, float]:
     """(max |sum over chi of chi(x)| for units x != 1,
-        max |sum over units of chi(x)| for non-principal chi)."""
+        max |sum over units of chi(x)| for non-principal chi).
+
+    The table is streamed in row blocks; the column sums add its rows in
+    table order, so both sums are the whole table's, bit for bit."""
     chars = all_characters(g)
-    V = character_matrix(g, chars)
-    col = V.sum(axis=0)
+    col = np.zeros(g.n, dtype=np.complex128)
+    row = np.empty(len(chars), dtype=np.complex128)
+    for rows, V in _row_blocks(g, chars):
+        row[rows] = V.sum(axis=1)
+        V[0] += col  # the sums so far, then this block's rows in order
+        col = V.sum(axis=0)
     units = np.array(g.units()[1:], dtype=np.int64)  # every unit but 1
-    col_dev = float(np.max(np.abs(col[units]))) if units.size else 0.0
-    row = V.sum(axis=1)
-    row_dev = float(np.max(np.abs(row[1:]))) if len(chars) > 1 else 0.0
-    return col_dev, row_dev
+    col_dev = float(np.max(np.abs(col[units]), initial=0.0))
+    return col_dev, float(np.max(np.abs(row[1:]), initial=0.0))

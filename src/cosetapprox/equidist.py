@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import as_fraction, euler_phi, factor, tau
-from .characters import character_prefix_sums, pv_bound, quotient_characters
+from .characters import _row_blocks, character_matrix, pv_bound, quotient_characters
 from .residue_group import Coset, Subgroup, coset
 
 __all__ = [
@@ -111,23 +111,24 @@ def psi_character_value(mu, c: Coset) -> complex:
     k <= mu*n; by orthogonality this equals the coset count exactly, so the
     float result should sit next to an integer: round(value.real) is the
     count, and the distance to it is the float error.
+
+    The prefix table stops at column rem and is streamed in row blocks, each
+    block's sums at rem copied out (a view would pin the block); sums run
+    along whole rows, so the value is the whole table's, bit for bit.
     """
     mu = as_fraction(mu)
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    G = c.subgroup
-    g = G.group
+    g = c.subgroup.group
     n = g.n
-    chars = quotient_characters(G)
-    m = math.floor(mu * n)
-    full, rem = divmod(m, n)
-    alpha = pow(c.representative, -1, n)
-    # the table stops at the last column read: the prefix at rem, the value at alpha
-    V, prefix = character_prefix_sums(g, chars, slice(max(rem, alpha) + 1))
-    sums = prefix[:, rem].copy()
+    chars = quotient_characters(c.subgroup)
+    full, rem = divmod(math.floor(mu * n), n)
+    sums = np.empty(len(chars), dtype=np.complex128)
+    for rows, V in _row_blocks(g, chars, slice(rem + 1)):
+        sums[rows] = np.cumsum(V, axis=1)[:, rem]
     sums[0] += full * g.phi  # principal character: full periods count the units
-    total = complex(np.sum(V[:, alpha] * sums))
-    return total / len(chars)
+    at_alpha = character_matrix(g, chars, [pow(c.representative, -1, n)])[:, 0]
+    return complex(np.sum(at_alpha * sums)) / len(chars)
 
 
 @dataclass(frozen=True)

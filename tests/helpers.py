@@ -1,5 +1,6 @@
 """Helpers shared by the test modules."""
 
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -25,3 +26,14 @@ def char_sum(g: UnitGroup, chi, h: int) -> complex:
     for k in range(1, rem + 1):
         total += evaluate(g, chi, k)
     return total
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak traced memory of one call fn(), in MB.  numpy reports its array
+    buffers to tracemalloc, so a whole value table shows in the peak."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

@@ -36,6 +36,8 @@ from cosetapprox.arith import (
     u_d,
 )
 
+from helpers import traced_peak_mb
+
 
 def trial_division(n):
     """Independent factorization oracle."""
@@ -353,6 +355,13 @@ def slow_growth_rows(n_max, d):
     for i in range(1, n_max + 1):
         tau_arr[i::i] += 1
     omega_arr = np.array([0] + [omega(factor(n)) for n in range(1, n_max + 1)], dtype=np.int64)
+    return whole_range_rows(tau_arr, omega_arr, d)
+
+
+def whole_range_rows(tau_arr, omega_arr, d):
+    """growth_scan's rows from int64 counts for n = 0..n_max, with every
+    ratio array over the whole range at once: the oracle of its blocks."""
+    n_max = len(tau_arr) - 1
     ns = np.arange(n_max + 1, dtype=np.float64)
     rows = []
     for eps in (0.5, 0.25):
@@ -430,6 +439,22 @@ class TestGrowthScan:
         assert self.rows_digest(2**17) != self.ROWS_2_17
         monkeypatch.setattr(arith, "_omega_counts", skipping(primes_up_to(2**17)[-1]))
         assert self.rows_digest(2**17) == self.ROWS_2_17
+
+    @pytest.mark.parametrize("k", [12, 13, 14, 15])
+    def test_blocks_equal_whole_range_ratios(self, k):
+        # the narrow counts are cast to float64 before ** and /; the rows
+        # equal those of whole int64 arrays, float for float
+        n_max = 2**k
+        tau_arr, omega_arr = _divisor_counts(n_max), _omega_counts(n_max)
+        assert (tau_arr.dtype, omega_arr.dtype) == (np.int32, np.int8)
+        for d in (1, 2, 3):
+            want = whole_range_rows(tau_arr.astype(np.int64), omega_arr.astype(np.int64), d)
+            assert growth_scan(n_max, d=d) == want, d
+            assert growth_scan(n_max + 1, d=d) == want, d
+
+    def test_traced_peak_stays_under_seven_megabytes(self):
+        # the whole-range int64 counts and float64 ratios traced 14.1 MB
+        assert traced_peak_mb(lambda: growth_scan(2**18)) < 7
 
     @pytest.mark.parametrize("d", [0, -2])
     def test_rejects_power_below_one(self, d):

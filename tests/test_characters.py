@@ -27,7 +27,7 @@ from cosetapprox.residue_group import (
     unit_group,
 )
 
-from helpers import char_sum
+from helpers import char_sum, traced_peak_mb
 
 
 class TestEnumeration:
@@ -280,22 +280,21 @@ class TestRows:
 
     def test_rank_fold_keeps_the_tuple_rule_rows(self, monkeypatch):
         # pv_sweep_max's one vector comparison against the tuple comparison
-        # of each row with its conjugate; its table only at the unit columns
-        # 1 <= h <= (n - 1) / 2; its maximum exactly against the half-width
-        # columns of the tuple-selected rows' full table, and within rounding
-        # of that table's full-width maximum
-        summed = []
-        selected = []
-        real = characters.character_prefix_sums
+        # of each row with its conjugate, over the rows of all its blocks
+        # together; its table only at the unit columns 1 <= h <= (n - 1) / 2;
+        # its maximum exactly against the half-width columns of the
+        # tuple-selected rows' full table, and within rounding of that
+        # table's full-width maximum.  n = 997 takes several blocks.
+        blocks = []
+        real = characters.character_matrix
 
         def recording(g, chars, columns=slice(None)):
-            summed.append(chars)
-            selected.append(columns)
+            blocks.append((chars, columns))
             return real(g, chars, columns)
 
-        monkeypatch.setattr(characters, "character_prefix_sums", recording)
+        monkeypatch.setattr(characters, "character_matrix", recording)
         most_factors = 0
-        for n in range(3, 401):
+        for n in [*range(3, 401), 997, 1000]:
             g = unit_group(n)
             orders = tuple(o for _, o in g.cyclic_factors)
             most_factors = max(most_factors, len(orders))
@@ -303,13 +302,14 @@ class TestRows:
                 e for e in all_characters(g).tolist()
                 if tuple(e) <= tuple(-x % o for x, o in zip(e, orders))
             ]
-            summed.clear()
-            selected.clear()
+            blocks.clear()
             mx, bound = pv_sweep_max(g)
-            assert len(summed) == 1 and summed[0].tolist() == kept, n
+            assert np.concatenate([chars for chars, _ in blocks]).tolist() == kept, n
+            assert (len(blocks) > 1) == (n == 997), n
             units = [h for h in range(1, (n - 1) // 2 + 1) if math.gcd(h, n) == 1]
-            assert np.arange(n)[selected[0]].tolist() == units, n
-            _, S = real(g, np.array(kept, dtype=np.int64))
+            for _, columns in blocks:
+                assert np.arange(n)[columns].tolist() == units, n
+            _, S = characters.character_prefix_sums(g, np.array(kept, dtype=np.int64))
             assert mx == float(np.max(np.abs(S[1:, 1 : (n - 1) // 2 + 1]))), n
             assert abs(mx - float(np.max(np.abs(S[1:, 1:])))) <= 1e-12 * pv_bound(n), n
             assert bound == pv_bound(n)
@@ -341,6 +341,27 @@ class TestRows:
             units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
             unit_V, unit_S = characters.character_prefix_sums(g, chars, units)
             assert np.array_equal(unit_V, V[:, units]) and np.array_equal(unit_S, S[:, units]), n
+
+    def test_streamed_orthogonality_equals_the_whole_table(self):
+        # several row blocks at each n, against V.sum over one whole table,
+        # float for float (the sweep's blocks are pinned in the rank-fold
+        # test above, at n = 997)
+        for n in (499, 500, 720):
+            g = unit_group(n)
+            V = character_matrix(g, all_characters(g))
+            assert V.size > characters._CELLS, n
+            units = [x for x in range(2, n) if math.gcd(x, n) == 1]
+            col, row = V.sum(axis=0), V.sum(axis=1)
+            want = (float(np.max(np.abs(col[units]))), float(np.max(np.abs(row[1:]))))
+            assert orthogonality_deviation(g) == want, n
+
+    def test_traced_peaks_stay_under_four_megabytes(self):
+        # the whole tables traced 9.5 MB (sweep, n = 997) and 5.7 MB
+        # (orthogonality, n = 499)
+        for fn, n in ((pv_sweep_max, 997), (orthogonality_deviation, 499)):
+            g = unit_group(n)
+            fn(g)  # the unit group's lazy tables
+            assert traced_peak_mb(lambda: fn(g)) < 4, (fn.__name__, n)
 
     def test_two_has_one_empty_row(self):
         g = unit_group(2)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cosetapprox import equidist
+from cosetapprox import characters, equidist
 from cosetapprox.arith import euler_phi, factor, tau
 from cosetapprox.characters import character_prefix_sums, quotient_characters
 from cosetapprox.equidist import (
@@ -31,6 +31,8 @@ from cosetapprox.residue_group import (
     subgroup_from_generators,
     unit_group,
 )
+
+from helpers import traced_peak_mb
 
 F = Fraction
 
@@ -292,6 +294,30 @@ class TestNarrowTable:
                 assert psi_character_value(mu, c) == full_width_value(mu, c), (n, a, mu)
         assert {(False, True, False), (False, False, False), (False, True, True), (False, False, True)} <= seen
         assert {(True, False, False), (True, False, True)} <= seen
+
+    def test_streamed_blocks_equal_the_full_width_value(self):
+        # 600 <= n <= 1000: the trivial subgroup's prefix table to column rem
+        # spans several row blocks once rem is past a few dozen columns; the
+        # full subgroup's one row checks the same rem and a^-1 rules there
+        seen = set()
+        rng = random.Random(0xB10C)
+        for _ in range(40):
+            n = rng.randint(600, 1000)
+            g = unit_group(n)
+            a, mu = rng.choice(g.units()), F(rng.randint(1, 60), 20)
+            rem = math.floor(mu * n) % n
+            for G in (subgroup_from_generators(g, []), full_subgroup(g)):
+                c = coset(a, G)
+                blocks = len(quotient_characters(G)) * (rem + 1) > characters._CELLS
+                seen.add((blocks, rem < pow(a, -1, n), mu > 1))
+                assert psi_character_value(mu, c) == full_width_value(mu, c), (n, a, mu)
+        assert {(True, True, False), (True, False, False), (True, True, True), (True, False, True)} <= seen
+
+    def test_traced_peak_stays_under_four_megabytes(self):
+        # one whole 720 x 675 table and its running sums traced 14.9 MB
+        c = coset(1, subgroup_from_generators(unit_group(793), []))
+        psi_character_value(F(37, 20), c)  # the unit group's lazy tables
+        assert traced_peak_mb(lambda: psi_character_value(F(37, 20), c)) < 4
 
 
 class TestPsiEstimate:
