@@ -21,7 +21,6 @@ from .residue_group import Subgroup, UnitGroup
 __all__ = [
     "all_characters",
     "character_matrix",
-    "character_prefix_sums",
     "evaluate",
     "orthogonality_deviation",
     "pv_bound",
@@ -103,19 +102,6 @@ def character_matrix(g: UnitGroup, chars: np.ndarray, columns=slice(None)) -> np
     V = np.exp((2j * np.pi / L) * np.arange(L))[_log_table(g, chars, cols)]
     V[:, np.gcd(cols, g.n) != 1] = 0
     return V
-
-
-def character_prefix_sums(
-    g: UnitGroup, chars: np.ndarray, columns=slice(None)
-) -> tuple[np.ndarray, np.ndarray]:
-    """(V, S): the value table V = character_matrix(g, chars, columns) and its
-    running sums S[i, j] = V[i, 0] + ... + V[i, j] along the row.  On the
-    leading columns (a slice 0..w-1) these are the prefix sums
-    chars[i](0) + ... + chars[i](j), with chars[i](0) = 0; np.cumsum adds
-    left to right, so a column subset that leaves out only non-units, whose
-    values are exact zeros, has bit-identical sums at the columns it keeps."""
-    V = character_matrix(g, chars, columns)
-    return V, np.cumsum(V, axis=1)
 
 
 def _row_blocks(g: UnitGroup, chars: np.ndarray, columns=slice(None)):

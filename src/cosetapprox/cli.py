@@ -22,10 +22,12 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import verify as verify_mod
 from .arith import euler_phi, factor_all, growth_scan, omega, r_d, s_d, tau, u_d
 from .arith import brute_r_d, brute_u_d
-from .characters import all_characters, character_prefix_sums, pv_bound
+from .characters import all_characters, character_matrix, pv_bound
 from .equidist import interval_system, overlap_excess_sweep, psi_estimate
 from .experiment import ExperimentConfig, check_conditions, exact_str, prepare
 from .residue_group import SUBGROUP_MODES, coset, index, subgroup, unit_group
@@ -187,7 +189,7 @@ def _cmd_chars(args) -> int:
     for n in range(3, args.n_max + 1):
         g = unit_group(n)
         chars = all_characters(g)
-        _, prefix = character_prefix_sums(g, chars)
+        prefix = np.cumsum(character_matrix(g, chars), axis=1)
         bound = pv_bound(n)
         for i in range(1, len(chars)):  # row 0 is the principal character
             label = ";".join(map(str, chars[i].tolist()))
@@ -265,6 +267,11 @@ def _cmd_equidist(args) -> int:
     return 0
 
 
+def _exact_value(v: Fraction) -> dict:
+    """A summary entry for the exact rational v: its exact string and float."""
+    return {"exact": exact_str(v), "value": float(v)}
+
+
 def _cmd_experiment(args) -> int:
     try:
         with open(args.config) as fh:
@@ -280,21 +287,14 @@ def _cmd_experiment(args) -> int:
     conditions = check_conditions(exp, epsilon=args.epsilon)
     result = exp.monte_carlo(threads=args.threads)
     summary = result.summary_dict()
-    bound = conditions.union_bound
-    summary["union_bound"] = {"exact": exact_str(bound), "value": float(bound)}
+    summary["union_bound"] = _exact_value(conditions.union_bound)
     summary["conditions"] = {
         "epsilon": conditions.epsilon,
         "n_final": cfg.K,
         "partial_sum_alpha": exact_str(conditions.partial_sum_alpha_final),
         "weighted_sum": exact_str(conditions.weighted_sum_final),
-        "c_ratio_final": {
-            "exact": exact_str(conditions.c_ratio_final),
-            "value": float(conditions.c_ratio_final),
-        },
-        "c_ratio_min": {
-            "exact": exact_str(conditions.c_ratio_min),
-            "value": float(conditions.c_ratio_min),
-        },
+        "c_ratio_final": _exact_value(conditions.c_ratio_final),
+        "c_ratio_min": _exact_value(conditions.c_ratio_min),
         "cond_c_first_decile_mean": conditions.cond_c_first_decile_mean,
         "cond_c_last_decile_mean": conditions.cond_c_last_decile_mean,
         "cond_c_decreasing": conditions.cond_c_decreasing,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
@@ -375,9 +376,10 @@ class Experiment:
         Q_k >= 2^53, where the float distance is void but t <= 2 is finite,
         so d <= 1/2 keeps the index; every other tau_k is below 1/2 + 2^-47.
         Each survivor goes through the exact test, the only place a hit is
-        decided: only the integers floor(x Q) - 1, 0, +1 are tried, because
-        with alpha < 1/2 the target interval has length < 1, so it contains
-        at most one integer and that integer is within 1 of floor(x Q).
+        decided, on the one integer nearest x Q: with alpha < 1/2 only an
+        integer within 1/2 of x Q can be a hit, and at most one is.  With
+        m = floor(x Q), m - 1 lies at distance >= 1, and at a tie (x Q =
+        m + 1/2) both m and m + 1 lie at distance 1/2, so neither is a hit.
 
         Margin.  Write ||y|| for the distance from y to the nearest integer
         and u = 2^-53 for the unit roundoff.  Let X = floor(x 2^128) =
@@ -423,11 +425,9 @@ class Experiment:
         for i in self._screen(xn, xd).tolist():
             q, Q, (an, e, o), member = self.qs[i], self.moduli[i], self.radii[i], self._members[i]
             m, delta = divmod(xn * Q, xd)
-            rhs = an * xd
-            for p, dist in ((m, delta), (m + 1, xd - delta), (m - 1, xd + delta)):
-                if (dist * o) << e < rhs and math.gcd(p, q) == 1 and member(p % q):
-                    hits.append(HitRecord(k=i + 1, q=q, p=p, error=Fraction(dist, xd * Q)))
-                    break
+            p, dist = (m, delta) if 2 * delta < xd else (m + 1, xd - delta)
+            if (dist * o) << e < an * xd and math.gcd(p, q) == 1 and member(p % q):
+                hits.append(HitRecord(k=i + 1, q=q, p=p, error=Fraction(dist, xd * Q)))
         return hits
 
     def _screen(self, xn: int, xd: int) -> np.ndarray:
@@ -460,12 +460,10 @@ class Experiment:
         ms = tuple(range(1, cfg.min_hits + 1))
         counts = {m: {kp: 0 for kp in ladder} for m in ms}
         for hits in per_sample:
-            ks = [h.k for h in hits]
+            ks = [h.k for h in hits]  # ascending, as find_hits returns them
             for kp in ladder:
-                c = sum(1 for k in ks if k <= kp)
-                for m in ms:
-                    if c >= m:
-                        counts[m][kp] += 1
+                for m in ms[:bisect_right(ks, kp)]:
+                    counts[m][kp] += 1
         return MonteCarloResult(
             config=cfg,
             k_ladder=ladder,

@@ -11,6 +11,7 @@ import json
 import math
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -184,12 +185,12 @@ def _random_unit(rng: random.Random, n: int) -> int:
     return 1 if n == 2 else _random_generator(rng, n)
 
 
-def sample_count_tuples(count: int, n_max: int, seed: int) -> list[tuple[int, Subgroup, int, Fraction]]:
+def sample_count_tuples(count: int, n_max: int, seed: int) -> Iterator[tuple[int, Subgroup, int, Fraction]]:
     """Random (n, subgroup, coset representative, mu) tuples for the counting
-    identity and the explicit error bound; deterministic under the seed."""
+    identity and the explicit error bound; deterministic under the seed.
+    Drawn one at a time, so only the tuple in use holds its unit group."""
     rng = random.Random(seed)
-    out = []
-    while len(out) < count:
+    for _ in range(count):
         n = rng.randint(2, n_max)
         mode = rng.randrange(4)  # mode 1 is the trivial subgroup, no generators
         power = rng.randint(2, 6) if mode == 2 else 1
@@ -197,8 +198,7 @@ def sample_count_tuples(count: int, n_max: int, seed: int) -> list[tuple[int, Su
         G = subgroup(unit_group(n), ("full", "generators", "dth-powers", "generators")[mode], power, gens)
         a = _random_unit(rng, n)
         mu = Fraction(rng.randint(1, 40), 20)
-        out.append((n, G, a, mu))
-    return out
+        yield n, G, a, mu
 
 
 def check_counting_identity(tuples) -> tuple[bool, str]:
@@ -206,27 +206,29 @@ def check_counting_identity(tuples) -> tuple[bool, str]:
     rounding, with pre-rounding deviation below 1e-6."""
     worst = 0.0
     bad = 0
-    for n, G, a, mu in tuples:
+    count = 0
+    for count, (n, G, a, mu) in enumerate(tuples, start=1):
         c = coset(a, G)
         val = psi_character_value(mu, c)
         dev = abs(val - round(val.real))
         worst = max(worst, dev)
         if dev > 1e-6 or round(val.real) != psi_count(mu * n, c):
             bad += 1
-    return bad == 0, f"{len(tuples)} tuples, {bad} violations, worst deviation {worst:.2e}"
+    return bad == 0, f"{count} tuples, {bad} violations, worst deviation {worst:.2e}"
 
 
 def check_equidistribution_bound(tuples) -> tuple[bool, str]:
     """|psi - mu |G|| <= tau(n) + 2 sqrt(n) log n on the sampled tuples."""
     bad = 0
     worst = 0.0
-    for n, G, a, mu in tuples:
+    count = 0
+    for count, (n, G, a, mu) in enumerate(tuples, start=1):
         try:
             est = psi_estimate(mu, coset(a, G))
             worst = max(worst, est.normalized_error)
         except ArithmeticError:
             bad += 1
-    return bad == 0, f"{len(tuples)} tuples, {bad} violations, worst normalized error {worst:.3f}"
+    return bad == 0, f"{count} tuples, {bad} violations, worst normalized error {worst:.3f}"
 
 
 def check_overlap_theta(cases: int) -> tuple[bool, str]:

@@ -309,7 +309,7 @@ class TestRows:
             units = [h for h in range(1, (n - 1) // 2 + 1) if math.gcd(h, n) == 1]
             for _, columns in blocks:
                 assert np.arange(n)[columns].tolist() == units, n
-            _, S = characters.character_prefix_sums(g, np.array(kept, dtype=np.int64))
+            S = np.cumsum(characters.character_matrix(g, np.array(kept, dtype=np.int64)), axis=1)
             assert mx == float(np.max(np.abs(S[1:, 1 : (n - 1) // 2 + 1]))), n
             assert abs(mx - float(np.max(np.abs(S[1:, 1:])))) <= 1e-12 * pv_bound(n), n
             assert bound == pv_bound(n)
@@ -321,10 +321,12 @@ class TestRows:
         for n in range(3, 201):
             g = unit_group(n)
             chars = all_characters(g)[1:]
-            V, S = characters.character_prefix_sums(g, chars)
+            V = characters.character_matrix(g, chars)
+            S = np.cumsum(V, axis=1)
             assert np.allclose(np.abs(S), np.abs(S[:, ::-1]), rtol=0, atol=1e-12), n
             width = (n - 1) // 2 + 1
-            half_V, half_S = characters.character_prefix_sums(g, chars, slice(width))
+            half_V = characters.character_matrix(g, chars, slice(width))
+            half_S = np.cumsum(half_V, axis=1)
             assert half_V.shape == half_S.shape == (len(chars), width)
             assert np.array_equal(half_V, V[:, :width]) and np.array_equal(half_S, S[:, :width])
             if n <= 4:
@@ -337,9 +339,11 @@ class TestRows:
         for n in range(2, 301):
             g = unit_group(n)
             chars = all_characters(g)
-            V, S = characters.character_prefix_sums(g, chars)
+            V = characters.character_matrix(g, chars)
+            S = np.cumsum(V, axis=1)
             units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-            unit_V, unit_S = characters.character_prefix_sums(g, chars, units)
+            unit_V = characters.character_matrix(g, chars, units)
+            unit_S = np.cumsum(unit_V, axis=1)
             assert np.array_equal(unit_V, V[:, units]) and np.array_equal(unit_S, S[:, units]), n
 
     def test_streamed_orthogonality_equals_the_whole_table(self):

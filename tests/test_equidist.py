@@ -10,7 +10,7 @@ import pytest
 
 from cosetapprox import characters, equidist
 from cosetapprox.arith import euler_phi, factor, tau
-from cosetapprox.characters import character_prefix_sums, quotient_characters
+from cosetapprox.characters import character_matrix, quotient_characters
 from cosetapprox.equidist import (
     IntervalSystem,
     interval_system,
@@ -266,7 +266,8 @@ def full_width_value(mu, c):
     G = c.subgroup
     g = G.group
     chars = quotient_characters(G)
-    V, prefix = character_prefix_sums(g, chars)
+    V = character_matrix(g, chars)
+    prefix = np.cumsum(V, axis=1)
     full, rem = divmod(math.floor(mu * g.n), g.n)
     sums = prefix[:, rem].copy()
     sums[0] += full * g.phi

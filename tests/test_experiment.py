@@ -438,7 +438,9 @@ def boundary_points(exp, bits):
     """Points x with x Q_k - p = +alpha_k or -alpha_k exactly, for a few
     coprime numerators p per index, and their neighbours one unit of 2^-128
     and one unit of 2^-bits away on either side (for a boundary that is not
-    on the 2^-bits grid: the grid points around it and their neighbours)."""
+    on the 2^-bits grid: the grid points around it and their neighbours);
+    and the midpoints x Q_k = p + 1/2, where p and p + 1 tie at distance 1/2,
+    with their neighbours one unit of 2^-128 away."""
     grid = F(1, 1 << bits)
     tiny = F(1, 1 << 128)
     pts = set()
@@ -453,6 +455,8 @@ def boundary_points(exp, bits):
                 lo = math.floor(x0 / grid) * grid
                 for base in {x0, lo, lo + grid}:
                     pts.update((base, base - tiny, base + tiny, base - grid, base + grid))
+            mid = F(2 * p + 1, 2 * Q)
+            pts.update((mid, mid - tiny, mid + tiny))
     return sorted(x for x in pts if 0 < x < 1)
 
 
@@ -473,6 +477,11 @@ BOUNDARY_CONFIGS = {
     "one-generators": explicit_cfg(
         (1, 5, 7, 9, 11), (F(1, 5), F(1, 3), F(2, 7), F(1, 9), F(3, 11)),
         a=2, subgroup_mode="generators", generators=(4,),
+    ),
+    # radii just below 1/2: only the nearest integer can hit, and at the
+    # midpoints (see boundary_points) neither neighbour does
+    "near-half": explicit_cfg(
+        (3, 4, 7, 10, 12), (F(499, 1000), F((1 << 62) - 1, 1 << 63)) * 2 + (F(499, 1000),)
     ),
     # Q = q^d at and above 2^53: those indices skip the float screen
     "large-q": explicit_cfg(
@@ -721,6 +730,20 @@ class TestMonteCarlo:
         for kp in res.k_ladder:
             for m1, m2 in zip(res.m_values, res.m_values[1:]):
                 assert res.counts[m2][kp] <= res.counts[m1][kp]
+
+    def test_counts_equal_a_recount_of_the_hits(self):
+        # counts[m][kp] is the number of samples with at least m hits at
+        # k <= kp; hits on both rungs check that a hit at k = kp counts
+        cfg = small_cfg(
+            alpha_sequence=AlphaSequence("c/k", c=F(49, 100)), K=150, samples=100, seed=3, min_hits=8
+        )
+        res = prepare(cfg).monte_carlo()
+        assert res.k_ladder == (100, 150)
+        ks = [[h.k for h in hits] for hits in res.per_sample_hits]
+        assert {k for s in ks for k in s} >= {100, 150}
+        for m in res.m_values:
+            for kp in res.k_ladder:
+                assert res.counts[m][kp] == sum(sum(k <= kp for k in s) >= m for s in ks), (m, kp)
 
     def test_convergent_control_union_bound(self):
         cfg = small_cfg(

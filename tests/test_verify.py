@@ -135,6 +135,20 @@ def test_sampled_tuples_are_pinned(count, n_max, digest):
     assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
 
 
+def test_sampled_tuples_are_drawn_one_at_a_time(monkeypatch):
+    # the first tuple builds one unit group, not all of them: a tuple's unit
+    # group lives only while a check holds that tuple
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return residue_group.unit_group(n)
+
+    monkeypatch.setattr(verify, "unit_group", counted)
+    next(verify.sample_count_tuples(*_FULL_TUPLES, 0xC0DE))
+    assert len(calls) == 1
+
+
 def test_overlap_systems_are_pinned(monkeypatch):
     # every (system, window) the quick-scale check builds, in order
     records = []
