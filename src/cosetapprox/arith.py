@@ -428,24 +428,17 @@ def trend_threshold(stat: str, eps: float) -> int | None:
     bound exceeds any desk-scale scan (notably eps = 0.25), in which case
     the table is reported but no monotone trend is asserted.
     """
-    if stat not in ("tau", "pow_omega"):
+    gain = {"tau": 2, "pow_omega": 4}.get(stat)  # what a new prime multiplies stat by
+    if gain is None:
         raise ValueError(f"unknown statistic {stat!r}")
     cap = 5 * 10**6
     threshold = 1
-    if stat == "pow_omega":
-        for p in primes_up_to(10**4):
-            if p**eps >= 4:
-                break
-            threshold *= p
-            if threshold > cap:
-                return None
-        return threshold
     for p in primes_up_to(10**4):
         ratio = p**eps
-        if ratio >= 2:
+        if ratio >= gain:
             break
         a = 1
-        while a < 64 and (a + 2) / (a + 1) > ratio:
+        while stat == "tau" and a < 64 and (a + 2) / (a + 1) > ratio:
             a += 1
         threshold *= p**a
         if threshold > cap:

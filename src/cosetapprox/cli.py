@@ -49,7 +49,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit_rows(columns: list[str], rows: list[list], fmt: str, out: str | None) -> None:
+def _emit_rows(columns: list[str], rows: list[list | tuple], fmt: str, out: str | None) -> None:
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -125,14 +125,9 @@ def _mode_inputs(args, power_read: bool = False) -> tuple[int, tuple[int, ...]]:
 def _cmd_arith(args) -> int:
     _read_only("--oracle", args.oracle, not args.growth, "without --growth")
     if args.growth:
-        rows = []
-        for r in growth_scan(args.n_max, d=args.d):
-            rows.append(
-                [r.block_lo, r.block_hi, r.eps, r.base, r.tau_max, r.tau_argmax, r.pow_max, r.pow_argmax]
-            )
         _emit_rows(
             ["block_lo", "block_hi", "eps", "base", "tau_max", "tau_argmax", "pow_omega_max", "pow_omega_argmax"],
-            rows,
+            [dataclasses.astuple(r) for r in growth_scan(args.n_max, d=args.d)],
             args.format,
             args.out,
         )

@@ -89,12 +89,17 @@ def _integer(name: str, v):
     return v
 
 
-def _rational(name: str, v):
-    """v, when it is a Fraction or an int that is not a bool: the Python side
-    of from_dict's rational rule, so a float radius never reaches the sums."""
-    if isinstance(v, Fraction) or (isinstance(v, int) and not isinstance(v, bool)):
-        return v
-    raise ValueError(f"config field '{name}' must be an exact rational, got {v!r}")
+# the ExperimentConfig fields that hold one integer
+_INTEGER_FIELDS = ("d", "a", "K", "samples", "precision_bits", "seed", "min_hits")
+
+
+def _rational(name: str, v) -> Fraction:
+    """as_fraction(v), with a ValueError naming the config field: the Python
+    side of from_dict's rational rule, so a float radius never reaches the sums."""
+    try:
+        return as_fraction(v)
+    except TypeError:
+        raise ValueError(f"config field '{name}' must be an exact rational, got {v!r}") from None
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ class ExperimentConfig:
     min_hits: int = 5
 
     def __post_init__(self) -> None:
-        for name in ("d", "a", "K", "samples", "precision_bits", "seed", "min_hits"):
+        for name in _INTEGER_FIELDS:
             _integer(name, getattr(self, name))
         for v in self.generators:
             _integer("generators", v)
@@ -200,77 +205,77 @@ class ExperimentConfig:
         """Parse a JSON config strictly: unknown keys, lists given as
         anything else, integer fields given as bools or non-integers, and
         rationals given as anything but an integer or a string are rejected
-        rather than coerced."""
-
-        def known(where, obj, keys):
-            if not isinstance(obj, dict):
-                raise ValueError(f"{where} must be an object")
-            unknown = sorted(set(obj) - keys)
-            if unknown:
-                raise ValueError(f"unknown {where} field(s): {', '.join(map(str, unknown))}")
-
-        def rational(name, v):
-            try:
-                if isinstance(v, (int, str)) and not isinstance(v, bool):
-                    return Fraction(v)
-            except (ValueError, ZeroDivisionError):
-                pass
-            raise ValueError(
-                f"config field '{name}' must be an integer or an exact rational string, got {v!r}"
-            )
-
-        def each(name, vs, parse):
-            if not isinstance(vs, list):
-                raise ValueError(f"config field '{name}' must be a list, got {vs!r}")
-            return tuple(parse(name, v) for v in vs)
-
-        def need(name):
-            if name not in data:
-                raise ValueError(f"config field '{name}' is missing")
-            return data[name]
-
-        def optional(name, parse):
-            """{name: parsed value} when given, else {} for the field default."""
-            return {name: parse(name, data[name])} if name in data else {}
-
-        known("config", data, _CONFIG_KEYS)
+        rather than coerced.  Fields are read in declaration order, so the
+        first bad or missing one is named; only the _JSON_OPTIONAL fields may
+        be omitted, and they then take the field default."""
+        _known("config", data, _CONFIG_KEYS)
         version = _integer("schema_version", data.get("schema_version", 1))
         if version != 1:
             raise ValueError(f"unsupported schema_version {version}")
-        qd = need("q_sequence")
-        if not isinstance(qd, dict) or "kind" not in qd:
-            raise ValueError("config field 'q_sequence' must be an object with a 'kind'")
-        known("q_sequence", qd, {"kind", "values"})
-        qseq = QSequence(
-            kind=qd["kind"],
-            values=each("q_sequence.values", qd["values"], _integer) if "values" in qd else None,
-        )
-        ad = need("alpha_sequence")
-        if not isinstance(ad, dict) or "kind" not in ad:
-            raise ValueError("config field 'alpha_sequence' must be an object with a 'kind'")
-        known("alpha_sequence", ad, {"kind", "c", "values"})
-        aseq = AlphaSequence(
-            kind=ad["kind"],
-            c=rational("alpha_sequence.c", ad["c"]) if "c" in ad else None,
-            values=each("alpha_sequence.values", ad["values"], rational)
-            if "values" in ad
-            else None,
-        )
-        return ExperimentConfig(
-            q_sequence=qseq,
-            alpha_sequence=aseq,
-            d=_integer("d", need("d")),
-            a=_integer("a", need("a")),
-            subgroup_mode=need("subgroup_mode"),
-            **optional("generators", lambda name, vs: each(name, vs, _integer)),
-            K=_integer("K", need("K")),
-            samples=_integer("samples", need("samples")),
-            **optional("precision_bits", _integer),
-            seed=_integer("seed", need("seed")),
-            **optional("min_hits", _integer),
-        )
+        kw = {}
+        for f in fields(ExperimentConfig):
+            if f.name in data:
+                kw[f.name] = _JSON_FIELDS[f.name](f.name, data[f.name])
+            elif f.name not in _JSON_OPTIONAL:
+                raise ValueError(f"config field '{f.name}' is missing")
+        return ExperimentConfig(**kw)
 
 
+def _known(where: str, obj, keys) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object")
+    unknown = sorted(set(obj) - keys)
+    if unknown:
+        raise ValueError(f"unknown {where} field(s): {', '.join(map(str, unknown))}")
+
+
+def _as_is(name: str, v):
+    return v
+
+
+def _json_rational(name: str, v) -> Fraction:
+    """A JSON rational: an integer or an exact rational string like '1/3'."""
+    try:
+        if isinstance(v, (int, str)) and not isinstance(v, bool):
+            return Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"config field '{name}' must be an integer or an exact rational string, got {v!r}")
+
+
+def _json_list(name: str, vs, parse) -> tuple:
+    if not isinstance(vs, list):
+        raise ValueError(f"config field '{name}' must be a list, got {vs!r}")
+    return tuple(parse(name, v) for v in vs)
+
+
+def _json_sequence(cls, element):
+    """The JSON parser of rule cls: an object with a 'kind', 'c' one element
+    and 'values' a list of elements; cls checks the rest."""
+
+    def parse(name: str, obj):
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ValueError(f"config field '{name}' must be an object with a 'kind'")
+        _known(name, obj, {f.name for f in fields(cls)})
+        kw = {"kind": obj["kind"]}
+        if "c" in obj:
+            kw["c"] = element(f"{name}.c", obj["c"])
+        if "values" in obj:
+            kw["values"] = _json_list(f"{name}.values", obj["values"], element)
+        return cls(**kw)
+
+    return parse
+
+
+# from_dict's parser of each field's JSON value, and the fields JSON may omit
+_JSON_FIELDS = {
+    "q_sequence": _json_sequence(QSequence, _as_is),
+    "alpha_sequence": _json_sequence(AlphaSequence, _json_rational),
+    "subgroup_mode": _as_is,
+    "generators": partial(_json_list, parse=_integer),
+    **dict.fromkeys(_INTEGER_FIELDS, _integer),
+}
+_JSON_OPTIONAL = frozenset({"generators", "precision_bits", "min_hits"})
 # the keys to_dict writes: one per field, plus the schema version
 _CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig)) | {"schema_version"}
 
@@ -894,12 +899,8 @@ class MonteCarloResult:
         for m in self.m_values:
             row = {}
             for kp in self.k_ladder:
-                c = self.counts[m][kp]
-                row[str(kp)] = {
-                    "count": c,
-                    "fraction": str(Fraction(c, self.samples)),
-                    "value": c / self.samples,
-                }
+                f = self.fraction(m, kp)
+                row[str(kp)] = {"count": self.counts[m][kp], "fraction": str(f), "value": float(f)}
             table[str(m)] = row
         return {
             "schema_version": 1,

@@ -488,6 +488,27 @@ class TestGrowthScan:
         rows = [r for r in growth_scan(2**12) if r.eps == 0.25]
         assert rows and all(r.tau_max > 0 and r.pow_max > 0 for r in rows)
 
+    @pytest.mark.parametrize(
+        "eps, tau_bound, pow_bound",
+        [
+            (1.0, 1, 6),
+            (0.75, 2, 30),
+            (0.6, 6, 210),
+            (0.5, 12, 30030),
+            (0.45, 12, None),
+            (0.4, 120, None),
+            (0.35, 2520, None),
+            (0.3, 5040, None),
+            (0.25, None, None),
+        ],
+    )
+    def test_trend_threshold_grid(self, eps, tau_bound, pow_bound):
+        # tau: primes pay while p^eps < 2, and higher exponents while
+        # (a+2)/(a+1) > p^eps; 4^omega: primes pay while p^eps < 4, at
+        # exponent 1.  A bound past 5 * 10^6 reads None.
+        assert trend_threshold("tau", eps) == tau_bound
+        assert trend_threshold("pow_omega", eps) == pow_bound
+
     def test_argmax_values_recompute(self):
         rows = [r for r in growth_scan(2**12, d=2) if r.eps == 0.5]
         for r in rows[:6]:

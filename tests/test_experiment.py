@@ -1,6 +1,7 @@
 """Experiment configs, hit finding against brute scans, conditions, and the
 deterministic Monte Carlo harness."""
 
+import dataclasses
 import json
 import math
 import pickle
@@ -121,6 +122,10 @@ class TestConfig:
             ({"q_sequence": {"values": [3, 5]}}, "config field 'q_sequence' must be an object with a 'kind'"),
             ({"alpha_sequence": "c/k"}, "config field 'alpha_sequence' must be an object with a 'kind'"),
             ({"alpha_sequence": {"c": "1/3"}}, "config field 'alpha_sequence' must be an object with a 'kind'"),
+            (
+                {"q_sequence": {"kind": "explicit", "values": [1.5]}, "alpha_sequence": {"kind": "c/k", "c": 0.25}},
+                "config field 'q_sequence.values' must be an integer, got 1.5",
+            ),
         ],
     )
     def test_from_dict_messages(self, changes, message):
@@ -133,6 +138,20 @@ class TestConfig:
         with pytest.raises(ValueError) as info:
             ExperimentConfig.from_dict(data)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
+    def test_from_dict_drops_each_field(self, field):
+        # only the three JSON-optional fields may be left out of a config
+        cfg = small_cfg()
+        data = cfg.to_dict()
+        name = field.name
+        del data[name]
+        if name in ("generators", "precision_bits", "min_hits"):
+            assert ExperimentConfig.from_dict(data) == dataclasses.replace(cfg, **{name: field.default})
+        else:
+            with pytest.raises(ValueError) as info:
+                ExperimentConfig.from_dict(data)
+            assert str(info.value) == f"config field '{name}' is missing"
 
     def test_mode_needs_generators(self):
         with pytest.raises(ValueError):
