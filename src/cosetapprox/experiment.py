@@ -403,9 +403,10 @@ class Experiment:
           4. the truncation of x: 0 <= x - X 2^-128 < 2^-128 (x need not be
              dyadic, nor have 128 bits), which moves x Q by less than
              Q 2^-128 < 2^-75.
-        The screen's distance is d = min(f, 1 - f) with f = t - floor(t).
-        Both subtractions are exact (Sterbenz: t < 2, and 1 - f is used only
-        when f >= 1/2), so d = ||t||.  As ||.|| is 1-Lipschitz,
+        The screen's distance is d = |t - rint(t)|.  For t in [0, 2), rint(t)
+        is 0, 1 or 2, and t - rint(t) is exact: trivially for 0, and by
+        Sterbenz for 1 (t in [1/2, 3/2]) and 2 (t in [3/2, 2)); so d = ||t||.
+        As ||.|| is 1-Lipschitz,
             |d - ||x Q||| <= 2^-54 + 2^-63 + 2^-53 + 2^-75 < 2^-52.
         The threshold is tau = fl(fl(a (1 + 2^-50)) + 2^-48) with a =
         n / (o << e) for the radius term alpha = n / (2^e o), the correctly
@@ -439,10 +440,10 @@ class Experiment:
         """Ascending indices that may hold a hit for x = xn/xd (the float
         screen of find_hits, whose docstring proves its margin)."""
         X = (xn << 128) // xd
-        t = (self._q_word * np.uint64(X >> 64)) * 2.0**-64 + float(X & _LOW_WORD) * self._q_low
-        t -= np.floor(t)
-        dist = np.minimum(t, 1.0 - t)
-        return np.flatnonzero(dist < self._tau)
+        t = (self._q_word * np.uint64(X >> 64)) * 2.0**-64
+        t += float(X & _LOW_WORD) * self._q_low
+        t -= np.rint(t)
+        return np.flatnonzero(np.abs(t, out=t) < self._tau)
 
     def monte_carlo(self, threads: int = 1) -> "MonteCarloResult":
         """Sample dyadic rationals and tabulate hit-count fractions F(m, K').
@@ -638,13 +639,15 @@ def _prefix_argmin(exp: Experiment) -> tuple[int, int, int]:
         rho = T_W A_j / (T_A W_j).
     The tails are float sums of the terms j < k <= n, and A_j, W_j float
     sums built by adding each tail in when its last term becomes the
-    argmin.  Every sum is a double mantissa s with an int exponent E: adding
-    m 2^x aligns the smaller one with an exact ldexp (or one that
-    underflows) and adds.  The larger operand has a mantissa >= 1/2, so no
-    sum falls below 1/2 and the relative precision holds whatever the
-    exponents, past the double range (c*2^-k radii).  Each term adds less
-    than 1 to s (plus rounding), so s < K + 1 and no product or quotient of
-    mantissas below overflows or underflows.
+    argmin.  Every sum is a double mantissa s with an int exponent E, and an
+    empty one is 0.0 at _EMPTY.  Adding m 2^x aligns the operand of smaller
+    exponent with an ldexp, exact or underflowing, and adds: s 2^E + m 2^x
+    is s + ldexp(m, x - E) at E if x <= E, else ldexp(s, E - x) + m at x.
+    The operand of larger exponent has a mantissa >= 1/2, so no sum falls
+    below 1/2 and the relative precision holds whatever the exponents, past
+    the double range (c*2^-k radii).  Each term adds less than 1 to s (plus
+    rounding), so s < K + 1 and no product or quotient of mantissas below
+    overflows or underflows.
 
     Margin.  Let u = 2^-53.  Each term's (m, x) is within a factor 1 + u of
     the term.  Each addition multiplies the sum by at most 1 + u plus the
@@ -682,11 +685,20 @@ def _prefix_argmin(exp: Experiment) -> tuple[int, int, int]:
     tax = twx = _EMPTY
     j, floats, exact = 1, 0, 0
     row, at = _ZERO_ROW, 0
-    for n, (a, w) in enumerate(terms, start=2):
-        ta, tax = _float_add(ta, tax, *a)
-        tw, twx = _float_add(tw, twx, *w)
+    for n, ((a, ax), (w, wx)) in enumerate(terms, start=2):
+        if ax <= tax:
+            ta += math.ldexp(a, ax - tax)
+        else:
+            ta = math.ldexp(ta, tax - ax) + a
+            tax = ax
+        if wx <= twx:
+            tw += math.ldexp(w, wx - twx)
+        else:
+            tw = math.ldexp(tw, twx - wx) + w
+            twx = wx
         v, e = math.frexp((tw * aj) / (ta * wj))
-        rho = math.ldexp(v, min(max(e + twx + ajx - tax - wjx, -64), 64))
+        e += twx + ajx - tax - wjx
+        rho = math.ldexp(v, e if -64 <= e <= 64 else 64 if e > 0 else -64)
         if rho < lo or rho > hi:
             floats += 1
             new = rho < lo
@@ -702,18 +714,19 @@ def _prefix_argmin(exp: Experiment) -> tuple[int, int, int]:
                 pj, qj = pn, qn
         if new:
             j = n
-            aj, ajx = _float_add(aj, ajx, ta, tax)
-            wj, wjx = _float_add(wj, wjx, tw, twx)
+            if tax <= ajx:
+                aj += math.ldexp(ta, tax - ajx)
+            else:
+                aj = math.ldexp(aj, ajx - tax) + ta
+                ajx = tax
+            if twx <= wjx:
+                wj += math.ldexp(tw, twx - wjx)
+            else:
+                wj = math.ldexp(wj, wjx - twx) + tw
+                wjx = twx
             ta = tw = 0.0
             tax = twx = _EMPTY
     return j, floats, exact
-
-
-def _float_add(s: float, E: int, m: float, x: int) -> tuple[float, int]:
-    """s 2^E + m 2^x for the float sums of _prefix_argmin."""
-    if x <= E:
-        return s + math.ldexp(m, x - E), E
-    return math.ldexp(s, E - x) + m, x
 
 
 def _lcm_add(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:

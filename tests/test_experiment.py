@@ -957,6 +957,23 @@ def test_convergent_control_argmin_past_double_underflow(fixtures_dir):
     assert rep.float_decisions == 2999 and rep.exact_fallbacks == 0
 
 
+@pytest.mark.parametrize(
+    "name, K, want",
+    [("khintchine_d1", 3000, (3000, 2999, 0)), ("power_residue_d2", 3500, (1, 3499, 0))],
+)
+def test_fixture_argmin_at_the_bench_size(fixtures_dir, name, K, want):
+    # The other two fixtures at their bench sizes, each step decided by the
+    # float screen.  khintchine_d1's ratio falls at 1197 of its 3000 steps,
+    # so the tails merge into the argmin's sums often; power_residue_d2's
+    # never falls after k = 1, so every step only adds to the tails.
+    data = json.loads((fixtures_dir / f"{name}.json").read_text())
+    if data["q_sequence"]["kind"] == "explicit":
+        data["q_sequence"]["values"] = data["q_sequence"]["values"][:K]
+    exp = prepare(ExperimentConfig.from_dict({**data, "K": K}))
+    assert experiment._prefix_argmin(exp) == want
+    assert check_conditions(exp).c_ratio_min == _ratio_min_reference(exp)
+
+
 def test_float_terms_of_a_series_past_the_double_range():
     # c 2^-k radii with K = 1200: every term leaves the double range from
     # k = 1075 on, yet _float_term gives each its correctly rounded mantissa
@@ -1102,7 +1119,17 @@ def conditions_configs(draw):
     kind = draw(st.sampled_from(experiment.ALPHA_KINDS))
     if kind == "explicit":
         rng = random.Random(draw(st.integers(0, 2**32)))
-        values = tuple(F(rng.randint(1, 2**20), 2**21 + rng.randint(0, 3**12)) for _ in range(K))
+
+        def radius():
+            # about half dyadic, r / 2^e with 2 <= e <= 1500 in random order,
+            # so the screen's float sums align operands of far-apart
+            # exponents both ways, and the smaller one underflows
+            if rng.random() < 0.5:
+                e = rng.randint(2, 1500)
+                return F(rng.randint(1, 2 ** min(e - 1, 20) - 1), 2**e)
+            return F(rng.randint(1, 2**20), 2**21 + rng.randint(0, 3**12))
+
+        values = tuple(radius() for _ in range(K))
         alpha = AlphaSequence(kind, values=values)
     else:
         alpha = AlphaSequence(kind, c=draw(st.sampled_from([F(1, 4), F(1, 3), F(2, 5), F(1, 7)])))
