@@ -29,7 +29,7 @@ from .arith import euler_phi, factor_all, growth_scan, omega, r_d, s_d, tau, u_d
 from .arith import brute_r_d, brute_u_d
 from .characters import all_characters, character_matrix, pv_bound
 from .equidist import interval_system, overlap_excess_sweep, psi_estimate
-from .experiment import ExperimentConfig, check_conditions, exact_str, prepare
+from .experiment import ExperimentConfig, check_conditions, doubled_exact_str, exact_str, prepare
 from .residue_group import SUBGROUP_MODES, coset, index, subgroup, unit_group
 
 SCHEMA_VERSION = 1
@@ -262,9 +262,10 @@ def _cmd_equidist(args) -> int:
     return 0
 
 
-def _exact_value(v: Fraction) -> dict:
-    """A summary entry for the exact rational v: its exact string and float."""
-    return {"exact": exact_str(v), "value": float(v)}
+def _exact_value(v: Fraction, exact: str | None = None) -> dict:
+    """A summary entry for the exact rational v: its exact string and float.
+    exact, when given, is exact_str(v) already written another way."""
+    return {"exact": exact_str(v) if exact is None else exact, "value": float(v)}
 
 
 def _cmd_experiment(args) -> int:
@@ -282,14 +283,20 @@ def _cmd_experiment(args) -> int:
     conditions = check_conditions(exp, epsilon=args.epsilon)
     result = exp.monte_carlo(threads=args.threads)
     summary = result.summary_dict()
-    summary["union_bound"] = _exact_value(conditions.union_bound)
+    # each distinct exact value is converted to decimal once: the union bound
+    # 2 W is written from W's digits, and c_ratio_min equals c_ratio_final
+    # whenever the ratio's first minimum is at n = K
+    weighted = exact_str(conditions.weighted_sum_final)
+    ratio = _exact_value(conditions.c_ratio_final)
+    summary["union_bound"] = _exact_value(conditions.union_bound, doubled_exact_str(weighted))
     summary["conditions"] = {
         "epsilon": conditions.epsilon,
         "n_final": cfg.K,
         "partial_sum_alpha": exact_str(conditions.partial_sum_alpha_final),
-        "weighted_sum": exact_str(conditions.weighted_sum_final),
-        "c_ratio_final": _exact_value(conditions.c_ratio_final),
-        "c_ratio_min": _exact_value(conditions.c_ratio_min),
+        "weighted_sum": weighted,
+        "c_ratio_final": ratio,
+        "c_ratio_min": (ratio if conditions.c_ratio_min == conditions.c_ratio_final
+                        else _exact_value(conditions.c_ratio_min)),
         "cond_c_first_decile_mean": conditions.cond_c_first_decile_mean,
         "cond_c_last_decile_mean": conditions.cond_c_last_decile_mean,
         "cond_c_decreasing": conditions.cond_c_decreasing,
@@ -302,7 +309,7 @@ def _cmd_experiment(args) -> int:
             w.writerow(["sample_index", "k", "q", "p", "error_num", "error_den"])
             for i, hits in enumerate(result.per_sample_hits):
                 for h in hits:
-                    w.writerow([i, h.k, h.q, h.p, h.error.numerator, h.error.denominator])
+                    w.writerow((i, *h))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -23,6 +23,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import islice, pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +51,19 @@ def exact_str(x: Fraction) -> str:
     if x.numerator < 0:
         num = "-" + num
     return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator, pow2)}"
+
+
+def doubled_exact_str(s: str) -> str:
+    """exact_str(2 x) from s = exact_str(x), on s's digits alone: with x =
+    N/D in lowest terms, 2 x is 2N/D for an odd D (D = 1 for an integer)
+    and N/(D/2) for an even D, each again in lowest terms, and an integer
+    when D = 2.  Decimal's exact multiply and divide_int work on the digits,
+    so neither N nor D is converted from an int again."""
+    num, slash, den = s.partition("/")
+    if den[-1:] in ("0", "2", "4", "6", "8"):
+        half = _EXACT_DECIMAL.divide_int(Decimal(den), 2)
+        return num if half == 1 else f"{num}/{half}"
+    return f"{_EXACT_DECIMAL.multiply(Decimal(num), 2)}{slash}{den}"
 
 
 # Exact integer arithmetic in decimal: no rounding can happen, and any would
@@ -280,14 +294,21 @@ _JSON_OPTIONAL = frozenset({"generators", "precision_bits", "min_hits"})
 _CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig)) | {"schema_version"}
 
 
-@dataclass(frozen=True)
-class HitRecord:
-    """One solved inequality: |x - p/q^d| < alpha_k/q^d with p in the coset."""
+class HitRecord(NamedTuple):
+    """One solved inequality: |x - p/q^d| < alpha_k/q^d with p in the coset,
+    whose error |x - p/q^d| is error_num / error_den in lowest terms.  The
+    fields are plain ints, in the order of the hits CSV's columns."""
 
     k: int
     q: int
     p: int
-    error: Fraction
+    error_num: int
+    error_den: int
+
+    @property
+    def error(self) -> Fraction:
+        """|x - p/q^d| as a Fraction."""
+        return Fraction(self.error_num, self.error_den)
 
 
 def _first_primes(count: int, avoid: int = 1) -> list[int]:
@@ -433,7 +454,9 @@ class Experiment:
             m, delta = divmod(xn * Q, xd)
             p, dist = (m, delta) if 2 * delta < xd else (m + 1, xd - delta)
             if (dist * o) << e < an * xd and math.gcd(p, q) == 1 and member(p % q):
-                hits.append(HitRecord(k=i + 1, q=q, p=p, error=Fraction(dist, xd * Q)))
+                den = xd * Q
+                g = math.gcd(dist, den)
+                hits.append(HitRecord(i + 1, q, p, dist // g, den // g))
         return hits
 
     def _screen(self, xn: int, xd: int) -> np.ndarray:

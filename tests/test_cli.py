@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from cosetapprox.cli import main
-from cosetapprox.experiment import prepare
+from cosetapprox.cli import _exact_value, main
+from cosetapprox.experiment import ExperimentConfig, HitRecord, check_conditions, exact_str, prepare
 
 F = Fraction
 
@@ -603,6 +603,77 @@ class TestExperiment:
             blobs.append(out)
         assert blobs[0] == blobs[1] == blobs[2]
         assert json.loads(blobs[0])["config"]["alpha_sequence"]["c"] == "1/4"
+
+
+# SHA-256 of the summary and of the hits CSV of each committed fixture at
+# K = 400 with 60 samples, written while hit records held a Fraction and
+# every exact summary string was converted from its own Fraction:
+# fixture -> (summary digest, hits digest).
+EXPERIMENT_DIGESTS = {
+    "convergent_control": (
+        "09bc33ab3d5c93e6cd6ee56c3f9a2d1117602881676bfa0b731731582071b199",
+        "41c138a869fca667960da6921d9308a16ca6e60e82666878aff51f0c1293e806",
+    ),
+    "khintchine_d1": (
+        "c0329a0644bf57badf17ec790bf0e6750db186bdf955c0fca439214955ec166c",
+        "899d0be9e3f7862fe408dee40bb2c8999392c0583f896298ebd61ed234028293",
+    ),
+    "power_residue_d2": (
+        "f928745aa503a5d1299267e27a5d854fc21c86bf001b381addca861f6ed828c4",
+        "906ac631d91918d8e862a3d3d2b1bcf131c1918fc85c216a37dd37fd8ead8a2d",
+    ),
+}
+
+
+def run_fixture(tmp_path, capsys, fixtures_dir, name, *argv, **changes):
+    """Run `experiment` on a committed fixture with its fields changed;
+    returns the summary path and the hits CSV path."""
+    cfg = {**json.loads((fixtures_dir / f"{name}.json").read_text()), **changes}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out, hits = tmp_path / f"{name}-summary.json", tmp_path / f"{name}-hits.csv"
+    code, _, err = run_cli(
+        capsys, "experiment", "--config", str(path), "--out", str(out), "--hits-csv", str(hits), *argv
+    )
+    assert code == 0, err
+    return out, hits
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_DIGESTS))
+def test_experiment_bytes_unchanged(tmp_path, capsys, fixtures_dir, name, threads):
+    out, hits = run_fixture(
+        tmp_path, capsys, fixtures_dir, name, "--threads", threads, K=400, samples=60
+    )
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, hits))
+    assert digests == EXPERIMENT_DIGESTS[name]
+
+
+def test_hits_csv_rows_are_the_records(tmp_path, capsys, fixtures_dir):
+    # after sample_index, the columns are HitRecord's fields in order
+    out, hits = run_fixture(tmp_path, capsys, fixtures_dir, "khintchine_d1", K=300, samples=20)
+    header, rows = parse_csv(hits.read_text())
+    assert header == ["sample_index", *HitRecord._fields]
+    cfg = ExperimentConfig.from_dict(json.loads(out.read_text())["config"])
+    records = prepare(cfg).monte_carlo().per_sample_hits
+    assert rows == [[str(v) for v in (i, *h)] for i, hs in enumerate(records) for h in hs]
+    assert rows
+
+
+@pytest.mark.parametrize("name, at_final", [("power_residue_d2", False), ("khintchine_d1", True)])
+def test_summary_exact_entries_equal_their_own_conversion(tmp_path, capsys, fixtures_dir, name, at_final):
+    # c_ratio_min reuses c_ratio_final's entry when the ratio's first
+    # minimum is at n = K (khintchine_d1), and the union bound is written
+    # from the weighted sum's digits; both equal a conversion of their own
+    out, _ = run_fixture(tmp_path, capsys, fixtures_dir, name, K=400, samples=5)
+    summary = json.loads(out.read_text())
+    rep = check_conditions(prepare(ExperimentConfig.from_dict(summary["config"])))
+    c = summary["conditions"]
+    assert (rep.c_ratio_min == rep.c_ratio_final) is at_final
+    assert c["c_ratio_min"] == _exact_value(rep.c_ratio_min)
+    assert c["c_ratio_final"] == _exact_value(rep.c_ratio_final)
+    assert summary["union_bound"] == _exact_value(rep.union_bound)
+    assert c["weighted_sum"] == exact_str(rep.weighted_sum_final)
 
 
 class TestUsageAndVerify:

@@ -21,9 +21,11 @@ from cosetapprox.experiment import (
     SUBGROUP_MODES,
     AlphaSequence,
     ExperimentConfig,
+    HitRecord,
     QSequence,
     _sample_point,
     check_conditions,
+    doubled_exact_str,
     exact_str,
     prepare,
 )
@@ -617,6 +619,37 @@ def test_screened_hits_equal_exact_reference(problem):
     assert screened_hits(exp, x) == reference_hits(exp, x)
 
 
+def assert_exact_records(exp, x, hits):
+    """Each record is five ints in the CSV's column order, its error is
+    |x - p/q^d| in lowest terms, and it survives a pickle round trip."""
+    for h in hits:
+        assert type(h) is HitRecord and all(type(v) is int for v in h)
+        assert tuple(h) == (h.k, h.q, h.p, h.error_num, h.error_den)
+        assert math.gcd(h.error_num, h.error_den) == 1
+        assert F(h.error_num, h.error_den) == abs(x - F(h.p, exp.moduli[h.k - 1])) == h.error
+        assert pickle.loads(pickle.dumps(h)) == h
+
+
+@settings(max_examples=100, deadline=None)
+@given(hit_problems())
+def test_hit_records_hold_the_exact_error(problem):
+    exp, x = problem
+    if 0 < x < 1:
+        assert_exact_records(exp, x, exp.find_hits(x))
+
+
+def test_hit_records_of_sampled_points():
+    exp = prepare(small_cfg(alpha_sequence=AlphaSequence("c/k", c=F(49, 100)), K=200))
+    found = 0
+    for i in range(30):
+        x = _sample_point(11, i, 128)
+        hits = exp.find_hits(x)
+        assert_exact_records(exp, x, hits)
+        found += len(hits)
+    assert found > 0
+    assert HitRecord._fields == ("k", "q", "p", "error_num", "error_den")
+
+
 class TestSampling:
     def test_sample_point_deterministic_and_in_range(self):
         for i in range(50):
@@ -715,6 +748,7 @@ class TestMonteCarlo:
         pooled = exp.monte_carlo(threads=2)
         assert sizes == [2]
         assert pooled.per_sample_hits == serial.per_sample_hits
+        assert all(type(h) is HitRecord for hits in pooled.per_sample_hits for h in hits)
 
     @pytest.mark.parametrize("mode", SUBGROUP_MODES)
     def test_prepared_experiment_pickles(self, mode):
@@ -1273,6 +1307,18 @@ class TestExactStrings:
             assert exact_str(F(-n)) == str(Decimal(-n))
             x = F(-n, 3**700)
             assert exact_str(x) == f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+
+    @pytest.mark.parametrize("bits", [1, 64, 2047, 2048, 2049, 20_000])
+    def test_doubled_string_equals_the_doubled_value(self, bits):
+        # odd and even denominators on both sides of _DIRECT_BITS, the
+        # denominator 2 and integers, so each branch of the digit rule runs
+        rng = random.Random(bits)
+        for _ in range(3):
+            n = rng.getrandbits(bits) | 1  # odd, so no factor 2 cancels
+            odd = rng.getrandbits(bits) | 1 | 1 << bits
+            even = odd << rng.randint(1, 9)
+            for w in (F(n, odd), F(n, even), F(n, 2), F(n), F(n - 1), F(-n, odd), F(-n, even), F(-n, 2)):
+                assert doubled_exact_str(exact_str(w)) == exact_str(2 * w), w
 
     def test_small_values_equal_str(self):
         for x in (F(0), F(5), F(-5), F(3, 7), F(-22, 7), F(10**40 + 1, 3)):
