@@ -28,6 +28,7 @@ __all__ = [
     "as_fraction",
     "brute_r_d",
     "brute_u_d",
+    "coprime_mask",
     "euler_phi",
     "factor",
     "factor_all",
@@ -334,6 +335,14 @@ def tau(f: Factorization) -> int:
 def omega(f: Factorization) -> int:
     """Number of distinct prime factors (0 for n = 1)."""
     return len(f.factors)
+
+
+def coprime_mask(f: Factorization, m: int) -> np.ndarray:
+    """Bool array over 0..m-1, true where gcd(r, f.n) = 1: each prime of f strikes its multiples."""
+    mask = np.ones(m, dtype=bool)
+    for p, _ in f:
+        mask[::p] = False
+    return mask
 
 
 def _u_d_prime_power(p: int, e: int, d: int) -> int:

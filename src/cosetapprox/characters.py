@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .arith import coprime_mask
 from .residue_group import Subgroup, UnitGroup
 
 __all__ = [
@@ -100,7 +101,7 @@ def character_matrix(g: UnitGroup, chars: np.ndarray, columns=slice(None)) -> np
     cols = np.arange(g.n)[columns]
     L = g.exponent()
     V = np.exp((2j * np.pi / L) * np.arange(L))[_log_table(g, chars, cols)]
-    V[:, np.gcd(cols, g.n) != 1] = 0
+    V[:, ~coprime_mask(g.factorization, g.n)[cols]] = 0
     return V
 
 
@@ -137,9 +138,8 @@ def pv_sweep_max(g: UnitGroup) -> tuple[float, float]:
     chars = chars[chars @ strides <= (-chars % orders) @ strides]
     if len(chars) <= 1:
         return 0.0, pv_bound(g.n)
-    half = np.arange(1, (g.n - 1) // 2 + 1)
     mx = 0.0
-    for rows, V in _row_blocks(g, chars, half[np.gcd(half, g.n) == 1]):
+    for rows, V in _row_blocks(g, chars, np.flatnonzero(coprime_mask(g.factorization, (g.n + 1) // 2))):
         S = np.abs(np.cumsum(V, axis=1))
         if rows.start == 0:
             S[0] = 0  # the principal row; |S| >= 1 at h = 1 in every other

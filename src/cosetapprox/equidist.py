@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import as_fraction, euler_phi, factor, tau
+from .arith import as_fraction, coprime_mask, euler_phi, factor, tau
 from .characters import _row_blocks, character_matrix, pv_bound, quotient_characters
 from .residue_group import Coset, Subgroup, coset
 
@@ -35,23 +35,22 @@ __all__ = [
     "psi_estimate",
 ]
 
-_SCAN_CHUNK = 1 << 18
+_PHI_MU_LIMIT = 10**8  # phi_mu's one-period mask: at most 100 MB
 
 
 def phi_mu(n: int, mu) -> int:
-    """Count of integers in [1, floor(mu*n)] coprime to n, by direct gcd scan."""
+    """Count of integers in [1, floor(mu*n)] coprime to n, off one period of
+    coprime_mask (n bytes whatever mu is); n > 10^8 raises ValueError."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
+    if n > _PHI_MU_LIMIT:
+        raise ValueError(f"modulus {n} exceeds the coprime-count limit {_PHI_MU_LIMIT}")
     mu = as_fraction(mu)
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    m = math.floor(mu * n)
-    count = 0
-    for lo in range(1, m + 1, _SCAN_CHUNK):
-        hi = min(m, lo + _SCAN_CHUNK - 1)
-        block = np.arange(lo, hi + 1, dtype=np.int64)
-        count += int(np.count_nonzero(np.gcd(block, n) == 1))
-    return count
+    full, rem = divmod(math.floor(mu * n), n)
+    mask = coprime_mask(factor(n), n)
+    return full * int(np.count_nonzero(mask)) + int(np.count_nonzero(mask[: rem + 1]))
 
 
 def phi_mu_sieve(n: int, mus) -> list[int]:

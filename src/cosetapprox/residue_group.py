@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import Factorization, euler_phi, factor
+from .arith import Factorization, coprime_mask, euler_phi, factor
 
 SUBGROUP_MODES = ("full", "dth-powers", "generators")
 
@@ -82,8 +82,8 @@ class UnitGroup:
     cyclic_factors: tuple[tuple[int, int], ...]
 
     def units(self) -> list[int]:
-        """Units 1..n-1 by a gcd scan; the subgroup closures' test oracle."""
-        return [x for x in range(1, self.n) if math.gcd(x, self.n) == 1]
+        """Units 1..n-1 off coprime_mask; the subgroup closures' test oracle."""
+        return np.flatnonzero(coprime_mask(self.factorization, self.n)).tolist()
 
     def exponent(self) -> int:
         """lcm of the cyclic factor orders (1 for the trivial group)."""

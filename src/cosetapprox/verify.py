@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import brute_r_d, brute_u_d, euler_phi, factor, growth_scan, r_d, trend_threshold, u_d
+from .arith import brute_r_d, brute_u_d, coprime_mask, euler_phi, factor, growth_scan, r_d, trend_threshold, u_d
 from .characters import (
     all_characters,
     evaluate,
@@ -89,8 +89,7 @@ def check_formula_oracle(n_max: int, d_max: int) -> tuple[bool, str]:
     checked = 0
     for n in range(1, n_max + 1):
         f = factor(n)
-        res = np.arange(n, dtype=np.int64)
-        units = res[np.gcd(res, n) == 1]  # [0] for n = 1
+        units = np.flatnonzero(coprime_mask(f, n))  # [0] for n = 1
         one = 1 % n
         cur = units.copy()
         for d in range(1, d_max + 1):
@@ -122,18 +121,18 @@ def check_subgroup_consistency(n_max: int, d_max: int) -> tuple[bool, str]:
 
 
 def check_sieve_identity(n_max: int, grid: int) -> tuple[bool, str]:
-    """Inclusion-exclusion count equals the gcd scan and |R| <= tau(n).
+    """Inclusion-exclusion count equals the coprime count and |R| <= tau(n).
 
-    The scan is one cumulative coprime count per n over [1, grid n / 20],
-    read at floor(mu n) for each mu = j / 20; it is phi_mu's gcd scan done
-    once per n instead of once per mu, independent of phi_mu_sieve, which is
-    also called once per n."""
+    The count is one cumulative sum of coprime_mask per n over
+    [0, grid n / 20], read at floor(mu n) for each mu = j / 20: phi_mu's
+    count done once per n instead of once per mu, independent of
+    phi_mu_sieve, which is also called once per n."""
     mus = [Fraction(j, 20) for j in range(1, grid + 1)]
     js = np.arange(1, grid + 1)
     bad = 0
     for n in range(2, n_max + 1):
         # coprime[m] = #{1 <= k <= m : gcd(k, n) = 1}
-        coprime = np.cumsum(np.gcd(np.arange(grid * n // 20 + 1), n) == 1)
+        coprime = np.cumsum(coprime_mask(factor(n), grid * n // 20 + 1))
         # phi_mu_sieve raises ArithmeticError itself when |R| > tau(n)
         bad += sum(c != w for c, w in zip(phi_mu_sieve(n, mus), coprime[js * n // 20].tolist()))
     return bad == 0, f"n <= {n_max}, {grid} mu values, {bad} violations"

@@ -22,6 +22,7 @@ from cosetapprox.arith import (
     _omega_counts,
     brute_r_d,
     brute_u_d,
+    coprime_mask,
     euler_phi,
     factor,
     factor_all,
@@ -244,6 +245,60 @@ class TestOracles:
             f = factor(n)
             assert u_d(f, d) == brute_u_d(n, d), (n, d)
             assert r_d(f, d) == brute_r_d(n, d), (n, d)
+
+
+def mask_mismatches(mask, ns):
+    """The first (n, m) at which mask(factor(n), m) differs from the gcd
+    scan, for each n in ns, at m in {0, 1, n - 1, n, 3n + 2} and one m below
+    n's least prime; one np.gcd over the largest m per n, sliced."""
+    bad = []
+    for n in ns:
+        f = factor(n)
+        oracle = np.gcd(np.arange(3 * n + 2), n) == 1
+        least = f.factors[0][0] if f.factors else 1
+        for m in sorted({0, 1, n - 1, n, 3 * n + 2, least - 1}):
+            got = mask(f, m)
+            if got.dtype != bool or not np.array_equal(got, oracle[:m]):
+                bad.append((n, m))
+                break
+    return bad
+
+
+class TestCoprimeMask:
+    def test_matches_the_gcd_scan_for_every_n_to_5000(self):
+        assert mask_mismatches(coprime_mask, range(1, 5001)) == []
+
+    def test_one_is_coprime_to_everything(self):
+        # gcd(0, 1) = 1: 0 is a unit mod 1, which the formula oracle reads
+        assert coprime_mask(factor(1), 0).shape == (0,)
+        assert coprime_mask(factor(1), 4).tolist() == [True] * 4
+
+    @pytest.mark.parametrize("p, e", [(2, 20), (3, 12), (5, 8), (7, 7), (101, 3), (9973, 1)])
+    def test_prime_powers(self, p, e):
+        n = p**e
+        for m in (p - 1, n, 2 * n + 1):
+            assert np.array_equal(coprime_mask(factor(n), m), np.gcd(np.arange(m), n) == 1), (n, m)
+
+    def test_eight_primes_at_ten_to_the_five(self):
+        n = 9699690  # 2*3*5*7*11*13*17*19
+        m = 10**5
+        assert np.array_equal(coprime_mask(factor(n), m), np.gcd(np.arange(m), n) == 1)
+
+    def test_mutants_are_caught(self):
+        # striking only the first prime, and keeping entry 0 for n >= 2
+        def first_prime_only(f, m):
+            mask = np.ones(m, dtype=bool)
+            for p, _ in f.factors[:1]:
+                mask[::p] = False
+            return mask
+
+        def zero_kept(f, m):
+            mask = coprime_mask(f, m)
+            mask[:1] = True
+            return mask
+
+        assert mask_mismatches(first_prime_only, range(1, 40))[0] == (6, 5)  # residue 3 left true
+        assert mask_mismatches(zero_kept, range(1, 40))[0] == (2, 1)
 
 
 class TestProperties:

@@ -69,6 +69,32 @@ class TestPhiMu:
         with pytest.raises(TypeError):
             phi_mu(10, True)
 
+    def test_integer_mu_far_past_one_period(self):
+        assert phi_mu(30030, 10**6) == 10**6 * euler_phi(factor(30030))
+        mus = [F(3 * 10**6 + 1, 3), F(10**9 + 7, 10**3), F(1, 10**9)]
+        assert [phi_mu(30030, mu) for mu in mus] == phi_mu_sieve(30030, mus)
+
+    def test_traced_peak_is_one_period(self):
+        # the mask is n bytes whatever mu is
+        n = 510510  # 2*3*5*7*11*13*17
+        mu = F(10**9 + 7, 3)
+        count = []
+        peak = traced_peak_mb(lambda: count.append(phi_mu(n, mu)))
+        assert count == phi_mu_sieve(n, [mu])
+        assert peak < 2 * n / 2**20
+
+    def test_modulus_limit(self, monkeypatch):
+        # above the limit it raises before factoring or allocating anything
+        def refused():
+            with pytest.raises(ValueError, match=r"^modulus 100000001 exceeds the coprime-count limit 100000000$"):
+                phi_mu(10**8 + 1, F(1, 2))
+
+        assert traced_peak_mb(refused) < 0.05
+        monkeypatch.setattr(equidist, "_PHI_MU_LIMIT", 30)
+        assert phi_mu(30, 2) == 16
+        with pytest.raises(ValueError, match="limit 30$"):
+            phi_mu(31, F(1, 2))
+
 
 class TestSieve:
     def test_examples(self):
@@ -158,7 +184,7 @@ class TestSieve:
         for mu, count in zip(mus, phi_mu_sieve(n, mus)):
             rem = count - mu * phi
             assert (count, rem) == self.fraction_sieve(n, mu)
-            assert mu > 1 or count == phi_mu(n, mu)  # the scan is slow past n
+            assert count == phi_mu(n, mu)
             assert abs(rem) <= tau(factor(n)) == 256
 
     @pytest.mark.parametrize(

@@ -42,6 +42,11 @@ class TestUnitGroup:
         assert sorted(o for _, o in g.cyclic_factors) == [2, 2]
         assert all(pow(x, 2, 8) == 1 for x in g.units())
 
+    def test_units_equal_the_gcd_scan(self):
+        # the mask reads the factorization, the closures the generators
+        for n in range(2, 3001):
+            assert unit_group(n).units() == [x for x in range(1, n) if math.gcd(x, n) == 1], n
+
     def test_mod_2_trivial(self):
         g = unit_group(2)
         assert g.cyclic_factors == ()

@@ -173,6 +173,15 @@ def test_overlap_systems_are_pinned(monkeypatch):
 @pytest.mark.parametrize(
     "name, detail",
     [
+        ("formula_oracle", "2400 (n, d) pairs, 0 mismatches"),
+        ("subgroup_consistency", "n <= 150, d <= 6, 0 violations"),
+        ("character_axioms", "n <= 80, 0 violations, worst deviation 1.39e-14"),
+        ("unit_group_structure", "n <= 48, 0 violations"),
+        ("coset_partition", "n <= 24, 0 violations"),
+        ("quotient_characters", "n <= 20, 0 violations"),
+        ("growth_trend", "doubling blocks to 131072, 0 broken trends"),
+        ("power_lift", "120 cases, 0 mismatches"),
+        ("conditions_reduction", "200 checkpoints agree"),
         ("overlap_theta", "150 cases (115 against the clipping oracle), 0 bad"),
         ("counting_identity", "40 tuples, 0 violations, worst deviation 6.87e-15"),
         ("equidistribution_bound", "40 tuples, 0 violations, worst normalized error 0.033"),
