@@ -100,7 +100,8 @@ def psi_count(X, c: Coset) -> int:
     m = math.floor(X)
     n = c.n
     full, rem = divmod(m, n)
-    return full * len(c.elements) + bisect_right(c.elements, rem)
+    # the residues in (0, rem]: residue 0 is a unit only mod 1
+    return full * len(c.elements) + bisect_right(c.elements, rem) - bisect_right(c.elements, 0)
 
 
 def psi_character_value(mu, c: Coset) -> complex:
@@ -120,6 +121,8 @@ def psi_character_value(mu, c: Coset) -> complex:
         raise ValueError(f"mu must be positive, got {mu}")
     g = c.subgroup.group
     n = g.n
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
     chars = quotient_characters(c.subgroup)
     full, rem = divmod(math.floor(mu * n), n)
     sums = np.empty(len(chars), dtype=np.complex128)
@@ -174,7 +177,8 @@ def psi_estimate(mu, c: Coset) -> CountEstimate:
 @dataclass(eq=False)
 class IntervalSystem:
     """Open intervals of radius alpha/q^d centered at p/q^d, over the centers
-    p in (0, q^d) with p mod q in the coset; q is the coset's modulus.
+    p in [0, q^d) with p mod q in the coset, q the coset's modulus.  They lie
+    on the circle R/Z: p = q^d is the center 0, a center only mod 1.
 
     Centers are never materialized eagerly (there are |G| * q^(d-1) of them);
     counting queries go through the periodic coset structure.  d must be an
@@ -215,10 +219,10 @@ class IntervalSystem:
         return 2 * self.radius * self.center_count
 
     def is_center(self, p: int) -> bool:
-        return 0 < p < self.modulus and p in self.coset
+        return p in self.coset
 
     def count_upto(self, X) -> int:
-        """Number of centers <= X."""
+        """Number of centers p with 1 <= p <= X."""
         X = as_fraction(X)
         if X < 1:
             return 0
@@ -227,12 +231,15 @@ class IntervalSystem:
     def measure_upto(self, X) -> Fraction:
         """Exact measure of E meet (0, X/N) in units of 1/N, N = q^d, for
         0 <= X <= N: 2 alpha per interval ending by X, plus X - p + alpha when
-        the one center p = round(X) that alpha < 1/2 allows straddles X."""
+        the one center p = round(X) > 0 that alpha < 1/2 allows straddles X,
+        plus the right half min(X, alpha) of the center at 0 (only mod 1)."""
         X = as_fraction(X)
         r = self.alpha
         scaled = 2 * r * self.count_upto(X - r)
+        if self.is_center(0):
+            scaled += min(X, r)
         p = round(X)
-        if abs(X - p) < r and self.is_center(p):
+        if p > 0 and abs(X - p) < r and self.is_center(p):
             scaled += X - p + r
         return scaled
 

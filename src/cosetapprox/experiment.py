@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import as_fraction, euler_phi, factor_all, primes_up_to, r_d, totients
-from .residue_group import SUBGROUP_MODES, closure, is_dth_power
+from .equidist import IntervalSystem, interval_system
+from .residue_group import SUBGROUP_MODES, closure, is_dth_power, subgroup, unit_group
 
 __all__ = [
     "AlphaSequence",
@@ -305,11 +306,6 @@ class HitRecord(NamedTuple):
     error_num: int
     error_den: int
 
-    @property
-    def error(self) -> Fraction:
-        """|x - p/q^d| as a Fraction."""
-        return Fraction(self.error_num, self.error_den)
-
 
 def _first_primes(count: int, avoid: int = 1) -> list[int]:
     bound = 100
@@ -509,6 +505,15 @@ class Experiment:
         return [
             self.find_hits(_sample_point(cfg.seed, i, cfg.precision_bits)) for i in range(lo, hi)
         ]
+
+    def system(self, k: int) -> IntervalSystem:
+        """E_k, the interval system of index k = 1..K, built from
+        residue_group's coset a G_k mod q_k, not from find_hits' predicates."""
+        if not 0 < k <= len(self.qs):
+            raise IndexError(f"index k must lie in [1, {len(self.qs)}], got {k}")
+        cfg, (n, e, o) = self.config, self.radii[k - 1]
+        G = subgroup(unit_group(self.qs[k - 1]), cfg.subgroup_mode, cfg.d, cfg.generators)
+        return interval_system(cfg.d, Fraction(n, o << e), cfg.a, G)
 
 
 def _k_ladder(K: int) -> tuple[int, ...]:

@@ -1,5 +1,5 @@
-"""Explicit structure of the unit group (Z/nZ)^*: cyclic decomposition with
-reproducible generators, subgroups, cosets, and membership tests.
+"""Explicit structure of the unit group (Z/nZ)^*, n >= 1 ({0} mod 1): cyclic
+decomposition with reproducible generators, subgroups, cosets, and membership tests.
 
 Everything is sized for moduli up to about 10^6: subgroups and cosets are
 stored as explicit sorted element sets, and the discrete-log table of the
@@ -82,7 +82,7 @@ class UnitGroup:
     cyclic_factors: tuple[tuple[int, int], ...]
 
     def units(self) -> list[int]:
-        """Units 1..n-1 off coprime_mask; the subgroup closures' test oracle."""
+        """The units in [0, n) off coprime_mask ([0] mod 1); the closures' oracle."""
         return np.flatnonzero(coprime_mask(self.factorization, self.n)).tolist()
 
     def exponent(self) -> int:
@@ -102,7 +102,7 @@ class UnitGroup:
         """
         n = self.n
         orders = [order for _, order in self.cyclic_factors]
-        values = np.ones(1, dtype=np.int64)
+        values = np.full(1, 1 % n, dtype=np.int64)
         for g, order in self.cyclic_factors:
             powers = [1]
             for _ in range(order - 1):
@@ -120,9 +120,9 @@ class UnitGroup:
 
 
 def unit_group(n: int) -> UnitGroup:
-    """Build the unit group mod n (n >= 2) with deterministic generators."""
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
+    """The unit group mod n >= 1 with deterministic generators ({0} mod 1)."""
+    if n < 1:
+        raise ValueError(f"modulus must be >= 1, got {n}")
     f = factor(n)
     cyclic = []
     for p, e in f:

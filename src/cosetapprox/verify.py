@@ -444,20 +444,10 @@ _RADIUS_RULES = {
 }
 
 
-def _coset_member(cfg: ExperimentConfig, q: int):
-    """Membership in the coset a*G mod q, decided by the explicit element set
-    of a residue_group coset rather than by find_hits' own predicates; mod 1
-    every p is a member."""
-    if q == 1:
-        return lambda p: True
-    G = subgroup(unit_group(q), cfg.subgroup_mode, cfg.d, cfg.generators)
-    return coset(cfg.a, G).__contains__
-
-
 def check_hits_brute(samples: int) -> tuple[bool, str]:
     """find_hits against a full scan of every numerator p in [0, q^d], with
-    coset membership read from explicit cosets and each alpha_k re-derived
-    from the config's rule.
+    the centers read from exp.system(k), built from residue_group's cosets,
+    and each alpha_k re-derived from the config's rule.
 
     |x - p/Q| < alpha/Q is decided in integers, cleared of both denominators:
     |x.num Q - p x.den| alpha.den < alpha.num x.den."""
@@ -467,7 +457,7 @@ def check_hits_brute(samples: int) -> tuple[bool, str]:
     cases = 0
     for cfg in _hit_test_configs():
         exp = prepare(cfg)
-        members = [_coset_member(cfg, q) for q in exp.qs]
+        systems = [exp.system(k) for k in range(1, cfg.K + 1)]
         rule, c = _RADIUS_RULES[cfg.alpha_sequence.kind], cfg.alpha_sequence.c
         alphas = [rule(c, k) for k in range(1, cfg.K + 1)]
         for i in range(samples):
@@ -476,13 +466,11 @@ def check_hits_brute(samples: int) -> tuple[bool, str]:
             )
             got = {(h.k, h.p) for h in exp.find_hits(x)}
             want = set()
-            for idx, (q, Q, alpha, member) in enumerate(
-                zip(exp.qs, exp.moduli, alphas, members)
-            ):
+            for idx, (Q, alpha, E) in enumerate(zip(exp.moduli, alphas, systems)):
                 top, den = x.numerator * Q, x.denominator
                 scale, limit = alpha.denominator, alpha.numerator * den
                 for p in range(0, Q + 1):
-                    if abs(top - p * den) * scale < limit and math.gcd(p, q) == 1 and member(p):
+                    if abs(top - p * den) * scale < limit and E.is_center(p):
                         want.add((idx + 1, p))
             cases += 1
             if got != want:

@@ -117,8 +117,13 @@ class TestGroup:
         assert dict(zip(header, rows[0]))["subgroup_elements"] == "1;2;4"
 
     def test_bad_modulus_is_validation_error(self, capsys):
-        code, _, err = run_cli(capsys, "group", "--n", "1")
+        code, _, err = run_cli(capsys, "group", "--n", "0")
         assert code == 2
+
+    def test_modulus_one_is_the_trivial_group(self, capsys):
+        code, out, _ = run_cli(capsys, "group", "--n", "1")
+        assert code == 0
+        assert out.splitlines()[1] == "1,1,,1,1,0,0,0"
 
     @pytest.mark.parametrize("mode", ["full", "dth-powers"])
     def test_generators_outside_generator_mode_exit_2(self, capsys, mode):
@@ -205,6 +210,13 @@ class TestEquidist:
         header, rows = parse_csv(out)
         assert header == ["q", "d", "abs_excess"]
         assert len(rows) == 3
+
+    def test_overlap_sweep_from_modulus_one(self, capsys):
+        # mod 1, d = 2: E = [0, 1/5) u (4/5, 1] meets A in 1/5, so the
+        # multiplier is (1/5) / ((3/10)(2/5)) = 5/3 and |excess| 2/3
+        code, out, _ = run_cli(capsys, "equidist", "--overlap-q", "1,2,3,5", "--mode", "full")
+        assert code == 0
+        assert parse_csv(out)[1][0] == ["1", "2", "0.666666666667"]
 
     @pytest.mark.parametrize("extra", [[], ["--overlap-q", "19,53"]])
     @pytest.mark.parametrize("mode", ["full", "dth-powers"])

@@ -239,6 +239,11 @@ class TestPsiCount:
         with pytest.raises(ValueError):
             psi_count(-1, coset(1, full_subgroup(g)))
 
+    @pytest.mark.parametrize("X", [0, F(1, 2), 1, 2, F(7, 2)])
+    def test_mod_1_counts_every_integer_in_one_to_x(self, X):
+        # residue 0 is the unit mod 1, but l = 0 lies outside [1, X]
+        assert psi_count(X, coset(1, full_subgroup(unit_group(1)))) == math.floor(X)
+
 
 def character_count(mu, c, tol=1e-6):
     """psi_count(mu n, c) through the character-sum identity: the value rounded
@@ -278,6 +283,12 @@ class TestCharacterIdentity:
             val = psi_character_value(mu, c)
             assert abs(val - round(val.real)) < 1e-9
             assert character_count(mu, c) == psi_count(mu * n, c)
+
+    def test_rejects_modulus_one(self):
+        # its column 0 is the unit: the identity would count l = 0 too
+        c = coset(1, full_subgroup(unit_group(1)))
+        with pytest.raises(ValueError, match="^modulus must be >= 2, got 1$"):
+            psi_character_value(1, c)
 
     @pytest.mark.parametrize("mu", [0, F(-1, 3)])
     def test_rejects_a_non_positive_mu(self, mu):
@@ -414,6 +425,19 @@ class TestIntervalSystem:
         g = unit_group(9)
         E = interval_system(1, F(1, 4), 1, subgroup_from_generators(g, []))
         assert E.centers() == [1]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_modulus_one_is_the_circle(self, d):
+        # mod 1 the one center is 0 = 1 on R/Z: E = [0, alpha) u (1 - alpha, 1]
+        alpha = F(1, 5)
+        E = interval_system(d, alpha, 1, full_subgroup(unit_group(1)))
+        assert E.centers() == [0] and E.center_count == 1 and E.measure == 2 * alpha
+        assert E.is_center(0) and E.is_center(1)
+        for j in range(101):
+            X = F(j, 100)
+            assert E.measure_upto(X) == min(X, alpha) + max(0, X - 1 + alpha), X
+        assert overlap_measure(E, 0, 1) == (2 * alpha, 0)
+        assert overlap_measure(E, F(1, 10), F(9, 10)) == (2 * F(1, 10), F(1, 2))
 
     def test_power_case_count(self):
         g = unit_group(7)

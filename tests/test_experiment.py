@@ -359,8 +359,8 @@ class TestFindHits:
         assert len(hits) == 1
         h = hits[0]
         assert (h.k, h.q, h.p) == (1, 5, 2)
-        assert h.error == F(1, 15)
-        assert h.error < F(2, 5) / 5
+        assert F(h.error_num, h.error_den) == F(1, 15)
+        assert F(h.error_num, h.error_den) < F(2, 5) / 5
 
     def test_example_no_hit(self):
         cfg = small_cfg(
@@ -379,7 +379,7 @@ class TestFindHits:
             samples=1,
         )
         hits = prepare(cfg).find_hits(F(2, 5))
-        assert len(hits) == 1 and hits[0].error == 0 and hits[0].p == 2
+        assert len(hits) == 1 and hits[0].error_num == 0 and hits[0].p == 2
 
     def test_out_of_range_sample_rejected(self):
         exp = prepare(small_cfg())
@@ -415,7 +415,7 @@ class TestFindHits:
                 found += 1
                 k = h.k - 1
                 q, alpha = exp.qs[k], fraction_radii(exp)[k]
-                assert abs(x - F(h.p, q**2)) == h.error < alpha / q**2
+                assert abs(x - F(h.p, q**2)) == F(h.error_num, h.error_den) < alpha / q**2
                 assert math.gcd(h.p, q) == 1
                 G = dth_power_subgroup(unit_group(q), 2)
                 assert h.p in coset(1, G)
@@ -443,7 +443,7 @@ def reference_hits(exp, x):
 
 
 def screened_hits(exp, x):
-    return [(h.k, h.q, h.p, h.error) for h in exp.find_hits(x)]
+    return [(h.k, h.q, h.p, F(h.error_num, h.error_den)) for h in exp.find_hits(x)]
 
 
 def explicit_cfg(qs, alphas, **kw):
@@ -626,7 +626,7 @@ def assert_exact_records(exp, x, hits):
         assert type(h) is HitRecord and all(type(v) is int for v in h)
         assert tuple(h) == (h.k, h.q, h.p, h.error_num, h.error_den)
         assert math.gcd(h.error_num, h.error_den) == 1
-        assert F(h.error_num, h.error_den) == abs(x - F(h.p, exp.moduli[h.k - 1])) == h.error
+        assert F(h.error_num, h.error_den) == abs(x - F(h.p, exp.moduli[h.k - 1]))
         assert pickle.loads(pickle.dumps(h)) == h
 
 
@@ -648,6 +648,48 @@ def test_hit_records_of_sampled_points():
         found += len(hits)
     assert found > 0
     assert HitRecord._fields == ("k", "q", "p", "error_num", "error_den")
+
+
+# configs for the E_k tests: every subgroup mode, d = 1, 2, 3, q_1 = 1
+# (the integers and two boundary configs) and explicit lists
+SYSTEM_CONFIGS = {
+    "integers-full-d1": small_cfg(K=30),
+    "integers-dyadic-d2": small_cfg(alpha_sequence=AlphaSequence("c*2^-k", c=F(1, 4)), d=2, K=12),
+    "primes-squares-d2": small_cfg(q_sequence=QSequence("primes"), d=2, subgroup_mode="dth-powers", K=10),
+    "integers-cubes-d3": small_cfg(d=3, subgroup_mode="dth-powers", K=9),
+    "explicit-generators": explicit_cfg(
+        (3, 5, 7, 9, 11, 13), (F(1, 3), F(1, 4), F(2, 7), F(1, 9), F(3, 11), F(1, 13)),
+        a=2, subgroup_mode="generators", generators=(4,),
+    ),
+    "integers-trivial-d3": small_cfg(d=3, subgroup_mode="generators", generators=(1,), K=8),
+    "one-dth-powers": BOUNDARY_CONFIGS["one-dth-powers"],
+    "one-generators": BOUNDARY_CONFIGS["one-generators"],
+}
+
+
+class TestSystem:
+    @pytest.mark.parametrize("name", sorted(SYSTEM_CONFIGS))
+    def test_measures_sum_to_the_union_bound(self, name):
+        exp = prepare(SYSTEM_CONFIGS[name])
+        systems = [exp.system(k) for k in range(1, len(exp.qs) + 1)]
+        assert sum(E.measure for E in systems) == check_conditions(exp).union_bound
+        for E, q, Q, alpha in zip(systems, exp.qs, exp.moduli, fraction_radii(exp)):
+            assert (E.q, E.modulus, E.alpha) == (q, Q, alpha)
+
+    @pytest.mark.parametrize("name", sorted(SYSTEM_CONFIGS))
+    def test_centers_are_the_hit_predicates(self, name):
+        # residue_group's cosets against prepare's membership tests, on every
+        # numerator the brute hit scan reads
+        exp = prepare(SYSTEM_CONFIGS[name])
+        for k, (q, Q, member) in enumerate(zip(exp.qs, exp.moduli, exp._members), start=1):
+            E = exp.system(k)
+            for p in range(Q + 1):
+                assert E.is_center(p) == (math.gcd(p, q) == 1 and member(p % q)), (k, p)
+
+    @pytest.mark.parametrize("k", [0, -1, 4])
+    def test_rejects_an_index_outside_one_to_k(self, k):
+        with pytest.raises(IndexError, match=f"^index k must lie in \\[1, 3\\], got {k}$"):
+            prepare(small_cfg(K=3)).system(k)
 
 
 class TestSampling:

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from cosetapprox.arith import factor, r_d, u_d
+from cosetapprox.characters import all_characters, character_matrix
 from cosetapprox.residue_group import (
     closure,
     coset,
@@ -55,9 +56,26 @@ class TestUnitGroup:
 
     def test_rejects_small_modulus(self):
         with pytest.raises(ValueError):
-            unit_group(1)
-        with pytest.raises(ValueError):
             unit_group(0)
+        with pytest.raises(ValueError):
+            unit_group(-1)
+
+    def test_mod_1_is_the_trivial_group(self):
+        # the one residue 0 is a unit mod 1, as coprime_mask says
+        g = unit_group(1)
+        assert g.phi == 1 and g.cyclic_factors == () and g.exponent() == 1
+        assert g.units() == [0]
+        assert g.dlog(5) == () and g.dlog_table.shape == (0, 1)
+        G = full_subgroup(g)
+        assert G.elements == (0,) and index(G) == 1
+        assert dth_power_subgroup(g, 3).elements == subgroup_from_generators(g, [4]).elements == (0,)
+        assert closure([7], 1) == {0}
+        c = coset(5, G)
+        assert c.representative == 0 and c.elements == (0,)
+        assert all(p in c for p in (-1, 0, 1, 6))
+        assert is_dth_power(g.factorization, 5, 2)
+        assert all_characters(g).shape == (1, 0)  # one character, the principal one
+        assert character_matrix(g, all_characters(g)).tolist() == [[1]]
 
     def test_structure_exhaustive(self):
         # orders multiply to phi(n); every column of the dlog table is read:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cosetapprox import experiment, residue_group, verify
+from cosetapprox.equidist import IntervalSystem
 from cosetapprox.verify import (
     check_formula_oracle,
     check_hits_brute,
@@ -83,6 +84,22 @@ def test_hit_oracle_catches_a_wrong_membership_test(monkeypatch):
     assert not ok, detail
 
 
+@pytest.mark.parametrize(
+    "is_center, why",
+    [
+        (lambda E, p: math.gcd(p, E.q) == 1, "a unit outside the coset"),
+        (lambda E, p: 0 < p < E.modulus and p in E.coset, "the centers 0 and 1 mod 1"),
+    ],
+)
+def test_hit_oracle_reads_its_centers_from_the_systems(monkeypatch, is_center, why):
+    # the scan's centers come only from exp.system(k): a system that drops
+    # the coset, or the ends of [0, q^d], changes the scan but not find_hits
+    assert check_hits_brute(10) == (True, "30 sampled points, 0 disagreements")
+    monkeypatch.setattr(IntervalSystem, "is_center", is_center)
+    ok, detail = check_hits_brute(10)
+    assert not ok, why
+
+
 @pytest.mark.parametrize("which", range(3))
 def test_hit_oracle_is_strict_at_interval_endpoints(monkeypatch, which):
     # points exactly on the centers p/Q and the endpoints (p -+ alpha)/Q of
@@ -91,10 +108,10 @@ def test_hit_oracle_is_strict_at_interval_endpoints(monkeypatch, which):
     cfg = verify._hit_test_configs()[which]
     exp = experiment.prepare(cfg)
     points = {}
-    for q, Q, (n, e, o) in zip(exp.qs, exp.moduli, exp.radii):
+    for k, (Q, (n, e, o)) in enumerate(zip(exp.moduli, exp.radii), start=1):
         alpha = Fraction(n, o << e)
-        member = verify._coset_member(cfg, q)
-        centers = [p for p in range(Q + 1) if math.gcd(p, q) == 1 and member(p)]
+        E = exp.system(k)
+        centers = [p for p in range(Q + 1) if E.is_center(p)]
         for p in (centers[0], centers[-1]):
             for x in ((p - alpha) / Q, Fraction(p, Q), (p + alpha) / Q):
                 if 0 < x < 1:
@@ -199,3 +216,26 @@ def test_quick_details_are_pinned(name, detail):
     # ok alone would not see a draw that moved: these counts and statistics do
     check, quick_args, _ = verify._CHECKS[name]
     assert check(*quick_args) == (True, detail)
+
+
+@pytest.mark.parametrize(
+    "name, detail",
+    [
+        ("unit_group_structure", "n <= 64, 0 violations"),
+        ("coset_partition", "n <= 40, 0 violations"),
+        ("quotient_characters", "n <= 30, 0 violations"),
+        ("growth_trend", "doubling blocks to 262144, 0 broken trends"),
+        ("power_lift", "120 cases, 0 mismatches"),
+        ("hit_finding", "75 sampled points, 0 disagreements"),
+        ("conditions_reduction", "200 checkpoints agree"),
+        ("mc_determinism", "threads (1, 1, 2): identical"),
+        (
+            "mc_dichotomy",
+            "control F(1,K)=0.460 vs bound 0.390+0.119; divergent monotone=True, strict=True",
+        ),
+    ],
+)
+def test_full_details_are_pinned(name, detail):
+    # the nine full-scale details that acceptance criteria 01-08 leave out
+    check, _, full_args = verify._CHECKS[name]
+    assert check(*full_args) == (True, detail)
